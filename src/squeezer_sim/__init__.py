@@ -19,7 +19,6 @@ from .errors import (
     BandMismatch,
     DomainError,
     InvalidParams,
-    NegativeDiscriminant,
     NoConvergence,
     NonFiniteState,
     RootFindFailure,
@@ -31,7 +30,7 @@ from .errors import (
     WrongRegime,
 )
 from .montecarlo import PsdEstimate, SdeRun, compare_to_analytic, estimate_psd, simulate_decoupled
-from .params import ModelParams, PumpDrive, reference_params, total_decay, validate
+from .params import ModelParams, reference_params, validate
 from .spectra import (
     NoiseChannel,
     PhasePairVariance,
@@ -55,7 +54,6 @@ from .steadystate import (
     orth_threshold_intensity,
     orth_threshold_pump,
     sh_power,
-    sigma3_quadratic,
     steady_state,
 )
 

@@ -18,13 +18,12 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import model
-from .csvio import write_csv
+from .csvio import format_exact, snapshot_lines, write_csv
 from .dynamics import settle
 from .dynamics import _settle_t_max as dynamics_t_max
 from .errors import InvalidParams, SqueezerSimError, Unreachable
@@ -41,6 +40,7 @@ from .spectra import (
 )
 from .steadystate import (
     Regime,
+    fixed_point_residual,
     orth_threshold_intensity,
     regime_thresholds,
     sh_power,
@@ -121,19 +121,6 @@ def _model_params(cfg: dict) -> ModelParams:
     return validate(base)
 
 
-def _fmt(v) -> str:
-    """Exact round-trip rendering for snapshot/report values."""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(float(v))  # shortest exact form, plain for numpy scalars
-    return str(v)
-
-
-def _snapshot_lines(snapshot: dict) -> list[str]:
-    return [f"{k} = {_fmt(v)}" for k, v in snapshot.items()]
-
-
 def _grid(cfg: dict, name: str, default_min: float, default_max: float,
           default_steps: int) -> np.ndarray:
     lo = cfg.get(f"{name}_min", default_min)
@@ -147,21 +134,6 @@ def _grid(cfg: dict, name: str, default_min: float, default_max: float,
             raise ConfigError(f"{name}_log requires {name}_min > 0")
         return np.geomspace(lo, hi, steps)
     return np.linspace(lo, hi, steps)
-
-
-def _workers(n_items: int) -> int:
-    env = os.environ.get("SQUEEZER_SIM_THREADS")
-    cap = int(env) if env else min(8, os.cpu_count() or 1)
-    return max(1, min(cap, n_items))
-
-
-def _parallel_map(fn, items):
-    items = list(items)
-    w = _workers(len(items))
-    if w == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=w) as ex:
-        return list(ex.map(fn, items))
 
 
 def _check_out_writable(path: str):
@@ -199,11 +171,11 @@ def cmd_thresholds(cfg: dict, out: str | None) -> int:
         return EXIT_NUMERICAL
     v = threshold_variance(params, omega)
     lines = [
-        f"laser_threshold = {_fmt(g_laser)}",
-        f"orth_threshold_pump = {_fmt(g_orth)}",
-        f"orth_threshold_intensity = {_fmt(orth_threshold_intensity(params))}",
-        f"threshold_variance = {_fmt(v)}",
-        f"threshold_variance_db = {_fmt(to_decibel(v))}",
+        f"laser_threshold = {format_exact(g_laser)}",
+        f"orth_threshold_pump = {format_exact(g_orth)}",
+        f"orth_threshold_intensity = {format_exact(orth_threshold_intensity(params))}",
+        f"threshold_variance = {format_exact(v)}",
+        f"threshold_variance_db = {format_exact(to_decibel(v))}",
     ]
     _emit_report("\n".join(lines) + "\n", out)
     return EXIT_OK
@@ -230,10 +202,10 @@ def cmd_steady_sweep(cfg: dict, out: str, emit_plot: bool) -> int:
     snapshot = {**params.as_dict(),
                 "pump_min": float(pumps[0]), "pump_max": float(pumps[-1]),
                 "pump_steps": len(pumps), "pump_log": bool(cfg.get("pump_log", False))}
-    rows = _parallel_map(lambda g: _steady_row(params, thresholds, float(g)), pumps)
+    rows = [_steady_row(params, thresholds, float(g)) for g in pumps]
     write_csv(out, ["Gamma", "regime", "a_par", "a_orth",
                     "sigma1", "sigma2", "sigma3", "sh_power", "status"],
-              rows, comments=_snapshot_lines(snapshot))
+              rows, comments=snapshot_lines(snapshot))
     if emit_plot:
         gs = [r[0] for r in rows]
         for idx, name in ((2, "a_par"), (3, "a_orth"), (7, "sh_power")):
@@ -279,7 +251,7 @@ def cmd_pump_sweep(cfg: dict, out: str, emit_plot: bool) -> int:
     rows = [[pt.pump, pt.pump_normalized, pt.variance,
              to_decibel(pt.variance)] for pt in curve.points]
     write_csv(out, ["Gamma", "Gamma_normalized", "variance", "variance_db"],
-              rows, comments=_snapshot_lines(snapshot))
+              rows, comments=snapshot_lines(snapshot))
     if emit_plot:
         line_plot_svg(_plot_path(out, "variance_db"),
                       [r[1] for r in rows], [r[3] for r in rows],
@@ -311,7 +283,7 @@ def cmd_spectrum(cfg: dict, out: str, emit_plot: bool) -> int:
     rows = [[w, v, to_decibel(v)]
             for w, v in zip(curve.omegas, curve.variances)]
     write_csv(out, ["omega_rad_s", "variance", "variance_db"], rows,
-              comments=_snapshot_lines(snapshot))
+              comments=snapshot_lines(snapshot))
     if emit_plot:
         line_plot_svg(_plot_path(out, "variance_db"),
                       [r[0] for r in rows], [r[2] for r in rows],
@@ -363,17 +335,17 @@ def cmd_mc_verify(cfg: dict, out: str, seed_flag: int | None,
     if negative_control:
         snapshot["negative_control_gamma_orth_c"] = analytic_params.gamma_orth_c
     write_csv(out, ["omega_rad_s", "psd", "analytic", "deviation_sigma"],
-              rows, comments=_snapshot_lines(snapshot))
+              rows, comments=snapshot_lines(snapshot))
 
     ok = res_thr["pass"] and res_qnl["max_sigma_deviation"] <= 4.0
     lines = [
-        f"qnl_calibration_max_sigma = {_fmt(res_qnl['max_sigma_deviation'])}",
+        f"qnl_calibration_max_sigma = {format_exact(res_qnl['max_sigma_deviation'])}",
         f"qnl_calibration_bins = {res_qnl['n_bins']}",
-        f"threshold_max_sigma = {_fmt(res_thr['max_sigma_deviation'])}",
+        f"threshold_max_sigma = {format_exact(res_thr['max_sigma_deviation'])}",
         f"threshold_bins = {res_thr['n_bins']}",
         f"welch_segments = {est_thr.n_segments}",
-        f"rel_std_err = {_fmt(est_thr.rel_std_err)}",
-        f"negative_control = {_fmt(bool(negative_control))}",
+        f"rel_std_err = {format_exact(est_thr.rel_std_err)}",
+        f"negative_control = {format_exact(bool(negative_control))}",
         f"verdict = {'pass' if ok else 'fail'}",
     ]
     _emit_report("\n".join(lines) + "\n", None)
@@ -389,8 +361,7 @@ def _regime2_pumps(params, thresholds, n, rng) -> np.ndarray:
     return np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
 
 
-def _check_route_equivalence(params, thresholds, rng):
-    pumps = _regime2_pumps(params, thresholds, 100, rng)
+def _check_route_equivalence(params, thresholds, pumps):
     worst = 0.0
     for g in pumps:
         ss = steady_state(params, g, thresholds=thresholds)
@@ -401,30 +372,39 @@ def _check_route_equivalence(params, thresholds, rng):
     return worst <= 1e-12, f"max relative split {worst:.2e} (tol 1e-12)"
 
 
-def _check_clamping(params, thresholds, rng):
+def _check_clamping(params, thresholds, pumps, regime3_pumps):
     G, mu = params.stim_rate_G, params.nl_coupling_mu
     worst = 0.0
-    for g in _regime2_pumps(params, thresholds, 20, rng):
+    for g in pumps:
         ss = steady_state(params, g, thresholds=thresholds)
         lhs = G * (ss.sigma3 - ss.sigma2)
         rhs = 2.0 * params.gamma_par + 2.0 * mu * ss.i_par
         worst = max(worst, abs(lhs - rhs) / rhs)
     target = params.gamma_orth / mu
-    for mult in (1.2, 2.0, 3.5):
-        ss = steady_state(params, mult * thresholds[1], thresholds=thresholds)
+    for g in regime3_pumps:
+        ss = steady_state(params, g, thresholds=thresholds)
         worst = max(worst, abs(ss.i_par - ss.i_orth - target) / target)
     return worst <= 1e-9, f"max relative residual {worst:.2e} (tol 1e-9)"
 
 
-def _check_sigma2_relation(params, thresholds, rng):
+def _check_sigma2_relation(params, thresholds, pumps):
     k2 = params.decay_k2
     worst = 0.0
-    for g in _regime2_pumps(params, thresholds, 20, rng):
+    for g in pumps:
         ss = steady_state(params, g, thresholds=thresholds)
         lhs = ss.sigma2 * (k2 + g)
         rhs = g * (1.0 - ss.sigma3)
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
     return worst <= 1e-12, f"max relative residual {worst:.2e} (tol 1e-12)"
+
+
+def _check_fixed_point(params, thresholds, pumps):
+    # The closed forms derive the populations from i_par, so the identity
+    # checks above hold almost by construction; this one asks the rate
+    # equations themselves, at the configured rates.
+    worst = max(fixed_point_residual(
+        params, g, steady_state(params, g, thresholds=thresholds)) for g in pumps)
+    return worst <= 1e-10, f"max scaled residual {worst:.2e} (tol 1e-10)"
 
 
 def _check_threshold_consistency(params, rng):
@@ -517,15 +497,20 @@ def cmd_check(cfg: dict, out: str | None, seed_flag: int | None = None) -> int:
 
     checks.append(("params_valid", "PASS", "all invariants satisfied"))
     if has_window:
-        run("route_equivalence", _check_route_equivalence, params, thresholds, rng)
-        run("clamping_identities", _check_clamping, params, thresholds, rng)
-        run("sigma2_relation", _check_sigma2_relation, params, thresholds, rng)
+        route, clamp, sigma2 = (_regime2_pumps(params, thresholds, n, rng)
+                                for n in (100, 20, 20))
+        regime3 = [m * thresholds[1] for m in (1.2, 2.0, 3.5)]
+        run("route_equivalence", _check_route_equivalence, params, thresholds, route)
+        run("clamping_identities", _check_clamping, params, thresholds, clamp, regime3)
+        run("sigma2_relation", _check_sigma2_relation, params, thresholds, sigma2)
+        run("fixed_point_residual", _check_fixed_point, params, thresholds,
+            [*route, *clamp, *sigma2, *regime3])
         run("continuity_at_thresholds", _check_continuity, params, thresholds)
         run("oracle_equivalence", _check_oracle, params, thresholds, rng)
     else:
         for name in ("route_equivalence", "clamping_identities",
-                     "sigma2_relation", "continuity_at_thresholds",
-                     "oracle_equivalence"):
+                     "sigma2_relation", "fixed_point_residual",
+                     "continuity_at_thresholds", "oracle_equivalence"):
             checks.append((name, "SKIP", "no lasing window for these "
                                          "parameters"))
     run("threshold_consistency", _check_threshold_consistency, params, rng)

@@ -4,7 +4,9 @@ Every CSV starts with `# key = value` comment lines carrying the full
 run configuration.  Stripping the leading `# ` turns the header back
 into a valid config file, so a file documents exactly how to reproduce
 itself; rerunning with identical seeds must reproduce it byte for byte.
-Floats are written in scientific notation with 13 significant digits.
+Snapshot and report values use the shortest form that round-trips;
+data cells write floats in scientific notation with 13 significant
+digits.
 """
 
 from __future__ import annotations
@@ -13,22 +15,28 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["format_value", "snapshot_comments", "write_csv"]
+__all__ = ["format_exact", "format_value", "snapshot_lines", "write_csv"]
 
 
-def format_value(v) -> str:
+def format_exact(v) -> str:
+    """Exact round-trip rendering for snapshot and report values."""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(v)
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.12e}"
+    if isinstance(v, float):
+        return repr(float(v))  # shortest exact form, plain for numpy scalars
     return str(v)
 
 
-def snapshot_comments(snapshot: dict) -> list[str]:
+def format_value(v) -> str:
+    """Data-cell rendering: floats with 13 significant digits."""
+    if isinstance(v, (float, np.floating)):
+        return f"{float(v):.12e}"
+    return format_exact(v)
+
+
+def snapshot_lines(snapshot: dict) -> list[str]:
     """Render a config snapshot as `key = value` lines (ordered as given)."""
-    return [f"{k} = {format_value(v)}" for k, v in snapshot.items()]
+    return [f"{k} = {format_exact(v)}" for k, v in snapshot.items()]
 
 
 def write_csv(path, columns: list[str], rows, comments: list[str] | None = None):

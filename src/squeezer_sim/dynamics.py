@@ -18,7 +18,15 @@ from . import model
 from ._rk45 import rk45
 from .errors import NoConvergence, Unreachable
 from .params import ModelParams, as_pump
-from .steadystate import Regime, SteadyState, laser_threshold, orth_threshold_intensity
+from .steadystate import (
+    Regime,
+    SteadyState,
+    laser_only_branch,
+    laser_threshold,
+    orth_threshold_intensity,
+    steady_state,
+    zero_field_populations,
+)
 
 __all__ = [
     "StateVector",
@@ -194,8 +202,6 @@ def stability(params: ModelParams, pump, branch: Regime | None = None) -> dict:
     positive).  The population-conservation direction contributes an
     exactly zero eigenvalue, which counts as stable.
     """
-    from .steadystate import laser_only_branch, steady_state, zero_field_populations
-
     g = as_pump(pump)
     if branch is None:
         ss = steady_state(params, g)

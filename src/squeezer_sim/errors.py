@@ -21,10 +21,6 @@ class InvalidParams(SqueezerSimError):
         super().__init__("; ".join(self.errors))
 
 
-class NegativeDiscriminant(SqueezerSimError):
-    """The sigma3 quadratic has no real root: no lasing solution."""
-
-
 class WrongRegime(SqueezerSimError):
     """An operation was evaluated outside its pump-regime validity domain."""
 

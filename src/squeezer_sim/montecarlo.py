@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter, welch
 
 from .errors import BandMismatch, DomainError, TooShort
 from .params import ModelParams
@@ -97,6 +96,11 @@ def simulate_decoupled(params: ModelParams, i_par, seed: int, dt: float,
     replace the two noise channels (e.g. to watch the noise-free decay,
     or to couple runs at different dt through shared Brownian paths).
     """
+    # scipy.signal is imported here and in estimate_psd rather than at
+    # module level: it costs about a second and tens of MB, and importing
+    # the package should not pay that for work that never simulates.
+    from scipy.signal import lfilter
+
     i = float(i_par)
     top = orth_threshold_intensity(params)
     if not 0.0 <= i <= top * (1.0 + 1e-12):
@@ -148,6 +152,8 @@ def estimate_psd(run: SdeRun, n_segments: int) -> PsdEstimate:
     convention, under which a pure vacuum input (i_par = 0) comes out
     flat at 1; there is no post-hoc calibration factor.
     """
+    from scipy.signal import welch
+
     if n_segments < 8:
         raise ValueError("n_segments must be >= 8")
     x = run.series_out[_transient_samples(run):]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 from .errors import InvalidParams
 
-__all__ = ["ModelParams", "PumpDrive", "total_decay", "reference_params", "validate"]
+__all__ = ["ModelParams", "reference_params", "validate"]
 
 _POSITIVE_FIELDS = ("stim_rate_G", "nl_coupling_mu", "decay_k2", "decay_k3")
 
@@ -53,25 +53,8 @@ class ModelParams:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-@dataclass(frozen=True)
-class PumpDrive:
-    """Pump rate Gamma feeding level 1 -> 3."""
-
-    pump_rate_Gamma: float
-
-    def __post_init__(self):
-        g = self.pump_rate_Gamma
-        if not (isinstance(g, (int, float)) and math.isfinite(g)):
-            raise InvalidParams(["pump_rate_Gamma must be finite"])
-        if g < 0:
-            raise InvalidParams(["pump_rate_Gamma must be >= 0"])
-
-    def __float__(self) -> float:
-        return float(self.pump_rate_Gamma)
-
-
 def as_pump(pump) -> float:
-    """Coerce a pump argument (float or PumpDrive) to a validated rate."""
+    """Coerce a pump argument to a validated rate."""
     g = float(pump)
     if not math.isfinite(g) or g < 0:
         raise InvalidParams(["pump rate must be finite and >= 0"])
@@ -120,18 +103,6 @@ def validate(raw: dict[str, float] | None = None, /, **kwargs) -> ModelParams:
     if errors:
         raise InvalidParams(errors)
     return ModelParams(**{k: float(v) for k, v in data.items()})
-
-
-def total_decay(params: ModelParams, mode: str) -> float:
-    """Total ring-mode decay rate, the sum of coupler and passive losses.
-
-    mode is "parallel" or "orthogonal".
-    """
-    if mode == "parallel":
-        return params.gamma_par
-    if mode == "orthogonal":
-        return params.gamma_orth
-    raise ValueError(f"mode must be 'parallel' or 'orthogonal', got {mode!r}")
 
 
 def reference_params() -> ModelParams:

@@ -24,8 +24,9 @@ into the reduced form
 
 depending only on mu, the orthogonal-mode decays and the operating
 intensity.  Both routes are implemented and must agree to 1e-12; their
-agreement simultaneously validates the sigma3 quadratic, the clamping
-algebra and the spectrum itself.
+agreement validates the clamping algebra and the spectrum itself.  The
+region-ii populations are derived from i_par, so whether that state is a
+fixed point at all is checked separately, against the rate equations.
 """
 
 from __future__ import annotations
@@ -70,16 +71,6 @@ class Quadrature(enum.Enum):
 
     Amplitude = "amplitude"
     Phase = "phase"
-
-    @property
-    def theta(self) -> int:
-        """Population-fluctuation gate: 1 for amplitude, 0 for phase."""
-        return 1 if self is Quadrature.Amplitude else 0
-
-    @property
-    def sign(self) -> int:
-        """Branch sign: +1 for amplitude, -1 for phase."""
-        return 1 if self is Quadrature.Amplitude else -1
 
 
 class NoiseChannel(enum.Enum):

@@ -6,12 +6,13 @@ The pump axis splits into three regions:
   ii.  lasing, the orthogonally polarized mode still dark;
   iii. both polarizations excited ("oscillation" of the orthogonal mode).
 
-Region ii has a closed form built on a quadratic for sigma3.  Region iii
-clamps the inversion at sigma3 - sigma2 = 2(gamma_par + gamma_orth)/G,
-which yields an algebraic seed that a damped Newton solve then polishes
-against the full five-equation fixed point (with an ODE-settling
-fallback).  Thresholds are located by sign-change bracketing with a
-doubling upper bound, favouring robustness over speed.
+Everything here is closed-form algebra.  Both threshold pumps solve
+equations that are linear in the pump.  In region ii gain clamping fixes
+s3 - s2 = 2(gamma_par + mu i_par)/G and leaves a quadratic in i_par.
+Region iii clamps the inversion at sigma3 - sigma2 = 2(gamma_par +
+gamma_orth)/G, which gives the populations and both intensities
+directly; a scaled-residual guard rejects a region-iii answer that is
+not a fixed point of the rate equations.
 """
 
 from __future__ import annotations
@@ -23,31 +24,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .errors import (
-    NegativeDiscriminant,
-    RootFindFailure,
-    Unreachable,
-    WrongRegime,
-)
+from .errors import RootFindFailure, Unreachable, WrongRegime
 from .params import ModelParams, as_pump
 
 __all__ = [
     "Regime",
     "SteadyState",
-    "sigma3_quadratic",
     "steady_state",
     "classify_regime",
     "regime_thresholds",
     "laser_threshold",
+    "laser_branch_intensity",
     "orth_threshold_intensity",
     "orth_threshold_pump",
+    "fixed_point_residual",
     "sh_power",
     "laser_only_branch",
     "zero_field_populations",
 ]
 
-_MAX_DOUBLINGS = 60
 _BOUND_SLACK = 1e-9  # tolerance on population bounds for float dust
+# Largest scaled residual accepted for a region-iii closed form.
+_RESIDUAL_TOL = 1e-10
 
 
 class Regime(enum.Enum):
@@ -103,16 +101,6 @@ class SteadyState:
                          self.sigma1, self.sigma2, self.sigma3])
 
 
-@dataclass(frozen=True)
-class Sigma3Quadratic:
-    """Coefficients of the sigma3 quadratic and its physical root."""
-
-    a_coef: float
-    b_coef: float
-    c_coef: float
-    sigma3: float
-
-
 def zero_field_populations(params: ModelParams, pump) -> tuple[float, float, float]:
     """Population balance with both fields dark.
 
@@ -129,113 +117,77 @@ def zero_field_populations(params: ModelParams, pump) -> tuple[float, float, flo
     return s1, s2, s3
 
 
-def _small_signal_gain(params: ModelParams, pump: float) -> float:
-    _, s2, s3 = zero_field_populations(params, pump)
-    return 0.5 * params.stim_rate_G * (s3 - s2)
+def laser_branch_intensity(params: ModelParams, pump) -> float:
+    """i_par on the lasing branch, 0 at and below the laser threshold.
 
+    Gain clamping fixes s3 - s2 = 2(gamma_par + mu i)/G; the s1 balance
+    and unit sum give s2 = c (1 - s3 + s2) with c = Gamma/(k2 + 2 Gamma),
+    and the s2 balance leaves mu i^2 + B i + C = 0 with
 
-def sigma3_quadratic(params: ModelParams, pump) -> Sigma3Quadratic:
-    """Lasing-branch quadratic a*s3^2 + b*s3 + c = 0 and its "+sqrt" root.
+        K = (k2 - k3) c + k3,
+        B = gamma_par + mu K / G,
+        C = gamma_par K / G - (k2 - k3) c / 2.
 
-    With f = Gamma/(Gamma + k2):
-
-        a = (G^2 / 2 mu) (1 + f)^2
-        b = k3 + k2 f - G (1 + f) (G f / mu + gamma_par / mu)
-        c = G f (G f / 2 mu + gamma_par / mu) - k2 f
-
-    The root is evaluated in the cancellation-free form (2c over
-    -b - sqrt(disc) when b > 0).
+    The positive root is taken as -2C / (B + sqrt(B^2 - 4 mu C)), which
+    keeps full relative precision down to the threshold, where C -> 0.
     """
     g = as_pump(pump)
     G = params.stim_rate_G
     mu = params.nl_coupling_mu
     k2, k3 = params.decay_k2, params.decay_k3
     gpar = params.gamma_par
-    f = g / (g + k2)
-    a = (G * G / (2.0 * mu)) * (1.0 + f) ** 2
-    b = k3 + k2 * f - G * (1.0 + f) * (G * f / mu + gpar / mu)
-    c = G * f * (G * f / (2.0 * mu) + gpar / mu) - k2 * f
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        raise NegativeDiscriminant(
-            f"sigma3 quadratic has no real root at pump {g!r}")
-    sq = math.sqrt(disc)
-    if b <= 0.0:
-        s3 = (-b + sq) / (2.0 * a)
-    else:
-        s3 = (2.0 * c) / (-b - sq)
-    return Sigma3Quadratic(a_coef=a, b_coef=b, c_coef=c, sigma3=s3)
+    c = g / (k2 + 2.0 * g)
+    K = (k2 - k3) * c + k3
+    B = gpar + mu * K / G
+    C = gpar * K / G - 0.5 * (k2 - k3) * c
+    if C >= 0.0:
+        return 0.0
+    return -2.0 * C / (B + math.sqrt(B * B - 4.0 * mu * C))
+
+
+def _laser_branch_state(params: ModelParams, pump: float, i_par: float) -> SteadyState:
+    """Populations of the lasing branch from its intensity."""
+    inv = 2.0 * (params.gamma_par + params.nl_coupling_mu * i_par) / params.stim_rate_G
+    s2 = pump * (1.0 - inv) / (params.decay_k2 + 2.0 * pump)
+    s3 = s2 + inv
+    s1 = 1.0 - s2 - s3
+    return SteadyState(sigma1=s1, sigma2=s2, sigma3=s3,
+                       i_par=i_par, i_orth=0.0, regime=Regime.LaserOnly)
 
 
 def laser_only_branch(params: ModelParams, pump) -> SteadyState:
     """Analytic lasing branch with the orthogonal mode dark.
 
-    Valid as algebra for any pump on which the quadratic has a physical
-    root; no regime gating beyond rejecting roots with populations
-    outside [0, 1] or non-positive intensity.  Callers that need the
-    branch only where it is the realized steady state should go through
-    steady_state instead.
+    Valid as algebra for any pump above the laser threshold, including
+    pumps past the orthogonal-mode instability where the branch is no
+    longer the realized steady state.  Callers that need the realized
+    state should go through steady_state instead.
     """
     g = as_pump(pump)
-    s3 = sigma3_quadratic(params, g).sigma3
-    f = g / (g + params.decay_k2)
-    s2 = f * (1.0 - s3)
-    s1 = 1.0 - s2 - s3
-    inv = s3 - s2
-    i_par = (params.stim_rate_G * inv - 2.0 * params.gamma_par) / (
-        2.0 * params.nl_coupling_mu)
+    i_par = laser_branch_intensity(params, g)
     if i_par <= 0.0:
         raise WrongRegime(
-            f"lasing branch has i_par <= 0 at pump {g!r} (below threshold)")
-    for name, v in (("sigma1", s1), ("sigma2", s2), ("sigma3", s3)):
-        if not -_BOUND_SLACK <= v <= 1.0 + _BOUND_SLACK:
-            raise WrongRegime(f"lasing branch root gives {name}={v!r}")
-    return SteadyState(sigma1=s1, sigma2=s2, sigma3=s3,
-                       i_par=i_par, i_orth=0.0, regime=Regime.LaserOnly)
-
-
-def _bracket_and_bisect(fn, hi0: float, what: str) -> float:
-    """Root of fn on [0, hi], doubling hi until a sign change shows up.
-
-    fn must be negative at 0+.  Raises Unreachable after 60 doublings
-    without a sign change.
-    """
-    hi = hi0
-    for _ in range(_MAX_DOUBLINGS):
-        if fn(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise Unreachable(f"{what}: no sign change up to pump {hi!r}")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if fn(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+            f"lasing branch has i_par <= 0 at pump {g!r} (not above threshold)")
+    return _laser_branch_state(params, g, i_par)
 
 
 def laser_threshold(params: ModelParams) -> float:
     """Pump rate where small-signal gain equals the parallel-mode loss.
 
-    Solves (G/2)(s3 - s2) = gamma_par with zero-field populations by
-    bracketed bisection.  Raises Unreachable when the saturated gain
-    (G/2)(1 - r)/(1 + r), r = k3/k2, never reaches the loss.
+    Setting (G/2)(s3 - s2) = gamma_par with zero-field populations gives
+    Gamma_L = k3 / (G (1 - r) / (2 gamma_par) - 1 - r), r = k3/k2.
+    Raises Unreachable when the denominator is <= 0, i.e. when the
+    saturated gain (G/2)(1 - r)/(1 + r) never reaches the loss.
     """
     gpar = params.gamma_par
     r = params.decay_k3 / params.decay_k2
-    gain_sup = 0.5 * params.stim_rate_G * (1.0 - r) / (1.0 + r)
-    if gain_sup <= gpar:
+    den = params.stim_rate_G * (1.0 - r) / (2.0 * gpar) - 1.0 - r
+    if den <= 0.0:
         raise Unreachable(
             "small-signal gain cannot reach the parallel-mode loss: "
-            f"sup gain {gain_sup!r} <= gamma_par {gpar!r}")
-    return _bracket_and_bisect(
-        lambda g: _small_signal_gain(params, g) - gpar,
-        hi0=params.decay_k3, what="laser threshold")
+            f"sup gain {0.5 * params.stim_rate_G * (1.0 - r) / (1.0 + r)!r} "
+            f"<= gamma_par {gpar!r}")
+    return params.decay_k3 / den
 
 
 def orth_threshold_intensity(params: ModelParams) -> float:
@@ -243,42 +195,26 @@ def orth_threshold_intensity(params: ModelParams) -> float:
     return params.gamma_orth / params.nl_coupling_mu
 
 
-def laser_branch_intensity(params: ModelParams, pump: float) -> float:
-    """i_par on the lasing branch, clamped to 0 below threshold."""
-    try:
-        q = sigma3_quadratic(params, pump)
-    except NegativeDiscriminant:
-        return 0.0
-    f = pump / (pump + params.decay_k2)
-    inv = (1.0 + f) * q.sigma3 - f
-    i_par = (params.stim_rate_G * inv - 2.0 * params.gamma_par) / (
-        2.0 * params.nl_coupling_mu)
-    return max(i_par, 0.0)
-
-
 def orth_threshold_pump(params: ModelParams) -> float:
-    """Pump rate at which the lasing-branch intensity reaches gamma_orth/mu."""
-    target = orth_threshold_intensity(params)
-    start = laser_threshold(params)  # may raise Unreachable
-    fn = lambda g: laser_branch_intensity(params, g) - target
-    hi = max(start, params.decay_k3) * 2.0
-    for _ in range(_MAX_DOUBLINGS):
-        if fn(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
+    """Pump rate at which the lasing-branch intensity reaches gamma_orth/mu.
+
+    At i* = gamma_orth/mu the inversion is D = 2(gamma_par + gamma_orth)/G
+    and the sigma2 balance is linear in the pump:
+
+        Gamma_orth = k2 (G D i* + k3 D) / (k2 (1 - D) - 2 G D i* - k3 (1 + D)).
+
+    Raises Unreachable when the denominator is <= 0: the population flux
+    cannot feed the intensity i* at any pump.
+    """
+    G = params.stim_rate_G
+    k2, k3 = params.decay_k2, params.decay_k3
+    i_star = orth_threshold_intensity(params)
+    D = 2.0 * (params.gamma_par + params.gamma_orth) / G
+    den = k2 * (1.0 - D) - 2.0 * G * D * i_star - k3 * (1.0 + D)
+    if den <= 0.0:
         raise Unreachable(
-            f"lasing intensity saturates below gamma_orth/mu = {target!r}")
-    lo = start
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if fn(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+            f"lasing intensity saturates below gamma_orth/mu = {i_star!r}")
+    return k2 * (G * D * i_star + k3 * D) / den
 
 
 def regime_thresholds(params: ModelParams) -> tuple[float, float]:
@@ -309,8 +245,20 @@ def classify_regime(params: ModelParams, pump,
     return Regime.LaserOnly if g < g_orth else Regime.OrthExcited
 
 
-def _regime3_seed(params: ModelParams, pump: float) -> tuple[float, ...]:
-    """Algebraic reduction of the region-iii fixed point.
+def fixed_point_residual(params: ModelParams, pump, ss: SteadyState) -> float:
+    """Largest scaled residual |rhs| / rate_scales of the state.
+
+    Only the first four rate equations count: the fifth is their exact
+    negative sum and carries no independent information.
+    """
+    g = as_pump(pump)
+    y = ss.state_vector()
+    scaled = np.abs(model.rhs(y, params, g)[:4]) / model.rate_scales(y, params, g)[:4]
+    return float(np.max(scaled))
+
+
+def _regime3_state(params: ModelParams, pump: float) -> SteadyState:
+    """Region-iii fixed point from the two clamping conditions.
 
     Both field equations clamp: mu (i_par - i_orth) = gamma_orth and
     (G/2)(s3 - s2) = gamma_par + gamma_orth, so the populations follow
@@ -324,89 +272,39 @@ def _regime3_seed(params: ModelParams, pump: float) -> tuple[float, ...]:
     s3 = s2 + D
     s1 = 1.0 - s2 - s3
     i_par = (k2 * s2 - k3 * s3) / (G * D)
-    i_orth = i_par - params.gamma_orth / params.nl_coupling_mu
-    return s1, s2, s3, i_par, i_orth
-
-
-def _newton_polish(params: ModelParams, pump: float, y0: np.ndarray,
-                   max_iter: int = 50) -> np.ndarray:
-    """Damped Newton on the fixed-point system with unit population sum.
-
-    The fifth rate equation is linearly dependent on the other two
-    population rates, so it is replaced by the normalization constraint
-    to give a full-rank system.  Rows are rescaled by their natural
-    magnitudes before solving.
-    """
-    y = y0.astype(float).copy()
-
-    def residual(yv):
-        f = model.rhs(yv, params, pump)
-        scales = model.rate_scales(yv, params, pump)
-        res = np.empty(5)
-        res[:4] = f[:4]
-        res[4] = yv[2] + yv[3] + yv[4] - 1.0
-        sc = np.empty(5)
-        sc[:4] = scales[:4]
-        sc[4] = 1.0
-        return res, sc
-
-    res, sc = residual(y)
-    for _ in range(max_iter):
-        if np.all(np.abs(res) <= 1e-12 * sc):
-            return y
-        J = model.jacobian(y, params, pump)
-        A = np.empty((5, 5))
-        A[:4] = J[:4] / sc[:4, None]
-        A[4] = [0.0, 0.0, 1.0, 1.0, 1.0]
-        try:
-            step = np.linalg.solve(A, -res / sc)
-        except np.linalg.LinAlgError as exc:
-            raise RootFindFailure(f"Newton linear solve failed: {exc}") from exc
-        norm0 = np.linalg.norm(res / sc)
-        alpha = 1.0
-        for _ in range(30):
-            y_try = y + alpha * step
-            res_try, sc_try = residual(y_try)
-            if np.linalg.norm(res_try / sc_try) < norm0:
-                y, res, sc = y_try, res_try, sc_try
-                break
-            alpha *= 0.5
-        else:
-            raise RootFindFailure("Newton line search stalled")
-    if np.all(np.abs(res) <= 1e-10 * sc):
-        return y
-    raise RootFindFailure("Newton did not converge in region iii")
-
-
-def _regime3_state(params: ModelParams, pump: float) -> SteadyState:
-    s1, s2, s3, i_par, i_orth = _regime3_seed(params, pump)
+    i_orth = i_par - orth_threshold_intensity(params)
     if i_orth <= 0.0:
         # Boundary dust: the pump sits numerically at the instability
         # point, where the lasing branch is still the steady state.
         return laser_only_branch(params, pump)
-    y0 = np.array([math.sqrt(max(i_par, 0.0)), math.sqrt(i_orth), s1, s2, s3])
-    try:
-        y = _newton_polish(params, pump, y0)
-    except RootFindFailure:
-        from .dynamics import settle  # fallback oracle, imported lazily
-        return settle(params, pump)
-    a, b = y[0], y[1]
-    return SteadyState(sigma1=y[2], sigma2=y[3], sigma3=y[4],
-                       i_par=a * a, i_orth=b * b, regime=Regime.OrthExcited)
+    ss = SteadyState(sigma1=s1, sigma2=s2, sigma3=s3,
+                     i_par=i_par, i_orth=i_orth, regime=Regime.OrthExcited)
+    res = fixed_point_residual(params, pump, ss)
+    if not res <= _RESIDUAL_TOL:
+        raise RootFindFailure(
+            f"region-iii closed form is not a fixed point at pump {pump!r}: "
+            f"scaled residual {res!r} > {_RESIDUAL_TOL!r}")
+    return ss
 
 
 def steady_state(params: ModelParams, pump,
                  thresholds: tuple[float, float] | None = None) -> SteadyState:
-    """Realized steady state at this pump, tagged with its regime."""
+    """Realized steady state at this pump, tagged with its regime.
+
+    At the laser threshold itself the lasing intensity is 0, so the
+    dark zero-field state is returned there.
+    """
     g = as_pump(pump)
     regime = classify_regime(params, g, thresholds)
-    if regime is Regime.BelowLaser:
-        s1, s2, s3 = zero_field_populations(params, g)
-        return SteadyState(sigma1=s1, sigma2=s2, sigma3=s3,
-                           i_par=0.0, i_orth=0.0, regime=Regime.BelowLaser)
+    if regime is Regime.OrthExcited:
+        return _regime3_state(params, g)
     if regime is Regime.LaserOnly:
-        return laser_only_branch(params, g)
-    return _regime3_state(params, g)
+        i_par = laser_branch_intensity(params, g)
+        if i_par > 0.0:
+            return _laser_branch_state(params, g, i_par)
+    s1, s2, s3 = zero_field_populations(params, g)
+    return SteadyState(sigma1=s1, sigma2=s2, sigma3=s3,
+                       i_par=0.0, i_orth=0.0, regime=Regime.BelowLaser)
 
 
 def sh_power(params: ModelParams, ss: SteadyState) -> float:

@@ -209,16 +209,6 @@ def test_plot_emission(tmp_path):
     assert text.startswith("<svg") and "polyline" in text
 
 
-def test_thread_cap_respected(tmp_path, monkeypatch):
-    monkeypatch.setenv("SQUEEZER_SIM_THREADS", "1")
-    out1 = tmp_path / "a.csv"
-    assert main(["steady-sweep", "--out", str(out1)]) == 0
-    monkeypatch.setenv("SQUEEZER_SIM_THREADS", "4")
-    out2 = tmp_path / "b.csv"
-    assert main(["steady-sweep", "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "squeezer_sim.cli", "thresholds"],

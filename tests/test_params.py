@@ -6,21 +6,20 @@ import pytest
 from squeezer_sim import (
     InvalidParams,
     ModelParams,
-    PumpDrive,
     reference_params,
-    total_decay,
     validate,
 )
+from squeezer_sim.params import as_pump
 
 
 def test_total_decay_orthogonal_reference_values():
     p = reference_params()
-    assert total_decay(p, "orthogonal") == pytest.approx(1.575e7, rel=1e-15)
+    assert p.gamma_orth == pytest.approx(1.575e7, rel=1e-15)
 
 
 def test_total_decay_parallel_reference_values():
     p = reference_params()
-    assert total_decay(p, "parallel") == pytest.approx(5.5e6, rel=1e-15)
+    assert p.gamma_par == pytest.approx(5.5e6, rel=1e-15)
 
 
 def test_total_decay_additive_and_order_independent(rng):
@@ -30,13 +29,8 @@ def test_total_decay_additive_and_order_independent(rng):
                        "gamma_orth_c": a, "gamma_orth_l": b})
         p2 = validate({**reference_params().as_dict(),
                        "gamma_orth_c": b, "gamma_orth_l": a})
-        assert total_decay(p1, "orthogonal") == a + b
-        assert total_decay(p1, "orthogonal") == total_decay(p2, "orthogonal")
-
-
-def test_total_decay_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        total_decay(reference_params(), "diagonal")
+        assert p1.gamma_orth == a + b
+        assert p1.gamma_orth == p2.gamma_orth
 
 
 def test_reference_nonlinear_coupling():
@@ -101,8 +95,8 @@ def test_params_immutable():
 
 
 def test_pump_drive_validation():
-    assert float(PumpDrive(3.5)) == 3.5
+    assert as_pump(3.5) == 3.5
     with pytest.raises(InvalidParams):
-        PumpDrive(-1.0)
+        as_pump(-1.0)
     with pytest.raises(InvalidParams):
-        PumpDrive(math.nan)
+        as_pump(math.nan)

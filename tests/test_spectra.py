@@ -130,13 +130,6 @@ def test_variance_bounded_by_qnl_floor_and_ceiling(rng):
         assert orth_phase_variance_reduced(p, 0.0, 1.0) == 1.0
 
 
-def test_quadrature_selector_conventions():
-    assert Quadrature.Amplitude.theta == 1
-    assert Quadrature.Phase.theta == 0
-    assert Quadrature.Amplitude.sign == 1
-    assert Quadrature.Phase.sign == -1
-
-
 def test_to_decibel_values():
     assert to_decibel(1.0) == 0.0
     assert to_decibel(0.1) == pytest.approx(-10.0, rel=1e-12)

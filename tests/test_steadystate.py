@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from squeezer_sim import (
-    NegativeDiscriminant,
     Regime,
     Unreachable,
     WrongRegime,
@@ -16,10 +15,10 @@ from squeezer_sim import (
     reference_params,
     settle,
     sh_power,
-    sigma3_quadratic,
     steady_state,
     validate,
 )
+from squeezer_sim import model
 from squeezer_sim.sampling import sample_reachable_params, sample_regime_pumps
 
 
@@ -29,27 +28,16 @@ def _mid_regime2_pump(params):
     return math.sqrt(lo * hi)
 
 
-def test_quadratic_root_satisfies_equation(rng):
-    for _ in range(10):
-        p = sample_reachable_params(rng)
-        g = sample_regime_pumps(rng, p, "ii")
-        q = sigma3_quadratic(p, g)
-        residual = q.a_coef * q.sigma3 ** 2 + q.b_coef * q.sigma3 + q.c_coef
-        scale = max(abs(q.a_coef * q.sigma3 ** 2),
-                    abs(q.b_coef * q.sigma3), abs(q.c_coef))
-        assert abs(residual) <= 1e-9 * scale
-
-
 def test_quadratic_sigma3_matches_ode_settling(moderate):
     g = _mid_regime2_pump(moderate)
-    s3 = sigma3_quadratic(moderate, g).sigma3
+    s3 = steady_state(moderate, g).sigma3
     settled = settle(moderate, g)
     assert settled.sigma3 == pytest.approx(s3, rel=1e-6)
 
 
 def test_below_threshold_has_no_lasing_root(moderate):
     g = 0.1 * laser_threshold(moderate)
-    with pytest.raises((NegativeDiscriminant, WrongRegime)):
+    with pytest.raises(WrongRegime):
         laser_only_branch(moderate, g)
 
 
@@ -225,11 +213,44 @@ def test_fields_continuous_across_thresholds(moderate):
     for g0 in (laser_threshold(moderate), orth_threshold_pump(moderate)):
         lo = steady_state(moderate, g0 * (1 - 1e-8))
         hi = steady_state(moderate, g0 * (1 + 1e-8))
-        assert abs(lo.sigma1 - hi.sigma1) < 1e-6
-        assert abs(lo.sigma2 - hi.sigma2) < 1e-6
-        assert abs(lo.sigma3 - hi.sigma3) < 1e-6
-        assert abs(lo.i_par - hi.i_par) / i_star < 1e-6
-        assert abs(lo.i_orth - hi.i_orth) / i_star < 1e-6
+        _assert_continuous(lo, hi, i_star)
+
+
+def _assert_continuous(a, b, i_star):
+    assert abs(a.sigma1 - b.sigma1) < 1e-6
+    assert abs(a.sigma2 - b.sigma2) < 1e-6
+    assert abs(a.sigma3 - b.sigma3) < 1e-6
+    assert abs(a.i_par - b.i_par) / i_star < 1e-6
+    assert abs(a.i_orth - b.i_orth) / i_star < 1e-6
+
+
+def test_steady_state_resolves_exactly_at_thresholds(moderate, rng):
+    families = [reference_params(), moderate]
+    families += [sample_reachable_params(rng) for _ in range(200)]
+    for p in families:
+        gl, go = laser_threshold(p), orth_threshold_pump(p)
+        i_star = orth_threshold_intensity(p)
+        for edge, neighbour in ((gl, math.nextafter(gl, math.inf)),
+                                (go, math.nextafter(go, 0.0))):
+            _assert_continuous(steady_state(p, edge), steady_state(p, neighbour),
+                               i_star)
+
+
+def _scaled_residual(params, pump, ss):
+    y = ss.state_vector()
+    f = model.rhs(y, params, pump)[:4]
+    return np.max(np.abs(f) / model.rate_scales(y, params, pump)[:4])
+
+
+def test_closed_forms_are_fixed_points_at_reference(reference):
+    gl = laser_threshold(reference)
+    go = orth_threshold_pump(reference)
+    pumps = np.concatenate([np.geomspace(1.0001 * gl, 0.9999 * go, 50),
+                            np.geomspace(1.0001 * go, 1000.0 * go, 50)])
+    for g in pumps:
+        ss = steady_state(reference, g)
+        assert ss.regime is (Regime.LaserOnly if g < go else Regime.OrthExcited)
+        assert _scaled_residual(reference, g, ss) <= 1e-10
 
 
 def test_population_sum_is_one(moderate, rng):
