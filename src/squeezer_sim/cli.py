@@ -460,9 +460,12 @@ def _check_oracle(params, thresholds, rng):
     cost = max(integration_cost(p, 0.5 * thr[0]),
                integration_cost(p, 1.5 * thr[1]))
     if cost > 5e5:
-        # Rates spanning too many decades for an explicit integrator at
-        # desk scale; exercise the same code path on a bundled feasible
-        # family instead.
+        # settle fails at the reference rates (k2 = 1e19 against
+        # k3 = 1e4): its first step underflows at t = 0 in regions ii
+        # and iii, and at 1.5x the laser threshold its regime cut
+        # (1e-12 of gamma_orth/mu) reports the lasing state as dark.
+        # Exercise the same code path on a bundled feasible family
+        # instead.
         p = sample_reachable_params(rng)
         thr = regime_thresholds(p)
         note = " [config rates too stiff; used bundled feasible family]"

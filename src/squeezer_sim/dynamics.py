@@ -2,21 +2,23 @@
 
 This module is the brute-force oracle for the closed-form steady states:
 `settle` integrates from a seeded ground state until the flow stalls and
-classifies what it landed on.  Integration uses an embedded adaptive
-Runge-Kutta 4(5) scheme with the step capped at 2/k2, since the lower
-lasing level is routinely the fastest rate in the system and an explicit
-method must resolve it.
+classifies what it landed on.  Integration uses the linearly implicit,
+L-stable Rosenbrock 2(3) pair of `ode23s` (Shampine & Reichelt, SIAM J.
+Sci. Comput. 18, 1997) with the analytic `model.jacobian`.  The lower
+lasing level is routinely the fastest rate in the system by many
+decades; an L-stable method damps it at any step size, so the step is
+set by accuracy alone and no stability cap is needed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import model
-from ._rk45 import rk45
-from .errors import NoConvergence, Unreachable
+from .errors import NoConvergence, NonFiniteState, StepUnderflow, Unreachable
 from .params import ModelParams, as_pump
 from .steadystate import (
     Regime,
@@ -92,33 +94,109 @@ def jacobian(state: StateVector | np.ndarray, params: ModelParams, pump) -> np.n
     return model.jacobian(y, params, as_pump(pump))
 
 
-def _max_step(params: ModelParams) -> float:
-    return 2.0 / params.decay_k2
+# ode23s coefficients: d makes the pair L-stable, e32 weights the
+# third-order stage that only serves the error estimate.
+_D = 1.0 / (2.0 + math.sqrt(2.0))
+_E32 = 6.0 + math.sqrt(2.0)
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 5.0
+_MAX_CONSECUTIVE_REJECTS = 60
 
 
-def _stability_cap(params: ModelParams, pump: float):
-    """State-dependent step cap keeping h inside the stability region.
+def _norm(v) -> float:
+    return math.sqrt(float(v @ v))
 
-    The 2/k2 cap alone is not enough once stimulated emission is strong:
-    G*(s3 - s2)*a_par^2 entries can push the fastest local eigenvalue
-    beyond k2, and a step chattering at the stability boundary floors
-    the derivative norm instead of letting it decay.
+
+def _rosenbrock23(f, jac, y0, t_end: float, rtol: float, atol: float,
+                  record: bool = False, stall_rel: float | None = None) -> dict:
+    """Integrate the autonomous system dy/dt = f(y) from 0 to t_end.
+
+    Each step inverts W = I - h*d*J once, with J = jac(y) at the start
+    of the step, applies it to three stage right-hand sides and advances
+    the second-order solution; the third stage only estimates the error.
+    f at the new state is the next step's first stage (FSAL), so the
+    stall test is free: with `stall_rel`, integration stops once
+    |f| < stall_rel*|y| at an accepted state.  Returns the final (t, y), the recorded path when
+    `record`, a `stalled` flag and step counts.
     """
-    def cap(y):
-        # 3.0 sits inside the dopri5 real-axis stability extent (~3.3)
-        # and the row-sum norm overestimates the spectral radius anyway.
-        return 3.0 / max(model.jacobian_inf_norm(y, params, pump), 1e-300)
+    y = np.asarray(y0, float).copy()
+    eye = np.eye(len(y))
+    inv_n = 1.0 / len(y)
+    t = 0.0
+    f0 = f(y)
+    nfev = 1
+    naccept = nreject = rejects = 0
+    ts, ys = [0.0], [y.copy()]
 
-    return cap
+    fnorm = _norm(f0)
+    h = t_end if fnorm == 0.0 else min(
+        t_end, 0.01 * (atol + rtol * _norm(y)) / fnorm)
+    stalled = bool(stall_rel is not None and fnorm < stall_rel * _norm(y))
+    J = None
+    while t < t_end and not stalled:
+        h = min(h, t_end - t)
+        if h < 1e-16 * t_end:
+            raise StepUnderflow(f"step {h!r} underflowed at t = {t!r}")
+        if J is None:
+            J = jac(y)
+        W_inv = np.linalg.inv(eye - (h * _D) * J)
+        k1 = W_inv @ f0
+        f1 = f(y + (0.5 * h) * k1)
+        k2 = W_inv @ (f1 - k1) + k1
+        y_new = y + h * k2
+        f2 = f(y_new)
+        k3 = W_inv @ (f2 - _E32 * (k2 - f1) - 2.0 * (k1 - f0))
+        nfev += 2
+        q = (h / 6.0) * (k1 - 2.0 * k2 + k3) / (atol + rtol * np.abs(y_new))
+        err_norm = math.sqrt(float(q @ q) * inv_n)
+        if not math.isfinite(err_norm):
+            rejects += 1
+            nreject += 1
+            if rejects > _MAX_CONSECUTIVE_REJECTS:
+                raise NonFiniteState(f"state diverged near t = {t!r}")
+            h *= _MIN_FACTOR
+            continue
+        if err_norm <= 1.0:
+            t += h
+            y, f0, J = y_new, f2, None
+            naccept += 1
+            rejects = 0
+            if record:
+                ts.append(t)
+                ys.append(y.copy())
+            if stall_rel is not None and _norm(f0) < stall_rel * _norm(y):
+                stalled = True
+            h *= _MAX_FACTOR if err_norm == 0.0 else min(
+                _MAX_FACTOR, _SAFETY * err_norm ** (-1.0 / 3.0))
+        else:
+            rejects += 1
+            nreject += 1
+            if rejects > _MAX_CONSECUTIVE_REJECTS:
+                raise StepUnderflow(f"repeated step rejections at t = {t!r}")
+            h *= max(_MIN_FACTOR, _SAFETY * err_norm ** (-1.0 / 3.0))
+
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteState("integration produced non-finite state values")
+    return {
+        "t": t,
+        "y": y,
+        "ts": np.array(ts) if record else None,
+        "ys": np.array(ys) if record else None,
+        "stalled": stalled,
+        "nfev": nfev,
+        "n_accepted": naccept,
+        "n_rejected": nreject,
+    }
 
 
 def integrate(params: ModelParams, pump, init, t_end: float,
               rel_tol: float = 1e-8, abs_tol: float = 1e-12) -> Trajectory:
-    """Adaptive RK45 trajectory from `init` over [0, t_end].
+    """Adaptive Rosenbrock 2(3) trajectory from `init` over [0, t_end].
 
-    Deterministic for identical inputs; raises StepUnderflow when the
-    controller drives the step below 1e-16 of the span and
-    NonFiniteState when the state blows up.
+    Every accepted step is recorded.  Deterministic for identical
+    inputs; raises StepUnderflow when the controller drives the step
+    below 1e-16 of the span and NonFiniteState when the state blows up.
     """
     if t_end <= 0:
         raise ValueError("t_end must be > 0")
@@ -126,9 +204,9 @@ def integrate(params: ModelParams, pump, init, t_end: float,
         raise ValueError("tolerances must be > 0")
     g = as_pump(pump)
     y0 = init.to_array() if isinstance(init, StateVector) else np.asarray(init, float)
-    out = rk45(lambda y: model.rhs(y, params, g), y0, t_end,
-               rtol=rel_tol, atol=abs_tol, max_step=_max_step(params),
-               record=True)
+    out = _rosenbrock23(lambda y: model.rhs(y, params, g),
+                        lambda y: model.jacobian(y, params, g), y0, t_end,
+                        rtol=rel_tol, atol=abs_tol, record=True)
     diags = {"nfev": out["nfev"], "n_accepted": out["n_accepted"],
              "n_rejected": out["n_rejected"]}
     return Trajectory(times=out["ts"], states=out["ys"], diagnostics=diags)
@@ -156,7 +234,7 @@ def settle(params: ModelParams, pump, seed_amplitude: float = 1e-3,
     so probing region iii needs a nonzero seed.  Stops when the
     derivative norm falls below 1e-10 of the state norm; reaching t_max
     first raises NoConvergence rather than guessing.  The default t_max
-    is 100 over the slowest of (k3, gamma_par, gamma_orth, pump bounded
+    is 400 over the slowest of (k3, gamma_par, gamma_orth, pump bounded
     below by the laser threshold); pass a larger value near regime
     boundaries where critical slowing stretches the transient.
     """
@@ -166,13 +244,14 @@ def settle(params: ModelParams, pump, seed_amplitude: float = 1e-3,
     if t_max is None:
         t_max = _settle_t_max(params, g)
     y0 = np.array([seed_amplitude, seed_amplitude, 1.0, 0.0, 0.0])
-    # Path accuracy is not what matters here: Runge-Kutta steps preserve
-    # equilibria exactly, so the endpoint quality is set by the stall
-    # criterion, not by the tolerances.  Loose-ish tolerances keep the
-    # walk towards the attractor cheap.
-    out = rk45(lambda y: model.rhs(y, params, g), y0, t_max,
-               rtol=1e-7, atol=1e-9, max_step=_max_step(params),
-               stall_rel=_STALL_REL, max_step_fn=_stability_cap(params, g))
+    # Path accuracy is not what matters here: every Rosenbrock stage is
+    # W^-1 applied to a combination of f values, so the stages vanish
+    # where f = 0 and equilibria are preserved exactly.  The endpoint quality is set by
+    # the stall criterion, not by the tolerances, and loose-ish
+    # tolerances keep the walk towards the attractor cheap.
+    out = _rosenbrock23(lambda y: model.rhs(y, params, g),
+                        lambda y: model.jacobian(y, params, g), y0, t_max,
+                        rtol=1e-7, atol=1e-9, stall_rel=_STALL_REL)
     if not out["stalled"]:
         y_end = out["y"]
         raise NoConvergence(

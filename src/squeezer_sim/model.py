@@ -73,29 +73,6 @@ def jacobian(y, params: ModelParams, pump: float) -> np.ndarray:
     return J
 
 
-def jacobian_inf_norm(y, params: ModelParams, pump: float) -> float:
-    """Row-sum norm of the Jacobian, computed without building the matrix.
-
-    Upper-bounds the spectral radius; used to keep explicit steps inside
-    the stability region cheaply (called once per accepted step).
-    """
-    a, b, s1, s2, s3 = y.tolist() if isinstance(y, np.ndarray) else y
-    G = params.stim_rate_G
-    mu = params.nl_coupling_mu
-    k2, k3 = params.decay_k2, params.decay_k3
-    gpar, gorth = params.gamma_par, params.gamma_orth
-    aa, bb = a * a, b * b
-    inv = s3 - s2
-    cross = 2.0 * mu * abs(a * b)
-    stim_a = 2.0 * G * abs(inv * a)
-    row1 = abs(0.5 * G * inv - gpar - mu * (3.0 * aa - bb)) + cross + G * abs(a)
-    row2 = cross + abs(-gorth + mu * (aa - 3.0 * bb))
-    row3 = pump + k2
-    row4 = stim_a + (G * aa + k2) + (G * aa + k3)
-    row5 = stim_a + pump + G * aa + (G * aa + k3)
-    return max(row1, row2, row3, row4, row5)
-
-
 def rate_scales(y, params: ModelParams, pump: float) -> np.ndarray:
     """Per-equation magnitude scales (sum of absolute term sizes).
 

@@ -128,7 +128,8 @@ def simulate_decoupled(params: ModelParams, i_par, seed: int, dt: float,
     a = 1.0 - lam * dt
     # y[k+1] = a*y[k] + drive[k]; lfilter yields the post-update sequence,
     # so shift one slot to make series_cavity[k] the pre-update state.
-    updated = lfilter([1.0], [1.0, -a], drive) + y0 * a ** np.arange(1, n + 1)
+    # The initial condition a*y0 enters as the filter's delay state.
+    updated, _ = lfilter([1.0], [1.0, -a], drive, zi=[a * y0])
     cavity = np.empty(n)
     cavity[0] = y0
     cavity[1:] = updated[:-1]

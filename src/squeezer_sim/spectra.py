@@ -46,6 +46,7 @@ from .steadystate import (
     laser_threshold,
     orth_threshold_intensity,
     orth_threshold_pump,
+    regime_thresholds,
     steady_state,
 )
 
@@ -136,9 +137,10 @@ def orth_phase_variance(params: ModelParams, pump, omega) -> float:
     """
     w = _check_omega(omega)
     g = as_pump(pump)
-    if classify_regime(params, g) is not Regime.LaserOnly:
+    thresholds = regime_thresholds(params)
+    if classify_regime(params, g, thresholds) is not Regime.LaserOnly:
         raise WrongRegime(f"pump {g!r} is not in the lasing-only region")
-    ss = steady_state(params, g)
+    ss = steady_state(params, g, thresholds=thresholds)
     G = params.stim_rate_G
     inv = ss.sigma3 - ss.sigma2
     num = 2.0 * params.gamma_orth_c * (G * inv - 2.0 * params.gamma_par)
@@ -300,9 +302,10 @@ def regime3_phase_pair_spectrum(params: ModelParams, pump, omega,
     """
     w = _check_omega(omega)
     g = as_pump(pump)
-    if classify_regime(params, g) is not Regime.OrthExcited:
+    thresholds = regime_thresholds(params)
+    if classify_regime(params, g, thresholds) is not Regime.OrthExcited:
         raise WrongRegime(f"pump {g!r} is not in the orth-excited region")
-    ss = steady_state(params, g)
+    ss = steady_state(params, g, thresholds=thresholds)
     a, b = ss.a_par, ss.a_orth
     A = _phase_pair_drift(params, a, b)
     B, channels = _phase_pair_noise(params, a, b, include_pump_noise)

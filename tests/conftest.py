@@ -8,8 +8,8 @@ from squeezer_sim import ModelParams, reference_params
 def moderate():
     """Hand-built parameter set with both thresholds and mild stiffness.
 
-    Rates sit within three decades of each other, so the explicit
-    integrator settles in milliseconds; the lasing window is roughly
+    Rates sit within three decades of each other, so `settle` needs at
+    most a few thousand rhs evaluations; the lasing window is roughly
     pump in (0.11, 546).
     """
     return ModelParams(

@@ -1,9 +1,12 @@
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import squeezer_sim
 from squeezer_sim.cli import main
 
 OMEGA_2MHZ = 4.0 * math.pi * 1e6
@@ -210,9 +213,13 @@ def test_plot_emission(tmp_path):
 
 
 def test_console_entry_point_runs():
+    # The child imports the same package as this process, installed or not.
+    src = str(Path(squeezer_sim.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "squeezer_sim.cli", "thresholds"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert "orth_threshold_intensity" in proc.stdout
 

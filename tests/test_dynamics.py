@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,22 @@ def test_settle_matches_closed_form_in_regime2(moderate):
     assert np.max(np.abs(got - ref) / scale) < 1e-5
 
 
+@pytest.mark.parametrize("point", ["i", "0.99 laser", "1.01 laser", "ii", "iii"])
+def test_settle_matches_closed_form_when_k2_is_very_fast(moderate, point):
+    # k2 = 5e6 puts seven decades between the fastest and slowest rates;
+    # an explicit method would need ~1e4x the steps it takes on moderate.
+    p = dataclasses.replace(moderate, decay_k2=1e4 * moderate.decay_k2)
+    gl, go = laser_threshold(p), orth_threshold_pump(p)
+    g = {"i": 0.5 * gl, "0.99 laser": 0.99 * gl, "1.01 laser": 1.01 * gl,
+         "ii": np.sqrt(gl * go), "iii": 1.5 * go}[point]
+    ss = steady_state(p, g)
+    st = settle(p, g)
+    assert st.regime is ss.regime
+    ref, got = ss.state_vector(), st.state_vector()
+    scale = np.maximum(np.abs(ref), 1e-9 * np.max(np.abs(ref)))
+    assert np.max(np.abs(got - ref) / scale) < 1e-5
+
+
 def test_settle_regime3_difference_clamp(moderate):
     g = 1.8 * orth_threshold_pump(moderate)
     st = settle(moderate, g)
@@ -106,8 +124,9 @@ def test_settle_requires_positive_seed(moderate):
 
 
 def test_dark_orthogonal_mode_is_invariant(moderate):
-    # a_orth = 0 is preserved exactly: every stage derivative of a_orth
-    # is proportional to a_orth itself.
+    # a_orth = 0 is preserved exactly: its rate and the off-diagonal
+    # Jacobian entries of its row and column are all proportional to
+    # a_orth, so every Rosenbrock stage leaves it at zero.
     g = 2.0 * orth_threshold_pump(moderate)
     y0 = np.array([1e-3, 0.0, 1.0, 0.0, 0.0])
     traj = integrate(moderate, g, y0, t_end=30.0)

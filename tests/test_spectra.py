@@ -117,6 +117,24 @@ def test_full_route_rejects_wrong_regime(moderate):
         orth_phase_variance(moderate, 2.0 * orth_threshold_pump(moderate), 1.0)
 
 
+def test_spectrum_point_solves_thresholds_once(moderate, monkeypatch):
+    from squeezer_sim import steadystate
+
+    gl, go = laser_threshold(moderate), orth_threshold_pump(moderate)
+    calls = []
+
+    def counting(params):
+        calls.append(params)
+        return laser_threshold(params)
+
+    monkeypatch.setattr(steadystate, "laser_threshold", counting)
+    for spectrum, pump in ((orth_phase_variance, math.sqrt(gl * go)),
+                           (regime3_phase_pair_spectrum, 1.5 * go)):
+        calls.clear()
+        spectrum(moderate, pump, 1.0)
+        assert len(calls) == 1, spectrum.__name__
+
+
 def test_variance_bounded_by_qnl_floor_and_ceiling(rng):
     for _ in range(5):
         p = sample_reachable_params(rng)
