@@ -293,6 +293,19 @@ def cmd_spectrum(cfg: dict, out: str, emit_plot: bool) -> int:
     return EXIT_OK
 
 
+def _mc_leg(params, i_par, seed, dt, duration, segments, analytic_params,
+            analytic_i_par):
+    """Simulate, estimate and compare one mc-verify run.
+
+    Only the estimate and the comparison outlive the call, so the SDE
+    series of one run is freed before the next run allocates its own.
+    """
+    run = simulate_decoupled(params, i_par, seed=seed, dt=dt,
+                             duration=duration)
+    est = estimate_psd(run, segments)
+    return est, compare_to_analytic(est, analytic_params, analytic_i_par)
+
+
 def cmd_mc_verify(cfg: dict, out: str, seed_flag: int | None,
                   negative_control: bool) -> int:
     params = _model_params(cfg)
@@ -313,18 +326,12 @@ def cmd_mc_verify(cfg: dict, out: str, seed_flag: int | None,
         d["gamma_orth_c"] *= 1.2
         analytic_params = validate(d)
 
-    run_qnl = simulate_decoupled(params, 0.0, seed=seed,
-                                 dt=0.05 / params.gamma_orth,
-                                 duration=duration * lam / params.gamma_orth)
-    est_qnl = estimate_psd(run_qnl, segments)
-    res_qnl = compare_to_analytic(est_qnl, analytic_params, 0.0)
-
-    run_thr = simulate_decoupled(params, i_star, seed=seed + 1, dt=dt,
-                                 duration=duration)
-    est_thr = estimate_psd(run_thr, segments)
-    res_thr = compare_to_analytic(est_thr, analytic_params,
-                                  min(i_star, orth_threshold_intensity(
-                                      analytic_params)))
+    _, res_qnl = _mc_leg(params, 0.0, seed, 0.05 / params.gamma_orth,
+                         duration * lam / params.gamma_orth, segments,
+                         analytic_params, 0.0)
+    est_thr, res_thr = _mc_leg(
+        params, i_star, seed + 1, dt, duration, segments, analytic_params,
+        min(i_star, orth_threshold_intensity(analytic_params)))
 
     rows = [[w, p, a, d] for w, p, a, d in zip(
         res_thr["omegas"], res_thr["psd"], res_thr["analytic"],

@@ -22,6 +22,16 @@ estimated spectrum converges to the continuous input-output result,
 which is exactly why this simulation is a genuine check of the analytic
 spectrum rather than a restatement of it.
 
+The output spectrum is a Hann-windowed, 50%-overlap Welch estimate in
+the two-sided density convention.  It is computed one-sided and a block
+of segments at a time: for a real series the interior one-sided bins,
+left undoubled, are exactly the two-sided density at f >= 0, and the
+unpaired Nyquist bin is dropped because the two-sided f >= 0 half has
+none.  Both halves of the data path work in place on a few series-length
+buffers: a simulation of n steps peaks at about 3n doubles, and the
+estimate adds about one series length (its segment-by-bin matrix) on
+top of the run it reads.
+
 Seeding uses a counter-based generator (Philox), so every run is fully
 reproducible from (seed, dt, duration) alone.
 """
@@ -44,6 +54,9 @@ __all__ = ["SdeRun", "PsdEstimate", "simulate_decoupled", "estimate_psd",
 # Squared overlap correlation of Hann-windowed periodograms at 50% hop.
 _HANN_OVERLAP_RHO = 1.0 / 9.0
 _MIN_SEGMENT = 64
+# Segments per spectrogram call in estimate_psd: bounds the complex
+# working set to a few MB whatever the series length.
+_SEGMENT_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -112,33 +125,44 @@ def simulate_decoupled(params: ModelParams, i_par, seed: int, dt: float,
     n = int(duration / dt)
     if n < 2:
         raise DomainError("duration must cover at least two steps")
+    g1 = channel_gains[0] * math.sqrt(2.0 * params.gamma_orth_l)
+    g2 = channel_gains[1] * math.sqrt(2.0 * params.gamma_orth_c)
+    a = 1.0 - lam * dt
+    # y[0] = y0 and y[k+1] = a*y[k] + drive[k] is lfilter's plain
+    # recurrence on the input (y0, drive[0], ..., drive[n-1]), so the
+    # trajectory comes out as one n+1 buffer: series_cavity[k] = y[k] is
+    # the pre-update state and y[k+1] the post-update one.  The drive is
+    # built in place in that input buffer, starting from the in1 draws.
+    x = np.empty(n + 1)
+    x[0] = y0
+    drive = x[1:]
     if increments is None:
         rng = np.random.Generator(np.random.Philox(int(seed)))
         root_dt = math.sqrt(dt)
-        dw1 = rng.standard_normal(n) * root_dt
-        dw2 = rng.standard_normal(n) * root_dt
+        rng.standard_normal(out=drive)
+        drive *= root_dt
+        dw2 = rng.standard_normal(n)
+        dw2 *= root_dt
     else:
-        dw1, dw2 = (np.asarray(x, float) for x in increments)
+        dw1, dw2 = (np.asarray(v, float) for v in increments)
         if len(dw1) < n or len(dw2) < n:
             raise ValueError("supplied increments shorter than the run")
-        dw1, dw2 = dw1[:n], dw2[:n]
-    g1 = channel_gains[0] * math.sqrt(2.0 * params.gamma_orth_l)
-    g2 = channel_gains[1] * math.sqrt(2.0 * params.gamma_orth_c)
-    drive = g1 * dw1 + g2 * dw2
-    a = 1.0 - lam * dt
-    # y[k+1] = a*y[k] + drive[k]; lfilter yields the post-update sequence,
-    # so shift one slot to make series_cavity[k] the pre-update state.
-    # The initial condition a*y0 enters as the filter's delay state.
-    updated, _ = lfilter([1.0], [1.0, -a], drive, zi=[a * y0])
-    cavity = np.empty(n)
-    cavity[0] = y0
-    cavity[1:] = updated[:-1]
+        # Copies: the in-place arithmetic below must not reach the
+        # caller's arrays.
+        drive[:] = dw1[:n]
+        dw2 = dw2[:n].copy()
+    drive *= g1
+    drive += g2 * dw2
+    y = lfilter([1.0], [1.0, -a], x)
+    del x, drive  # free the input buffer before `out` is allocated
     # Output over step k: boxcar average of the cavity field minus the
     # boxcar-averaged reflected input, sharing the same in2 increment.
-    out = (math.sqrt(2.0 * params.gamma_orth_c) * 0.5 * (cavity + updated)
-           - dw2 / dt)
+    dw2 /= dt
+    out = y[:-1] + y[1:]
+    out *= math.sqrt(2.0 * params.gamma_orth_c) * 0.5
+    out -= dw2
     return SdeRun(seed=int(seed), dt=float(dt), duration=float(duration),
-                  series_out=out, series_cavity=cavity,
+                  series_out=out, series_cavity=y[:-1],
                   params=params.as_dict(), i_par=i)
 
 
@@ -152,8 +176,20 @@ def estimate_psd(run: SdeRun, n_segments: int) -> PsdEstimate:
     The scaling is the plain two-sided density in angular-frequency
     convention, under which a pure vacuum input (i_par = 0) comes out
     flat at 1; there is no post-hoc calibration factor.
+
+    The periodograms are one-sided and computed `_SEGMENT_BLOCK`
+    segments at a time into one (nperseg//2 + 1, k) matrix, whose
+    segment mean is the estimate.  For a real series the interior
+    one-sided bins are the two-sided density at +f before any folding,
+    so without the usual doubling they are exactly the two-sided values;
+    the unpaired Nyquist bin is dropped, as the two-sided f >= 0 half
+    has no +fs/2 bin.  A block of segments equals the same columns of
+    the whole-series spectrogram, and the mean runs along the same
+    contiguous rows, so the result has the same bytes as a whole-series
+    two-sided Welch call at f >= 0, with a working set of about one
+    series length instead of about eight.
     """
-    from scipy.signal import welch
+    from scipy.signal import ShortTimeFFT, get_window
 
     if n_segments < 8:
         raise ValueError("n_segments must be >= 8")
@@ -166,14 +202,20 @@ def estimate_psd(run: SdeRun, n_segments: int) -> PsdEstimate:
             f"series of {n} samples cannot host {n_segments} segments of "
             f"at least {_MIN_SEGMENT}")
     nperseg = 2 ** int(math.floor(math.log2(limit)))
-    f, pxx = welch(x, fs=1.0 / run.dt, window="hann", nperseg=nperseg,
-                   noverlap=nperseg // 2, detrend=False,
-                   return_onesided=False, scaling="density")
-    keep = f >= 0.0
-    order = np.argsort(f[keep])
-    freqs = 2.0 * math.pi * f[keep][order]
-    psd = pxx[keep][order]
-    k = (n - nperseg) // (nperseg // 2) + 1
+    hop = nperseg // 2
+    k = (n - nperseg) // hop + 1
+    # phase_shift=None, as in scipy's welch: each segment goes to the FFT
+    # as it is, without the circular shift (and copy) of the default.
+    sft = ShortTimeFFT(get_window("hann", nperseg), hop, 1.0 / run.dt,
+                       fft_mode="onesided", scale_to="psd", phase_shift=None)
+    pxx = np.empty((hop + 1, k))
+    # With k_offset=hop, segment p covers samples [p*hop, p*hop + nperseg).
+    for p0 in range(0, k, _SEGMENT_BLOCK):
+        p1 = min(p0 + _SEGMENT_BLOCK, k)
+        pxx[:, p0:p1] = sft.spectrogram(x, detr=None, p0=p0, p1=p1,
+                                        k_offset=hop)
+    freqs = 2.0 * math.pi * sft.f[:-1]
+    psd = pxx.mean(axis=-1)[:-1]
     rel = math.sqrt((1.0 + 2.0 * _HANN_OVERLAP_RHO * (k - 1) / k) / k)
     return PsdEstimate(freqs=freqs, psd=psd, n_segments=k, rel_std_err=rel,
                        dt=run.dt, params=dict(run.params), i_par=run.i_par)

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from squeezer_sim import (
     BandMismatch,
@@ -15,6 +17,7 @@ from squeezer_sim import (
     simulate_decoupled,
     validate,
 )
+from squeezer_sim import montecarlo
 
 OMEGA_2MHZ = 4.0 * math.pi * 1e6
 
@@ -118,6 +121,56 @@ def test_estimate_psd_requires_enough_data(reference):
         estimate_psd(run, 512)
     with pytest.raises(ValueError):
         estimate_psd(run, 4)
+
+
+def test_estimate_matches_two_sided_welch_exactly(reference):
+    run, _ = _threshold_run(reference, seed=5, segments=64)
+    est = estimate_psd(run, 64)
+    # The last block of segments is a partial one.
+    assert est.n_segments % montecarlo._SEGMENT_BLOCK != 0
+    x = run.series_out[montecarlo._transient_samples(run):]
+    nperseg = 2 * len(est.freqs)
+    f, pxx = scipy.signal.welch(
+        x, fs=1.0 / run.dt, window="hann", nperseg=nperseg,
+        noverlap=nperseg // 2, detrend=False, return_onesided=False,
+        scaling="density")
+    keep = f >= 0.0
+    assert np.array_equal(est.freqs, 2.0 * math.pi * f[keep])
+    assert np.array_equal(est.psd, pxx[keep])
+
+
+def test_memory_footprint_of_simulation_and_estimate(reference):
+    # tracemalloc sees every numpy buffer, so the peaks are exact counts.
+    # scipy.signal is already imported above, keeping import-time
+    # allocations out of the measured windows.
+    tracemalloc.start()
+    try:
+        run, _ = _threshold_run(reference, segments=512)
+        _, sim_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        start, _ = tracemalloc.get_traced_memory()
+        estimate_psd(run, 512)
+        _, psd_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nbytes = run.series_out.nbytes
+    assert len(run.series_out) > 1_000_000
+    assert sim_peak <= 4.5 * nbytes
+    assert psd_peak - start <= 1.5 * nbytes
+
+
+def test_supplied_increments_are_left_unchanged(reference):
+    i_star = orth_threshold_intensity(reference)
+    dt = 0.02 / (2.0 * reference.gamma_orth)
+    n = 5000
+    rng = np.random.Generator(np.random.Philox(3))
+    dw1 = rng.standard_normal(n + 17) * math.sqrt(dt)
+    dw2 = rng.standard_normal(n + 5) * math.sqrt(dt)
+    before = (dw1.tobytes(), dw2.tobytes())
+    run = simulate_decoupled(reference, i_star, seed=0, dt=dt,
+                             duration=n * dt, y0=0.5, increments=(dw1, dw2))
+    assert len(run.series_out) == n
+    assert (dw1.tobytes(), dw2.tobytes()) == before
 
 
 def test_compare_passes_at_threshold(reference):
