@@ -7,9 +7,7 @@ verification of those spectra.
 """
 
 from .dynamics import (
-    StateVector,
     Trajectory,
-    derivatives,
     integrate,
     jacobian,
     settle,

@@ -31,36 +31,14 @@ from .steadystate import (
 )
 
 __all__ = [
-    "StateVector",
     "Trajectory",
-    "derivatives",
     "integrate",
     "settle",
     "jacobian",
     "stability",
-    "export_trajectory_csv",
 ]
 
 _STALL_REL = 1e-10
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Real field amplitudes and scaled populations."""
-
-    a_par: float
-    a_orth: float
-    sigma1: float
-    sigma2: float
-    sigma3: float
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.a_par, self.a_orth,
-                         self.sigma1, self.sigma2, self.sigma3])
-
-    @classmethod
-    def from_array(cls, y) -> "StateVector":
-        return cls(*map(float, y))
 
 
 @dataclass(frozen=True)
@@ -77,21 +55,10 @@ class Trajectory:
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
 
-    @property
-    def final_state(self) -> StateVector:
-        return StateVector.from_array(self.states[-1])
 
-
-def derivatives(state: StateVector, params: ModelParams, pump) -> StateVector:
-    """Right-hand sides of the five equations of motion at this state."""
-    return StateVector.from_array(
-        model.rhs(state.to_array(), params, as_pump(pump)))
-
-
-def jacobian(state: StateVector | np.ndarray, params: ModelParams, pump) -> np.ndarray:
+def jacobian(state: np.ndarray, params: ModelParams, pump) -> np.ndarray:
     """Analytic 5x5 Jacobian of the flow at this state."""
-    y = state.to_array() if isinstance(state, StateVector) else np.asarray(state, float)
-    return model.jacobian(y, params, as_pump(pump))
+    return model.jacobian(np.asarray(state, float), params, as_pump(pump))
 
 
 # ode23s coefficients: d makes the pair L-stable, e32 weights the
@@ -203,7 +170,7 @@ def integrate(params: ModelParams, pump, init, t_end: float,
     if rel_tol <= 0 or abs_tol <= 0:
         raise ValueError("tolerances must be > 0")
     g = as_pump(pump)
-    y0 = init.to_array() if isinstance(init, StateVector) else np.asarray(init, float)
+    y0 = np.asarray(init, float)
     out = _rosenbrock23(lambda y: model.rhs(y, params, g),
                         lambda y: model.jacobian(y, params, g), y0, t_end,
                         rtol=rel_tol, atol=abs_tol, record=True)
@@ -301,12 +268,3 @@ def stability(params: ModelParams, pump, branch: Regime | None = None) -> dict:
         "stable": bool(np.all(real_parts < 1e-9 * scale)),
         "steady_state": ss,
     }
-
-
-def export_trajectory_csv(traj: Trajectory, path, header_comments: list[str] | None = None):
-    """Write a trajectory as CSV with columns t, a_par, a_orth, sigma1..3."""
-    from .csvio import write_csv
-
-    rows = [[t, *row] for t, row in zip(traj.times, traj.states)]
-    write_csv(path, ["t", "a_par", "a_orth", "sigma1", "sigma2", "sigma3"],
-              rows, comments=header_comments or [])

@@ -22,15 +22,16 @@ estimated spectrum converges to the continuous input-output result,
 which is exactly why this simulation is a genuine check of the analytic
 spectrum rather than a restatement of it.
 
-The output spectrum is a Hann-windowed, 50%-overlap Welch estimate in
-the two-sided density convention.  It is computed one-sided and a block
-of segments at a time: for a real series the interior one-sided bins,
-left undoubled, are exactly the two-sided density at f >= 0, and the
-unpaired Nyquist bin is dropped because the two-sided f >= 0 half has
-none.  Both halves of the data path work in place on a few series-length
-buffers: a simulation of n steps peaks at about 3n doubles, and the
-estimate adds about one series length (its segment-by-bin matrix) on
-top of the run it reads.
+The output spectrum is a Hann-windowed, 50%-overlap Welch estimate
+(Welch, IEEE Trans. Audio Electroacoust. 15, 70, 1967) in the two-sided
+density convention.  It is computed one-sided, with one batched real FFT
+per block of segments read through a strided view of the series: for a
+real series the interior one-sided bins, left undoubled, are exactly the
+two-sided density at f >= 0, and the unpaired Nyquist bin is dropped
+because the two-sided f >= 0 half has none.  Both halves of the data
+path work in place on a few series-length buffers: a simulation of n
+steps peaks at about 3n doubles, and the estimate adds about one series
+length (its bin-by-segment matrix) on top of the run it reads.
 
 Seeding uses a counter-based generator (Philox), so every run is fully
 reproducible from (seed, dt, duration) alone.
@@ -54,8 +55,9 @@ __all__ = ["SdeRun", "PsdEstimate", "simulate_decoupled", "estimate_psd",
 # Squared overlap correlation of Hann-windowed periodograms at 50% hop.
 _HANN_OVERLAP_RHO = 1.0 / 9.0
 _MIN_SEGMENT = 64
-# Segments per spectrogram call in estimate_psd: bounds the complex
-# working set to a few MB whatever the series length.
+# Segments per batched rfft in estimate_psd: bounds the windowed block
+# and its complex spectrum to about 1 MB each at nperseg 4096, whatever
+# the series length.
 _SEGMENT_BLOCK = 32
 
 
@@ -177,18 +179,24 @@ def estimate_psd(run: SdeRun, n_segments: int) -> PsdEstimate:
     convention, under which a pure vacuum input (i_par = 0) comes out
     flat at 1; there is no post-hoc calibration factor.
 
-    The periodograms are one-sided and computed `_SEGMENT_BLOCK`
-    segments at a time into one (nperseg//2 + 1, k) matrix, whose
-    segment mean is the estimate.  For a real series the interior
-    one-sided bins are the two-sided density at +f before any folding,
-    so without the usual doubling they are exactly the two-sided values;
-    the unpaired Nyquist bin is dropped, as the two-sided f >= 0 half
-    has no +fs/2 bin.  A block of segments equals the same columns of
-    the whole-series spectrogram, and the mean runs along the same
-    contiguous rows, so the result has the same bytes as a whole-series
-    two-sided Welch call at f >= 0, with a working set of about one
-    series length instead of about eight.
+    The segments are rows of a strided view of the series, so none is
+    copied before windowing.  `_SEGMENT_BLOCK` of them at a time are
+    multiplied by the psd-scaled Hann window into one reused buffer and
+    transformed by a single `rfft` along the rows; their squared
+    magnitudes are written transposed into one (nperseg//2 + 1, k)
+    matrix, whose segment mean is the estimate.  For a real series the
+    interior one-sided bins are the two-sided density at +f before any
+    folding, so without the usual doubling they are exactly the
+    two-sided values; the unpaired Nyquist bin is dropped, as the
+    two-sided f >= 0 half has no +fs/2 bin.  Each periodogram is the
+    squared magnitude of the windowed segment's rfft, as in scipy's
+    `welch`, and the transposed write keeps each bin's row contiguous,
+    so the mean sums in the same order and the result has the same
+    bytes as a whole-series two-sided Welch call at f >= 0, with a
+    working set of about one series length instead of about eight.
     """
+    from numpy.lib.stride_tricks import sliding_window_view
+    from scipy.fft import rfft
     from scipy.signal import ShortTimeFFT, get_window
 
     if n_segments < 8:
@@ -204,16 +212,25 @@ def estimate_psd(run: SdeRun, n_segments: int) -> PsdEstimate:
     nperseg = 2 ** int(math.floor(math.log2(limit)))
     hop = nperseg // 2
     k = (n - nperseg) // hop + 1
-    # phase_shift=None, as in scipy's welch: each segment goes to the FFT
-    # as it is, without the circular shift (and copy) of the default.
+    # Supplies the psd-scaled window and the one-sided frequency grid.
     sft = ShortTimeFFT(get_window("hann", nperseg), hop, 1.0 / run.dt,
-                       fft_mode="onesided", scale_to="psd", phase_shift=None)
+                       fft_mode="onesided", scale_to="psd")
+    segments = sliding_window_view(x, nperseg)[::hop]
+    windowed = np.empty((_SEGMENT_BLOCK, nperseg))
     pxx = np.empty((hop + 1, k))
-    # With k_offset=hop, segment p covers samples [p*hop, p*hop + nperseg).
     for p0 in range(0, k, _SEGMENT_BLOCK):
         p1 = min(p0 + _SEGMENT_BLOCK, k)
-        pxx[:, p0:p1] = sft.spectrogram(x, detr=None, p0=p0, p1=p1,
-                                        k_offset=hop)
+        seg = np.multiply(segments[p0:p1], sft.win, out=windowed[:p1 - p0])
+        spec = rfft(seg, axis=-1)
+        # |X|^2 in place in the spectrum's own real part: no other buffer.
+        re, im = spec.real, spec.imag
+        np.square(re, out=re)
+        np.square(im, out=im)
+        re += im
+        pxx[:, p0:p1] = re.T
+        # Freed before the next block's rfft allocates, so two spectra
+        # are never alive at once.
+        del spec, re, im
     freqs = 2.0 * math.pi * sft.f[:-1]
     psd = pxx.mean(axis=-1)[:-1]
     rel = math.sqrt((1.0 + 2.0 * _HANN_OVERLAP_RHO * (k - 1) / k) / k)

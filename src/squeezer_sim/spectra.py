@@ -68,9 +68,8 @@ __all__ = [
 
 
 class Quadrature(enum.Enum):
-    """Amplitude (X) or phase (Y) quadrature selector."""
+    """Quadrature a spectrum describes; only the phase (Y) one is modelled."""
 
-    Amplitude = "amplitude"
     Phase = "phase"
 
 

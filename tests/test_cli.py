@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -10,6 +11,14 @@ import squeezer_sim
 from squeezer_sim.cli import main
 
 OMEGA_2MHZ = 4.0 * math.pi * 1e6
+
+# SHA-256 of the default mc-verify CSV and stdout report at --seed 7,
+# measured with numpy 2.4.6 and scipy 1.17.1.  Another build of numpy's
+# Philox stream, scipy's lfilter or its FFT may move the last digits.
+MC_VERIFY_SEED7_CSV_SHA256 = (
+    "c376a69f257f9246b63dd77ff80f9ef7746725844cbfb26cb525d45e2b00868f")
+MC_VERIFY_SEED7_REPORT_SHA256 = (
+    "4b8dfef356b5a34395a9d67205d4ecb70d909ff5d5091dbb8bfc8ba877105cf1")
 
 
 def _read_csv(path):
@@ -129,6 +138,10 @@ def test_mc_verify_pass_and_negative_control(tmp_path, capsys):
     _, header, rows = _read_csv(out)
     assert header == ["omega_rad_s", "psd", "analytic", "deviation_sigma"]
     assert len(rows) >= 30
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == MC_VERIFY_SEED7_CSV_SHA256)
+    assert (hashlib.sha256(report.encode()).hexdigest()
+            == MC_VERIFY_SEED7_REPORT_SHA256)
     assert main(["mc-verify", "--out", str(tmp_path / "neg.csv"), "--seed", "7",
                  "--negative-control"]) == 3
 
@@ -212,16 +225,28 @@ def test_plot_emission(tmp_path):
     assert text.startswith("<svg") and "polyline" in text
 
 
-def test_console_entry_point_runs():
+def _run_child(*args):
     # The child imports the same package as this process, installed or not.
     src = str(Path(squeezer_sim.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "squeezer_sim.cli", "thresholds"],
-        capture_output=True, text=True, timeout=120, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=120, env=env)
+
+
+def test_console_entry_point_runs():
+    proc = _run_child("-m", "squeezer_sim.cli", "thresholds")
     assert proc.returncode == 0
     assert "orth_threshold_intensity" in proc.stdout
+
+
+def test_import_loads_no_scipy():
+    # Importing scipy.signal costs over a second and about 50 MB of RSS,
+    # so only simulate_decoupled and estimate_psd import it, when called.
+    proc = _run_child("-c", "import sys, squeezer_sim; print(sorted(m for m in "
+                      "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "[]"
 
 
 def test_unwritable_output_rejected(tmp_path):

@@ -5,8 +5,6 @@ import pytest
 
 from squeezer_sim import (
     Regime,
-    StateVector,
-    derivatives,
     integrate,
     jacobian,
     laser_threshold,
@@ -16,9 +14,9 @@ from squeezer_sim import (
     stability,
     steady_state,
 )
-from squeezer_sim.dynamics import export_trajectory_csv
+from squeezer_sim import model
 
-GROUND = StateVector(0.0, 0.0, 1.0, 0.0, 0.0)
+GROUND = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
 
 
 def _random_states(rng, n):
@@ -27,21 +25,21 @@ def _random_states(rng, n):
 
 
 def test_ground_state_is_stationary_without_pump(moderate):
-    rates = derivatives(GROUND, moderate, 0.0)
-    assert rates.to_array().tolist() == [0.0] * 5
+    rates = model.rhs(GROUND, moderate, 0.0)
+    assert rates.tolist() == [0.0] * 5
 
 
 def test_population_rates_cancel_exactly(moderate, rng):
     for y in _random_states(rng, 50):
-        r = derivatives(StateVector.from_array(y), moderate, rng.uniform(0, 10))
-        assert r.sigma1 + r.sigma2 + r.sigma3 == 0.0
+        r = model.rhs(y, moderate, rng.uniform(0, 10))
+        assert r[2] + r[3] + r[4] == 0.0
 
 
 def test_closed_form_steady_state_is_a_fixed_point(moderate):
     g = np.sqrt(laser_threshold(moderate) * orth_threshold_pump(moderate))
     ss = steady_state(moderate, g)
-    rate = derivatives(StateVector.from_array(ss.state_vector()), moderate, g)
-    assert np.linalg.norm(rate.to_array()) <= 1e-9 * np.linalg.norm(ss.state_vector())
+    rate = model.rhs(ss.state_vector(), moderate, g)
+    assert np.linalg.norm(rate) <= 1e-9 * np.linalg.norm(ss.state_vector())
 
 
 def test_integrate_preserves_fixed_point(moderate):
@@ -198,14 +196,3 @@ def test_lasing_branch_unstable_above_orth_threshold(moderate):
     assert np.max(res["eigen_real_parts"]) > 0.0
     # while the realized regime-iii state is stable
     assert stability(moderate, g)["stable"]
-
-
-def test_trajectory_csv_export(tmp_path, moderate):
-    g = 1.5 * orth_threshold_pump(moderate)
-    traj = integrate(moderate, g, np.array([1e-3, 1e-3, 1.0, 0.0, 0.0]), t_end=1.0)
-    out = tmp_path / "traj.csv"
-    export_trajectory_csv(traj, out, header_comments=["source = test"])
-    lines = out.read_text().splitlines()
-    assert lines[0] == "# source = test"
-    assert lines[1] == "t,a_par,a_orth,sigma1,sigma2,sigma3"
-    assert len(lines) == 2 + len(traj.times)

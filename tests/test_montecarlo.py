@@ -123,11 +123,30 @@ def test_estimate_psd_requires_enough_data(reference):
         estimate_psd(run, 4)
 
 
-def test_estimate_matches_two_sided_welch_exactly(reference):
-    run, _ = _threshold_run(reference, seed=5, segments=64)
-    est = estimate_psd(run, 64)
-    # The last block of segments is a partial one.
-    assert est.n_segments % montecarlo._SEGMENT_BLOCK != 0
+_BLOCK = montecarlo._SEGMENT_BLOCK
+
+
+# A threshold run sized for s segments yields s + 1 of them.
+@pytest.mark.parametrize("qnl_leg, segments, expected", [
+    pytest.param(False, 16, 17, id="under-one-block"),
+    pytest.param(False, 2 * _BLOCK - 1, 2 * _BLOCK, id="whole-blocks"),
+    pytest.param(False, _BLOCK, _BLOCK + 1, id="block-plus-one"),
+    pytest.param(False, 64, 65, id="partial-last-block"),
+    pytest.param(True, 40, 41, id="qnl-leg"),
+])
+def test_estimate_matches_two_sided_welch_exactly(reference, qnl_leg,
+                                                  segments, expected):
+    if qnl_leg:
+        # i_par = 0 at mc-verify's QNL-leg dt, sized for nperseg 1024.
+        dt = 0.05 / reference.gamma_orth
+        n = (segments + 1) * 1024 // 2 + 1024
+        run = simulate_decoupled(reference, 0.0, seed=5, dt=dt,
+                                 duration=n * dt)
+    else:
+        run, _ = _threshold_run(reference, seed=5, segments=segments)
+    est = estimate_psd(run, segments)
+    assert est.n_segments == expected
+    assert 2 * len(est.freqs) == (1024 if qnl_leg else 4096)
     x = run.series_out[montecarlo._transient_samples(run):]
     nperseg = 2 * len(est.freqs)
     f, pxx = scipy.signal.welch(
