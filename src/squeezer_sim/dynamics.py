@@ -1,13 +1,16 @@
 """Time integration of the semiclassical equations and local stability.
 
 This module is the brute-force oracle for the closed-form steady states:
-`settle` integrates from a seeded ground state until the flow stalls and
-classifies what it landed on.  Integration uses the linearly implicit,
-L-stable Rosenbrock 2(3) pair of `ode23s` (Shampine & Reichelt, SIAM J.
-Sci. Comput. 18, 1997) with the analytic `model.jacobian`.  The lower
-lasing level is routinely the fastest rate in the system by many
-decades; an L-stable method damps it at any step size, so the step is
-set by accuracy alone and no stability cap is needed.
+`settle` integrates from a seeded ground state to t_max and classifies
+the stable fixed point it lands on.  Integration uses the linearly
+implicit, L-stable Rosenbrock 2(3) pair of `ode23s` (Shampine &
+Reichelt, SIAM J. Sci. Comput. 18, 1997) with the analytic Jacobian, on
+the reduced state (a_par, a_orth, sigma1, sigma2), sigma3 = 1 - sigma1 -
+sigma2.  The lower lasing level is routinely the fastest rate in the
+system by many decades; an L-stable method damps it at any step size,
+so the step is set by accuracy alone.  Dropping the conserved
+population sum drops the structural zero eigenvalue, which would leave
+W = I - h*d*J singular to rounding once h*k2 exceeds 1/eps.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .steadystate import (
     SteadyState,
     laser_only_branch,
     laser_threshold,
-    orth_threshold_intensity,
     steady_state,
     zero_field_populations,
 )
@@ -38,7 +40,7 @@ __all__ = [
     "stability",
 ]
 
-_STALL_REL = 1e-10
+_MAX_RESEEDS = 3
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,22 @@ def jacobian(state: np.ndarray, params: ModelParams, pump) -> np.ndarray:
     return model.jacobian(np.asarray(state, float), params, as_pump(pump))
 
 
+def _reduced(params: ModelParams, pump: float):
+    """(f, J) on (a_par, a_orth, s1, s2); J4 is J[:4, :4] with column 4
+    subtracted from columns 2 and 3, the chain rule through sigma3."""
+    def f(z):
+        a, b, s1, s2 = z.tolist()
+        return model.rhs((a, b, s1, s2, 1.0 - s1 - s2), params, pump)[:4]
+
+    def jac(z):
+        a, b, s1, s2 = z.tolist()
+        J = model.jacobian((a, b, s1, s2, 1.0 - s1 - s2), params, pump)
+        J[:4, 2:4] -= J[:4, 4:]
+        return J[:4, :4]
+
+    return f, jac
+
+
 # ode23s coefficients: d makes the pair L-stable, e32 weights the
 # third-order stage that only serves the error estimate.
 _D = 1.0 / (2.0 + math.sqrt(2.0))
@@ -76,16 +94,15 @@ def _norm(v) -> float:
 
 
 def _rosenbrock23(f, jac, y0, t_end: float, rtol: float, atol: float,
-                  record: bool = False, stall_rel: float | None = None) -> dict:
+                  record: bool = False) -> dict:
     """Integrate the autonomous system dy/dt = f(y) from 0 to t_end.
 
     Each step inverts W = I - h*d*J once, with J = jac(y) at the start
     of the step, applies it to three stage right-hand sides and advances
     the second-order solution; the third stage only estimates the error.
-    f at the new state is the next step's first stage (FSAL), so the
-    stall test is free: with `stall_rel`, integration stops once
-    |f| < stall_rel*|y| at an accepted state.  Returns the final (t, y), the recorded path when
-    `record`, a `stalled` flag and step counts.
+    f at the new state is the next step's first stage (FSAL).  Raises
+    StepUnderflow when a step falls below the resolution of t.  Returns
+    the final (t, y), the recorded path when `record`, and step counts.
     """
     y = np.asarray(y0, float).copy()
     eye = np.eye(len(y))
@@ -99,11 +116,10 @@ def _rosenbrock23(f, jac, y0, t_end: float, rtol: float, atol: float,
     fnorm = _norm(f0)
     h = t_end if fnorm == 0.0 else min(
         t_end, 0.01 * (atol + rtol * _norm(y)) / fnorm)
-    stalled = bool(stall_rel is not None and fnorm < stall_rel * _norm(y))
     J = None
-    while t < t_end and not stalled:
+    while t < t_end:
         h = min(h, t_end - t)
-        if h < 1e-16 * t_end:
+        if t + h <= t:
             raise StepUnderflow(f"step {h!r} underflowed at t = {t!r}")
         if J is None:
             J = jac(y)
@@ -132,8 +148,6 @@ def _rosenbrock23(f, jac, y0, t_end: float, rtol: float, atol: float,
             if record:
                 ts.append(t)
                 ys.append(y.copy())
-            if stall_rel is not None and _norm(f0) < stall_rel * _norm(y):
-                stalled = True
             h *= _MAX_FACTOR if err_norm == 0.0 else min(
                 _MAX_FACTOR, _SAFETY * err_norm ** (-1.0 / 3.0))
         else:
@@ -150,7 +164,6 @@ def _rosenbrock23(f, jac, y0, t_end: float, rtol: float, atol: float,
         "y": y,
         "ts": np.array(ts) if record else None,
         "ys": np.array(ys) if record else None,
-        "stalled": stalled,
         "nfev": nfev,
         "n_accepted": naccept,
         "n_rejected": nreject,
@@ -161,22 +174,27 @@ def integrate(params: ModelParams, pump, init, t_end: float,
               rel_tol: float = 1e-8, abs_tol: float = 1e-12) -> Trajectory:
     """Adaptive Rosenbrock 2(3) trajectory from `init` over [0, t_end].
 
-    Every accepted step is recorded.  Deterministic for identical
-    inputs; raises StepUnderflow when the controller drives the step
-    below 1e-16 of the span and NonFiniteState when the state blows up.
+    Every accepted step is recorded as a five-component state, with
+    sigma3 = 1 - sigma1 - sigma2, so the populations of `init` must sum
+    to 1 within 1e-12.  Deterministic for identical inputs; raises
+    StepUnderflow when the controller drives the step below the
+    resolution of t and NonFiniteState when the state blows up.
     """
     if t_end <= 0:
         raise ValueError("t_end must be > 0")
     if rel_tol <= 0 or abs_tol <= 0:
         raise ValueError("tolerances must be > 0")
-    g = as_pump(pump)
     y0 = np.asarray(init, float)
-    out = _rosenbrock23(lambda y: model.rhs(y, params, g),
-                        lambda y: model.jacobian(y, params, g), y0, t_end,
+    total = float(y0[2:].sum())
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"init populations sum to {total!r}, not 1")
+    out = _rosenbrock23(*_reduced(params, as_pump(pump)), y0[:4], t_end,
                         rtol=rel_tol, atol=abs_tol, record=True)
+    ys = out["ys"]
     diags = {"nfev": out["nfev"], "n_accepted": out["n_accepted"],
              "n_rejected": out["n_rejected"]}
-    return Trajectory(times=out["ts"], states=out["ys"], diagnostics=diags)
+    return Trajectory(times=out["ts"], diagnostics=diags,
+                      states=np.column_stack([ys, 1.0 - ys[:, 2] - ys[:, 3]]))
 
 
 def _settle_t_max(params: ModelParams, pump: float) -> float:
@@ -195,63 +213,76 @@ def _settle_t_max(params: ModelParams, pump: float) -> float:
 
 def settle(params: ModelParams, pump, seed_amplitude: float = 1e-3,
            t_max: float | None = None) -> SteadyState:
-    """Integrate from the seeded ground state until the flow stalls.
+    """Integrate from the seeded ground state to t_max and classify the end.
 
     Both amplitudes are seeded: a_orth = 0 is invariant under the flow,
-    so probing region iii needs a nonzero seed.  Stops when the
-    derivative norm falls below 1e-10 of the state norm; reaching t_max
-    first raises NoConvergence rather than guessing.  The default t_max
-    is 400 over the slowest of (k3, gamma_par, gamma_orth, pump bounded
-    below by the laser threshold); pass a larger value near regime
-    boundaries where critical slowing stretches the transient.
+    so probing region iii needs a nonzero seed.  On a fixed point the
+    step grows fivefold per step, so running on to t_max is cheap.  An
+    L-stable step damps a growing mode below atol as readily as a
+    decaying one, so a field below the seed whose net gain (a dark
+    field's diagonal Jacobian entry and eigenvalue) is positive gets
+    reseeded, at most three times.  A field is lit when its net gain is
+    clamped within 1e-6 of its decay.  The end state must have |rhs|
+    below 1e-10 of `model.rate_scales` on the four independent rows,
+    with the amplitudes floored at the seed inside the scales so a
+    decaying dark field cannot hold the test up; otherwise
+    NoConvergence.  The default t_max is 400 over the slowest of (k3,
+    gamma_par, gamma_orth, pump bounded below by the laser threshold);
+    pass a larger value where critical slowing stretches the transient.
     """
     if seed_amplitude <= 0:
         raise ValueError("seed_amplitude must be > 0")
     g = as_pump(pump)
     if t_max is None:
         t_max = _settle_t_max(params, g)
-    y0 = np.array([seed_amplitude, seed_amplitude, 1.0, 0.0, 0.0])
-    # Path accuracy is not what matters here: every Rosenbrock stage is
-    # W^-1 applied to a combination of f values, so the stages vanish
-    # where f = 0 and equilibria are preserved exactly.  The endpoint quality is set by
-    # the stall criterion, not by the tolerances, and loose-ish
-    # tolerances keep the walk towards the attractor cheap.
-    out = _rosenbrock23(lambda y: model.rhs(y, params, g),
-                        lambda y: model.jacobian(y, params, g), y0, t_max,
-                        rtol=1e-7, atol=1e-9, stall_rel=_STALL_REL)
-    if not out["stalled"]:
-        y_end = out["y"]
-        raise NoConvergence(
-            f"derivative norm {np.linalg.norm(model.rhs(y_end, params, g))!r} "
-            f"still above threshold at t_max = {t_max!r}")
-    y = out["y"]
-    i_par, i_orth = y[0] ** 2, y[1] ** 2
-    cut = 1e-12 * orth_threshold_intensity(params)
-    if i_orth > cut:
+    f, jac = _reduced(params, g)
+    clamp = 1e-6 * np.array([params.gamma_par, params.gamma_orth])
+    z = np.array([seed_amplitude, seed_amplitude, 1.0, 0.0])
+    for _ in range(_MAX_RESEEDS + 1):
+        # Path accuracy is not what matters here: every Rosenbrock stage
+        # is W^-1 applied to a combination of f values, so the stages
+        # vanish where f = 0 and equilibria are preserved exactly.  The
+        # residual test below judges the end state, and loose-ish
+        # tolerances keep the walk towards the attractor cheap.
+        z = _rosenbrock23(f, jac, z, t_max, rtol=1e-7, atol=1e-9)["y"]
+        gain = np.diagonal(jac(z))[:2] + 2.0 * params.nl_coupling_mu * z[:2] ** 2
+        unstable = (gain > clamp) & (np.abs(z[:2]) < seed_amplitude)
+        if not unstable.any():
+            break
+        z[:2][unstable] = seed_amplitude
+    else:
+        raise NoConvergence(f"unstable dark state after {_MAX_RESEEDS} reseeds")
+    a, b, s1, s2 = z.tolist()
+    s3 = 1.0 - s1 - s2
+    floored = (max(abs(a), seed_amplitude), max(abs(b), seed_amplitude), s1, s2, s3)
+    residual = np.max(np.abs(f(z)) / model.rate_scales(floored, params, g)[:4])
+    if not residual < 1e-10:
+        raise NoConvergence(f"scaled residual {residual!r} at t_max = {t_max!r}")
+    lit = np.abs(gain) < clamp
+    i_par, i_orth = a * a, b * b
+    if lit[1]:
         regime = Regime.OrthExcited
-    elif i_par > cut:
+    elif lit[0]:
         regime = Regime.LaserOnly
         i_orth = 0.0
     else:
         regime = Regime.BelowLaser
         i_par = i_orth = 0.0
-    return SteadyState(sigma1=float(y[2]), sigma2=float(y[3]), sigma3=float(y[4]),
-                       i_par=float(i_par), i_orth=float(i_orth), regime=regime)
+    return SteadyState(sigma1=s1, sigma2=s2, sigma3=s3,
+                       i_par=i_par, i_orth=i_orth, regime=regime)
 
 
 def stability(params: ModelParams, pump, branch: Regime | None = None) -> dict:
-    """Real parts of the Jacobian eigenvalues at the steady state.
+    """Real parts of the reduced Jacobian eigenvalues at the steady state.
 
     `branch` forces evaluation on a particular solution branch (for
     instance the lasing branch continued above the orthogonal-mode
     threshold, whose a_orth eigenvalue -gamma_orth + mu*i_par has gone
-    positive).  The population-conservation direction contributes an
-    exactly zero eigenvalue, which counts as stable.
+    positive).  The reduced Jacobian has no structural zero eigenvalue,
+    so stable means every real part is below 1e-15 of the largest rate.
     """
     g = as_pump(pump)
-    if branch is None:
-        ss = steady_state(params, g)
-    elif branch is Regime.LaserOnly:
+    if branch is Regime.LaserOnly:
         ss = laser_only_branch(params, g)
     elif branch is Regime.BelowLaser:
         s1, s2, s3 = zero_field_populations(params, g)
@@ -259,12 +290,12 @@ def stability(params: ModelParams, pump, branch: Regime | None = None) -> dict:
                          i_par=0.0, i_orth=0.0, regime=Regime.BelowLaser)
     else:
         ss = steady_state(params, g)
-    J = model.jacobian(ss.state_vector(), params, g)
-    real_parts = np.sort(np.linalg.eigvals(J).real)
+    _, jac = _reduced(params, g)
+    real_parts = np.sort(np.linalg.eigvals(jac(ss.state_vector()[:4])).real)
     scale = max(params.stim_rate_G, params.decay_k2, params.decay_k3,
                 params.gamma_par, params.gamma_orth, g)
     return {
         "eigen_real_parts": real_parts,
-        "stable": bool(np.all(real_parts < 1e-9 * scale)),
+        "stable": bool(np.all(real_parts < 1e-15 * scale)),
         "steady_state": ss,
     }

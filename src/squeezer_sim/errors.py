@@ -34,7 +34,7 @@ class RootFindFailure(SqueezerSimError):
 
 
 class StepUnderflow(SqueezerSimError):
-    """The adaptive integrator step fell below 1e-16 of the time span."""
+    """The adaptive integrator step fell below the resolution of t."""
 
 
 class NonFiniteState(SqueezerSimError):

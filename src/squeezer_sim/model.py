@@ -48,7 +48,7 @@ def rhs(y, params: ModelParams, pump: float) -> np.ndarray:
 
 def jacobian(y, params: ModelParams, pump: float) -> np.ndarray:
     """Analytic 5x5 Jacobian of rhs with respect to the state."""
-    a, b, s1, s2, s3 = y
+    a, b, s1, s2, s3 = y.tolist() if isinstance(y, np.ndarray) else y
     G = params.stim_rate_G
     mu = params.nl_coupling_mu
     k2, k3 = params.decay_k2, params.decay_k3

@@ -1,13 +1,11 @@
 """Random parameter families for cross-checking solvers against the ODE.
 
-The closed-form/ODE equivalence checks need parameter sets where (a)
-both thresholds exist and (b) the rates span only a few decades, where
-`settle` is known to reach the attractor.  At the reference set's spans
-(k2/k3 = 1e15) its first step underflows in regions ii and iii.
-Reaching the instability intensity gamma_orth/mu requires a population
-flux of 2*(gamma_par + gamma_orth)*gamma_orth/mu through the lower
-level, which bounds k2 from below; everything here is sampled around
-that bound.
+The random-family equivalence tests need parameter sets where both
+thresholds exist and the rates span only a few decades, which keeps
+each `settle` cheap.  Reaching the instability intensity gamma_orth/mu
+requires a population flux of 2*(gamma_par + gamma_orth)*gamma_orth/mu
+through the lower level, which bounds k2 from below; everything here
+is sampled around that bound.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import numpy as np
 from .params import ModelParams
 from .steadystate import laser_threshold, orth_threshold_pump
 
-__all__ = ["sample_reachable_params", "sample_regime_pumps", "integration_cost"]
+__all__ = ["sample_reachable_params", "sample_regime_pumps"]
 
 
 def sample_reachable_params(rng: np.random.Generator,
@@ -72,14 +70,3 @@ def sample_regime_pumps(rng: np.random.Generator, params: ModelParams,
         return g_orth * rng.uniform(1.2, 1.8)
     raise ValueError(f"unknown region {region!r}")
 
-
-def integration_cost(params: ModelParams, pump: float) -> float:
-    """Stiffness of settling at this pump: 100 slowest relaxation times
-    counted in units of 2/k2, the fastest time scale.
-
-    `check` runs its ODE oracle on the configured rates only when this is
-    at most 5e5, and on a sampled family otherwise.
-    """
-    slow = min(params.decay_k3, params.gamma_par, params.gamma_orth,
-               max(pump, 1e-300))
-    return (100.0 / slow) * (params.decay_k2 / 2.0)

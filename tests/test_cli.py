@@ -160,6 +160,9 @@ def test_check_reference_config_passes(capsys):
     for name in ("route_equivalence", "clamping_identities",
                  "oracle_equivalence", "jacobian_fd"):
         assert f"{name}: PASS" in out
+    # The oracle runs on the configured rates, not on a substitute family.
+    oracle = next(ln for ln in out.splitlines() if ln.startswith("oracle_equivalence"))
+    assert "bundled" not in oracle
 
 
 def test_check_rejects_invalid_params(tmp_path):

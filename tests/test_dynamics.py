@@ -76,6 +76,11 @@ def test_integrate_rejects_bad_arguments(moderate):
         integrate(moderate, 1.0, GROUND, t_end=1.0, rel_tol=0.0)
 
 
+def test_integrate_rejects_populations_not_summing_to_one(moderate):
+    with pytest.raises(ValueError):
+        integrate(moderate, 1.0, np.array([0.0, 0.0, 1.0, 1e-9, 0.0]), t_end=1.0)
+
+
 def test_settle_zero_pump(moderate):
     ss = settle(moderate, 0.0)
     assert ss.regime is Regime.BelowLaser
@@ -102,6 +107,23 @@ def test_settle_matches_closed_form_when_k2_is_very_fast(moderate, point):
          "ii": np.sqrt(gl * go), "iii": 1.5 * go}[point]
     ss = steady_state(p, g)
     st = settle(p, g)
+    assert st.regime is ss.regime
+    ref, got = ss.state_vector(), st.state_vector()
+    scale = np.maximum(np.abs(ref), 1e-9 * np.max(np.abs(ref)))
+    assert np.max(np.abs(got - ref) / scale) < 1e-5
+
+
+@pytest.mark.parametrize("point", ["0.5 laser", "1.01 laser", "1.5 laser", "ii",
+                                   "0.8 orth", "1.5 orth"])
+def test_settle_matches_closed_form_at_reference_rates(reference, point):
+    # k2/k3 = 1e15.  At 1.01x the laser threshold the seed decays below
+    # atol before the inversion builds, so the flow first lands on the
+    # unstable dark state and settle has to reseed.
+    gl, go = laser_threshold(reference), orth_threshold_pump(reference)
+    g = {"0.5 laser": 0.5 * gl, "1.01 laser": 1.01 * gl, "1.5 laser": 1.5 * gl,
+         "ii": np.sqrt(gl * go), "0.8 orth": 0.8 * go, "1.5 orth": 1.5 * go}[point]
+    ss = steady_state(reference, g)
+    st = settle(reference, g)
     assert st.regime is ss.regime
     ref, got = ss.state_vector(), st.state_vector()
     scale = np.maximum(np.abs(ref), 1e-9 * np.max(np.abs(ref)))
@@ -196,3 +218,16 @@ def test_lasing_branch_unstable_above_orth_threshold(moderate):
     assert np.max(res["eigen_real_parts"]) > 0.0
     # while the realized regime-iii state is stable
     assert stability(moderate, g)["stable"]
+
+
+def test_stability_at_reference_rates(reference):
+    gl, go = laser_threshold(reference), orth_threshold_pump(reference)
+    for g in (0.5 * gl, 1.5 * gl, np.sqrt(gl * go), 0.8 * go, 1.5 * go):
+        assert stability(reference, g)["stable"]
+    # Unstable branches: the dark state above the laser threshold and
+    # the lasing branch continued past the orthogonal-mode threshold.
+    for g, branch in ((1.01 * gl, Regime.BelowLaser), (1.5 * gl, Regime.BelowLaser),
+                      (1.5 * go, Regime.LaserOnly)):
+        res = stability(reference, g, branch=branch)
+        assert not res["stable"]
+        assert np.max(res["eigen_real_parts"]) > 0.0
