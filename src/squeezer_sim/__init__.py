@@ -9,7 +9,6 @@ verification of those spectra.
 from .dynamics import (
     Trajectory,
     integrate,
-    jacobian,
     settle,
     stability,
 )
@@ -30,10 +29,7 @@ from .errors import (
 from .montecarlo import PsdEstimate, SdeRun, compare_to_analytic, estimate_psd, simulate_decoupled
 from .params import ModelParams, reference_params, validate
 from .spectra import (
-    NoiseChannel,
     PhasePairVariance,
-    PumpSweepCurve,
-    Quadrature,
     SpectrumCurve,
     frequency_sweep_curve,
     orth_phase_variance,

@@ -26,7 +26,7 @@ from . import model
 from .csvio import format_exact, snapshot_lines, write_csv
 from .dynamics import settle
 from .dynamics import _settle_t_max as dynamics_t_max
-from .errors import InvalidParams, SqueezerSimError, Unreachable
+from .errors import InvalidParams, SqueezerSimError, Unreachable, WrongRegime
 from .montecarlo import compare_to_analytic, estimate_psd, simulate_decoupled
 from .params import ModelParams, reference_params, validate
 from .sampling import sample_regime_pumps
@@ -65,7 +65,15 @@ _SCHEMA = {
     "omega_min": float, "omega_max": float, "omega_steps": int, "omega_log": bool,
     "i_par": float,
     "seed": int, "dt": float, "duration": float, "segments": int,
-    "out": str, "emit_plot": bool,
+}
+
+# Range rules, checked once the config and the --seed flag are merged, so
+# a bad value is reported by its key instead of surfacing mid-run.
+_RANGES = {
+    "seed": (lambda v: v >= 0, ">= 0"),
+    "segments": (lambda v: v >= 8, ">= 8"),
+    "dt": (lambda v: v > 0, "> 0"),
+    "duration": (lambda v: v > 0, "> 0"),
 }
 
 
@@ -115,6 +123,13 @@ def load_config(path: str | None) -> dict:
     return _parse_config_text(p.read_text(encoding="utf-8"))
 
 
+def _check_ranges(cfg: dict):
+    bad = [f"{key} must be {rule}, got {cfg[key]!r}"
+           for key, (ok, rule) in _RANGES.items() if key in cfg and not ok(cfg[key])]
+    if bad:
+        raise ConfigError("out of range: " + "; ".join(bad))
+
+
 def _model_params(cfg: dict) -> ModelParams:
     base = reference_params().as_dict()
     base.update({k: cfg[k] for k in _MODEL_KEYS if k in cfg})
@@ -138,7 +153,7 @@ def _grid(cfg: dict, name: str, default_min: float, default_max: float,
 
 def _check_out_writable(path: str):
     parent = Path(path).resolve().parent
-    if not parent.is_dir() or not os.access(parent, os.W_OK):
+    if not path or not parent.is_dir() or not os.access(parent, os.W_OK):
         raise ConfigError(f"output path not writable: {path}")
 
 
@@ -160,15 +175,10 @@ def _plot_path(out: str, curve: str) -> str:
 def cmd_thresholds(cfg: dict, out: str | None) -> int:
     params = _model_params(cfg)
     omega = cfg.get("omega", 4.0 * math.pi * 1e6)
-    try:
-        g_laser, g_orth = regime_thresholds(params)
-    except SqueezerSimError as exc:
-        print(f"threshold solve failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    g_laser, g_orth = regime_thresholds(params)
     if not math.isfinite(g_laser) or not math.isfinite(g_orth):
-        print("threshold solve failed: threshold unreachable for these "
-              "parameters", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise Unreachable("threshold solve failed: threshold unreachable for "
+                          "these parameters")
     v = threshold_variance(params, omega)
     lines = [
         f"laser_threshold = {format_exact(g_laser)}",
@@ -184,20 +194,19 @@ def cmd_thresholds(cfg: dict, out: str | None) -> int:
 def _steady_row(params, thresholds, g):
     try:
         ss = steady_state(params, g, thresholds=thresholds)
-        return [g, ss.regime.label, ss.a_par, ss.a_orth,
+        return [g, ss.regime.value, ss.a_par, ss.a_orth,
                 ss.sigma1, ss.sigma2, ss.sigma3, sh_power(params, ss), "ok"]
     except SqueezerSimError as exc:
         return [g, "", math.nan, math.nan, math.nan, math.nan, math.nan,
                 math.nan, f"error:{type(exc).__name__}"]
 
 
-def cmd_steady_sweep(cfg: dict, out: str, emit_plot: bool) -> int:
+def cmd_steady_sweep(cfg: dict, out: str, plot: bool) -> int:
     params = _model_params(cfg)
     thresholds = regime_thresholds(params)
     if "pump_max" not in cfg and not math.isfinite(thresholds[1]):
-        print("cannot build a default pump grid: orthogonal-mode threshold "
-              "unreachable; give pump_min/max/steps", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise Unreachable("cannot build a default pump grid: orthogonal-mode "
+                          "threshold unreachable; give pump_min/max/steps")
     pumps = _grid(cfg, "pump", 0.0, 2.0 * thresholds[1], 201)
     snapshot = {**params.as_dict(),
                 "pump_min": float(pumps[0]), "pump_max": float(pumps[-1]),
@@ -206,7 +215,7 @@ def cmd_steady_sweep(cfg: dict, out: str, emit_plot: bool) -> int:
     write_csv(out, ["Gamma", "regime", "a_par", "a_orth",
                     "sigma1", "sigma2", "sigma3", "sh_power", "status"],
               rows, comments=snapshot_lines(snapshot))
-    if emit_plot:
+    if plot:
         gs = [r[0] for r in rows]
         for idx, name in ((2, "a_par"), (3, "a_orth"), (7, "sh_power")):
             line_plot_svg(_plot_path(out, name), gs, [r[idx] for r in rows],
@@ -219,40 +228,35 @@ def cmd_steady_sweep(cfg: dict, out: str, emit_plot: bool) -> int:
     return EXIT_OK
 
 
-def cmd_pump_sweep(cfg: dict, out: str, emit_plot: bool) -> int:
+def cmd_pump_sweep(cfg: dict, out: str, plot: bool) -> int:
     params = _model_params(cfg)
     omega = cfg.get("omega", 4.0 * math.pi * 1e6)
-    try:
-        if "pump_min" in cfg or "pump_max" in cfg:
-            pumps = _grid(cfg, "pump", 0.0, 0.0, 101)
-            curve = pump_sweep_curve(params, omega, pumps=pumps)
-        else:
-            lo = cfg.get("pump_norm_min", 0.0)
-            hi = cfg.get("pump_norm_max", 1.0)
-            steps = cfg.get("pump_steps", 101)
-            if steps < 2 or not (hi > lo):
-                raise ConfigError("normalized pump grid needs min < max and "
-                                  "steps >= 2")
-            curve = pump_sweep_curve(
-                params, omega, normalized_pumps=np.linspace(lo, hi, steps))
-    except Unreachable as exc:
-        print(f"threshold solve failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    above = [pt for pt in curve.points if pt.status == "above_orth"]
+    if "pump_min" in cfg or "pump_max" in cfg:
+        pumps = _grid(cfg, "pump", 0.0, 0.0, 101)
+        points = pump_sweep_curve(params, omega, pumps=pumps)
+    else:
+        lo = cfg.get("pump_norm_min", 0.0)
+        hi = cfg.get("pump_norm_max", 1.0)
+        steps = cfg.get("pump_steps", 101)
+        if steps < 2 or not (hi > lo):
+            raise ConfigError("normalized pump grid needs min < max and "
+                              "steps >= 2")
+        points = pump_sweep_curve(
+            params, omega, normalized_pumps=np.linspace(lo, hi, steps))
+    above = [pt for pt in points if pt.status == "above_orth"]
     if above:
-        print(f"{len(above)} grid points lie above the oscillation "
-              "threshold; restrict the grid to the lasing-only region",
-              file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise WrongRegime(f"{len(above)} grid points lie above the oscillation "
+                          "threshold; restrict the grid to the lasing-only "
+                          "region")
     snapshot = {**params.as_dict(), "omega": float(omega),
-                "pump_norm_min": curve.points[0].pump_normalized,
-                "pump_norm_max": curve.points[-1].pump_normalized,
-                "pump_steps": len(curve.points)}
+                "pump_norm_min": points[0].pump_normalized,
+                "pump_norm_max": points[-1].pump_normalized,
+                "pump_steps": len(points)}
     rows = [[pt.pump, pt.pump_normalized, pt.variance,
-             to_decibel(pt.variance)] for pt in curve.points]
+             to_decibel(pt.variance)] for pt in points]
     write_csv(out, ["Gamma", "Gamma_normalized", "variance", "variance_db"],
               rows, comments=snapshot_lines(snapshot))
-    if emit_plot:
+    if plot:
         line_plot_svg(_plot_path(out, "variance_db"),
                       [r[1] for r in rows], [r[3] for r in rows],
                       title="phase-quadrature noise vs pump",
@@ -261,7 +265,7 @@ def cmd_pump_sweep(cfg: dict, out: str, emit_plot: bool) -> int:
     return EXIT_OK
 
 
-def cmd_spectrum(cfg: dict, out: str, emit_plot: bool) -> int:
+def cmd_spectrum(cfg: dict, out: str, plot: bool) -> int:
     params = _model_params(cfg)
     omegas = _grid(cfg, "omega", 0.0, 10.0 * params.gamma_orth, 501)
     if "i_par" in cfg:
@@ -269,9 +273,8 @@ def cmd_spectrum(cfg: dict, out: str, emit_plot: bool) -> int:
     elif "pump" in cfg:
         ss = steady_state(params, cfg["pump"])
         if ss.regime is not Regime.LaserOnly:
-            print(f"pump {cfg['pump']!r} is not in the lasing-only region",
-                  file=sys.stderr)
-            return EXIT_NUMERICAL
+            raise WrongRegime(
+                f"pump {cfg['pump']!r} is not in the lasing-only region")
         i_par = ss.i_par
     else:
         i_par = orth_threshold_intensity(params)
@@ -284,7 +287,7 @@ def cmd_spectrum(cfg: dict, out: str, emit_plot: bool) -> int:
             for w, v in zip(curve.omegas, curve.variances)]
     write_csv(out, ["omega_rad_s", "variance", "variance_db"], rows,
               comments=snapshot_lines(snapshot))
-    if emit_plot:
+    if plot:
         line_plot_svg(_plot_path(out, "variance_db"),
                       [r[0] for r in rows], [r[2] for r in rows],
                       title="phase-quadrature spectrum",
@@ -306,11 +309,10 @@ def _mc_leg(params, i_par, seed, dt, duration, segments, analytic_params,
     return est, compare_to_analytic(est, analytic_params, analytic_i_par)
 
 
-def cmd_mc_verify(cfg: dict, out: str, seed_flag: int | None,
-                  negative_control: bool) -> int:
+def cmd_mc_verify(cfg: dict, out: str, negative_control: bool) -> int:
     params = _model_params(cfg)
     i_star = orth_threshold_intensity(params)
-    seed = seed_flag if seed_flag is not None else cfg.get("seed", 7)
+    seed = cfg.get("seed", 7)
     # Enough averaging that a 20% miscalibration of gamma_orth_c stands
     # out at > 4 per-bin standard errors while the true model keeps
     # comfortable margin below.
@@ -474,10 +476,9 @@ def _check_oracle(params, thresholds, rng):
     return worst <= 1e-5, f"max componentwise error {worst:.2e} (tol 1e-5)"
 
 
-def cmd_check(cfg: dict, out: str | None, seed_flag: int | None = None) -> int:
+def cmd_check(cfg: dict, out: str | None) -> int:
     params = _model_params(cfg)
-    seed = seed_flag if seed_flag is not None else cfg.get("seed", 0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.get("seed", 0))
     thresholds = regime_thresholds(params)
     has_window = math.isfinite(thresholds[0]) and math.isfinite(thresholds[1])
 
@@ -529,46 +530,45 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="squeezer-sim",
                      description="Intracavity type-II doubler noise simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("thresholds", "steady-sweep", "pump-sweep", "spectrum",
-                 "mc-verify", "check"):
+    plot = ("--plot", {"action": "store_true",
+                       "help": "emit SVG plots next to the CSV"})
+    seed = ("--seed", {"type": int, "default": None,
+                       "help": "override the config seed"})
+    negative = ("--negative-control", {
+        "action": "store_true",
+        "help": "perturb gamma_orth_c by +20%% in the analytic reference "
+                "(must fail)"})
+    # Each subcommand, its handler, the default --out (the CSV writers
+    # write <command>.csv) and the flags it reads besides --config/--out.
+    for name, handler, default_out, flags in (
+            ("thresholds", cmd_thresholds, None, ()),
+            ("steady-sweep", cmd_steady_sweep, "steady_sweep.csv", (plot,)),
+            ("pump-sweep", cmd_pump_sweep, "pump_sweep.csv", (plot,)),
+            ("spectrum", cmd_spectrum, "spectrum.csv", (plot,)),
+            ("mc-verify", cmd_mc_verify, "mc_verify.csv", (seed, negative)),
+            ("check", cmd_check, None, (seed,))):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key = value file")
-        p.add_argument("--out", default=None, help="output path")
-        p.add_argument("--plot", action="store_true",
-                       help="emit SVG plots next to the CSV")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
-        if name == "mc-verify":
-            p.add_argument("--negative-control", action="store_true",
-                           help="perturb gamma_orth_c by +20%% in the "
-                                "analytic reference (must fail)")
+        p.add_argument("--out", default=default_out, help="output path")
+        for flag, spec in flags:
+            p.add_argument(flag, **spec)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        cfg = load_config(args.config)
-        emit_plot = bool(args.plot or cfg.get("emit_plot", False))
-        default_csv = args.command.replace("-", "_") + ".csv"
-        out = args.out if args.out is not None else cfg.get("out")
-        if args.command in ("steady-sweep", "pump-sweep", "spectrum",
-                            "mc-verify"):
-            out = out or default_csv
-            _check_out_writable(out)
-        if args.command == "thresholds":
-            return cmd_thresholds(cfg, out)
-        if args.command == "steady-sweep":
-            return cmd_steady_sweep(cfg, out, emit_plot)
-        if args.command == "pump-sweep":
-            return cmd_pump_sweep(cfg, out, emit_plot)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg, out, emit_plot)
-        if args.command == "mc-verify":
-            return cmd_mc_verify(cfg, out, args.seed, args.negative_control)
-        if args.command == "check":
-            return cmd_check(cfg, out, args.seed)
-        raise ConfigError(f"unknown command {args.command!r}")
+        args = vars(_build_parser().parse_args(argv))
+        del args["command"]
+        handler = args.pop("handler")
+        cfg = load_config(args.pop("config"))
+        seed = args.pop("seed", None)
+        if seed is not None:
+            cfg["seed"] = seed
+        _check_ranges(cfg)
+        if args["out"] is not None:
+            _check_out_writable(args["out"])
+        return handler(cfg, **args)
     except (ConfigError, InvalidParams) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -36,11 +36,12 @@ __all__ = [
     "Trajectory",
     "integrate",
     "settle",
-    "jacobian",
     "stability",
 ]
 
 _MAX_RESEEDS = 3
+# Amplitude `settle` seeds both fields with, and reseeds a dark field to.
+_SEED_AMPLITUDE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -56,11 +57,6 @@ class Trajectory:
             raise ValueError("times and states must have equal length")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
-
-
-def jacobian(state: np.ndarray, params: ModelParams, pump) -> np.ndarray:
-    """Analytic 5x5 Jacobian of the flow at this state."""
-    return model.jacobian(np.asarray(state, float), params, as_pump(pump))
 
 
 def _reduced(params: ModelParams, pump: float):
@@ -211,12 +207,11 @@ def _settle_t_max(params: ModelParams, pump: float) -> float:
     return 400.0 / min(rates)
 
 
-def settle(params: ModelParams, pump, seed_amplitude: float = 1e-3,
-           t_max: float | None = None) -> SteadyState:
+def settle(params: ModelParams, pump, t_max: float | None = None) -> SteadyState:
     """Integrate from the seeded ground state to t_max and classify the end.
 
-    Both amplitudes are seeded: a_orth = 0 is invariant under the flow,
-    so probing region iii needs a nonzero seed.  On a fixed point the
+    Both amplitudes are seeded at 1e-3: a_orth = 0 is invariant under the
+    flow, so probing region iii needs a nonzero seed.  On a fixed point the
     step grows fivefold per step, so running on to t_max is cheap.  An
     L-stable step damps a growing mode below atol as readily as a
     decaying one, so a field below the seed whose net gain (a dark
@@ -230,14 +225,12 @@ def settle(params: ModelParams, pump, seed_amplitude: float = 1e-3,
     gamma_par, gamma_orth, pump bounded below by the laser threshold);
     pass a larger value where critical slowing stretches the transient.
     """
-    if seed_amplitude <= 0:
-        raise ValueError("seed_amplitude must be > 0")
     g = as_pump(pump)
     if t_max is None:
         t_max = _settle_t_max(params, g)
     f, jac = _reduced(params, g)
     clamp = 1e-6 * np.array([params.gamma_par, params.gamma_orth])
-    z = np.array([seed_amplitude, seed_amplitude, 1.0, 0.0])
+    z = np.array([_SEED_AMPLITUDE, _SEED_AMPLITUDE, 1.0, 0.0])
     for _ in range(_MAX_RESEEDS + 1):
         # Path accuracy is not what matters here: every Rosenbrock stage
         # is W^-1 applied to a combination of f values, so the stages
@@ -246,15 +239,16 @@ def settle(params: ModelParams, pump, seed_amplitude: float = 1e-3,
         # tolerances keep the walk towards the attractor cheap.
         z = _rosenbrock23(f, jac, z, t_max, rtol=1e-7, atol=1e-9)["y"]
         gain = np.diagonal(jac(z))[:2] + 2.0 * params.nl_coupling_mu * z[:2] ** 2
-        unstable = (gain > clamp) & (np.abs(z[:2]) < seed_amplitude)
+        unstable = (gain > clamp) & (np.abs(z[:2]) < _SEED_AMPLITUDE)
         if not unstable.any():
             break
-        z[:2][unstable] = seed_amplitude
+        z[:2][unstable] = _SEED_AMPLITUDE
     else:
         raise NoConvergence(f"unstable dark state after {_MAX_RESEEDS} reseeds")
     a, b, s1, s2 = z.tolist()
     s3 = 1.0 - s1 - s2
-    floored = (max(abs(a), seed_amplitude), max(abs(b), seed_amplitude), s1, s2, s3)
+    floored = (max(abs(a), _SEED_AMPLITUDE), max(abs(b), _SEED_AMPLITUDE),
+               s1, s2, s3)
     residual = np.max(np.abs(f(z)) / model.rate_scales(floored, params, g)[:4])
     if not residual < 1e-10:
         raise NoConvergence(f"scaled residual {residual!r} at t_max = {t_max!r}")

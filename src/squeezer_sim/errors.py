@@ -30,7 +30,7 @@ class Unreachable(SqueezerSimError):
 
 
 class RootFindFailure(SqueezerSimError):
-    """A numerical root-find or Newton solve did not converge."""
+    """A region-iii closed-form state failed its fixed-point residual guard."""
 
 
 class StepUnderflow(SqueezerSimError):

@@ -76,9 +76,10 @@ def jacobian(y, params: ModelParams, pump: float) -> np.ndarray:
 def rate_scales(y, params: ModelParams, pump: float) -> np.ndarray:
     """Per-equation magnitude scales (sum of absolute term sizes).
 
-    Used to express residuals of the fixed-point equations in relative
-    terms, which keeps Newton convergence criteria meaningful when the
-    rate constants span many decades.
+    Used to express residuals of the fixed-point equations (and the
+    rounding floor of finite differences) in relative terms, which keeps
+    the residual tests of the closed forms and of `settle` meaningful
+    when the rate constants span many decades.
     """
     a, b, s1, s2, s3 = y
     G = params.stim_rate_G

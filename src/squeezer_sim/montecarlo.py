@@ -40,7 +40,7 @@ reproducible from (seed, dt, duration) alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,24 +63,20 @@ _SEGMENT_BLOCK = 32
 
 @dataclass(frozen=True)
 class SdeRun:
-    """One Euler-Maruyama realization of the decoupled phase quadrature."""
+    """One Euler-Maruyama realization of the decoupled phase quadrature.
 
-    seed: int
+    `relaxation_rate` is the drift rate gamma_orth + mu*i_par of the run,
+    which sets the transient `estimate_psd` discards.
+    """
+
     dt: float
-    duration: float
+    relaxation_rate: float
     series_out: np.ndarray
     series_cavity: np.ndarray
-    params: dict
-    i_par: float
 
     def __post_init__(self):
         if len(self.series_out) != len(self.series_cavity):
             raise ValueError("output and cavity series must have equal length")
-
-    @property
-    def relaxation_rate(self) -> float:
-        gorth = self.params["gamma_orth_c"] + self.params["gamma_orth_l"]
-        return gorth + self.params["nl_coupling_mu"] * self.i_par
 
 
 @dataclass(frozen=True)
@@ -92,8 +88,6 @@ class PsdEstimate:
     n_segments: int
     rel_std_err: float
     dt: float
-    params: dict = field(default_factory=dict)
-    i_par: float = 0.0
 
     def __post_init__(self):
         if np.any(self.psd <= 0) or np.any(~np.isfinite(self.psd)):
@@ -163,9 +157,8 @@ def simulate_decoupled(params: ModelParams, i_par, seed: int, dt: float,
     out = y[:-1] + y[1:]
     out *= math.sqrt(2.0 * params.gamma_orth_c) * 0.5
     out -= dw2
-    return SdeRun(seed=int(seed), dt=float(dt), duration=float(duration),
-                  series_out=out, series_cavity=y[:-1],
-                  params=params.as_dict(), i_par=i)
+    return SdeRun(dt=float(dt), relaxation_rate=lam,
+                  series_out=out, series_cavity=y[:-1])
 
 
 def _transient_samples(run: SdeRun) -> int:
@@ -235,7 +228,7 @@ def estimate_psd(run: SdeRun, n_segments: int) -> PsdEstimate:
     psd = pxx.mean(axis=-1)[:-1]
     rel = math.sqrt((1.0 + 2.0 * _HANN_OVERLAP_RHO * (k - 1) / k) / k)
     return PsdEstimate(freqs=freqs, psd=psd, n_segments=k, rel_std_err=rel,
-                       dt=run.dt, params=dict(run.params), i_par=run.i_par)
+                       dt=run.dt)
 
 
 def compare_to_analytic(estimate: PsdEstimate, params: ModelParams, i_par,

@@ -17,9 +17,11 @@ from .steadystate import laser_threshold, orth_threshold_pump
 
 __all__ = ["sample_reachable_params", "sample_regime_pumps"]
 
+# Range of the instability intensity gamma_orth/mu the families are drawn in.
+_I_STAR_RANGE = (6.0, 20.0)
 
-def sample_reachable_params(rng: np.random.Generator,
-                            i_star_range=(6.0, 20.0)) -> ModelParams:
+
+def sample_reachable_params(rng: np.random.Generator) -> ModelParams:
     """Draw a parameter set with both thresholds reachable and mild stiffness."""
     for _ in range(100):
         gpar = 10.0 ** rng.uniform(-0.2, 0.3)
@@ -28,7 +30,7 @@ def sample_reachable_params(rng: np.random.Generator,
         orth_split = rng.uniform(0.5, 0.95)  # coupler-dominated output port
         sigma3_laser = rng.uniform(0.08, 0.18)
         G = 2.0 * gpar / sigma3_laser
-        i_star = rng.uniform(*i_star_range)
+        i_star = rng.uniform(*_I_STAR_RANGE)
         mu = gorth / i_star
         d = 2.0 * (gpar + gorth) / G
         if d >= 0.8:

@@ -31,7 +31,6 @@ fixed point at all is checked separately, against the rate equations.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -51,11 +50,8 @@ from .steadystate import (
 )
 
 __all__ = [
-    "Quadrature",
-    "NoiseChannel",
     "SpectrumCurve",
     "PumpSweepPoint",
-    "PumpSweepCurve",
     "PhasePairVariance",
     "orth_phase_variance",
     "orth_phase_variance_reduced",
@@ -67,30 +63,12 @@ __all__ = [
 ]
 
 
-class Quadrature(enum.Enum):
-    """Quadrature a spectrum describes; only the phase (Y) one is modelled."""
-
-    Phase = "phase"
-
-
-class NoiseChannel(enum.Enum):
-    """Independent unit-variance vacuum inputs entering through each port."""
-
-    PassiveLossIn = "in1"
-    OutputCouplerIn = "in2"
-    ShVacuumIn = "b_in"
-    PumpIn = "pump"
-
-
 @dataclass(frozen=True)
 class SpectrumCurve:
-    """Variance versus analysis frequency with its parameter snapshot."""
+    """Phase-quadrature variance versus analysis frequency, validated."""
 
     omegas: np.ndarray
     variances: np.ndarray
-    quadrature: Quadrature
-    params: dict = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         om = np.asarray(self.omegas, float)
@@ -111,14 +89,6 @@ class PumpSweepPoint:
     pump_normalized: float
     variance: float | None
     status: str  # "ok", "below_laser" (reported at QNL) or "above_orth"
-
-
-@dataclass(frozen=True)
-class PumpSweepCurve:
-    points: list[PumpSweepPoint]
-    omega: float
-    orth_threshold: float
-    params: dict = field(default_factory=dict)
 
 
 def _check_omega(omega: float) -> float:
@@ -189,18 +159,18 @@ def frequency_sweep_curve(params: ModelParams, i_par, omega_grid) -> SpectrumCur
     """Reduced-form variance across an increasing grid of frequencies."""
     om = np.asarray(omega_grid, float)
     var = np.array([orth_phase_variance_reduced(params, i_par, w) for w in om])
-    return SpectrumCurve(omegas=om, variances=var, quadrature=Quadrature.Phase,
-                         params=params.as_dict(), metadata={"i_par": float(i_par)})
+    return SpectrumCurve(omegas=om, variances=var)
 
 
 def pump_sweep_curve(params: ModelParams, omega, pumps=None,
-                     normalized_pumps=None) -> PumpSweepCurve:
+                     normalized_pumps=None) -> list[PumpSweepPoint]:
     """Variance at fixed omega versus pump across region ii.
 
     The pump axis may be given directly or normalized to the
-    orthogonal-mode threshold pump.  Points below laser threshold are
-    reported at the QNL (V = 1); points beyond the instability are
-    flagged per point rather than failing the sweep.
+    orthogonal-mode threshold pump.  Returns one `PumpSweepPoint` per
+    grid pump, in grid order.  Points below laser threshold are reported
+    at the QNL (V = 1); points beyond the instability are flagged per
+    point rather than failing the sweep.
     """
     w = _check_omega(omega)
     g_orth = orth_threshold_pump(params)  # may raise Unreachable
@@ -222,8 +192,7 @@ def pump_sweep_curve(params: ModelParams, omega, pumps=None,
                 g, gn, orth_phase_variance_reduced(params, i, w), "ok"))
         else:
             points.append(PumpSweepPoint(g, gn, None, "above_orth"))
-    return PumpSweepCurve(points=points, omega=w, orth_threshold=g_orth,
-                          params=params.as_dict())
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +205,6 @@ class PhasePairVariance:
 
     v_orth: float
     v_par: float
-    omega: float
-    pump: float
     metadata: dict = field(default_factory=dict)
 
 
@@ -264,15 +231,14 @@ def _phase_pair_drift(params: ModelParams, a: float, b: float) -> np.ndarray:
 
 def _phase_pair_noise(params: ModelParams, a: float, b: float,
                       include_pump_noise: bool) -> tuple[np.ndarray, list]:
-    """Noise input map; the frequency-doubled vacuum port is shared."""
+    """Noise input map; the frequency-doubled vacuum port is shared.
+
+    Each column is a unit-variance vacuum input: b_in (second-harmonic
+    port), in1 (passive loss), in2 (output coupler) and, optionally, pump.
+    """
     mu = params.nl_coupling_mu
-    channels = [
-        (NoiseChannel.ShVacuumIn, None),
-        (NoiseChannel.PassiveLossIn, "par"),
-        (NoiseChannel.OutputCouplerIn, "par"),
-        (NoiseChannel.PassiveLossIn, "orth"),
-        (NoiseChannel.OutputCouplerIn, "orth"),
-    ]
+    channels = [("b_in", None), ("in1", "par"), ("in2", "par"),
+                ("in1", "orth"), ("in2", "orth")]
     B = np.array([
         [2.0 * math.sqrt(mu) * a,
          math.sqrt(2.0 * params.gamma_par_l), math.sqrt(2.0 * params.gamma_par_c),
@@ -282,7 +248,7 @@ def _phase_pair_noise(params: ModelParams, a: float, b: float,
          math.sqrt(2.0 * params.gamma_orth_l), math.sqrt(2.0 * params.gamma_orth_c)],
     ])
     if include_pump_noise:
-        channels.append((NoiseChannel.PumpIn, "par"))
+        channels.append(("pump", "par"))
         B = np.hstack([B, [[math.sqrt(params.stim_rate_G)], [0.0]]])
     return B, channels
 
@@ -325,12 +291,11 @@ def regime3_phase_pair_spectrum(params: ModelParams, pump, omega,
     out_orth[idx_orth_in2] -= 1.0
     meta = {
         "include_pump_noise": include_pump_noise,
-        "channels": [(ch.value, mode) for ch, mode in channels],
+        "channels": channels,
         "cross_coupling": "global-phase neutral (+2 mu a_par a_orth both rows)",
         "i_par": ss.i_par,
         "i_orth": ss.i_orth,
     }
     return PhasePairVariance(
         v_orth=float(np.sum(np.abs(out_orth) ** 2)),
-        v_par=float(np.sum(np.abs(out_par) ** 2)),
-        omega=w, pump=g, metadata=meta)
+        v_par=float(np.sum(np.abs(out_par) ** 2)), metadata=meta)

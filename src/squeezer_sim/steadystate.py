@@ -49,15 +49,11 @@ _RESIDUAL_TOL = 1e-10
 
 
 class Regime(enum.Enum):
-    """Pump region tag; labels follow the i/ii/iii numbering."""
+    """Pump region tag; values follow the i/ii/iii numbering."""
 
     BelowLaser = "i"
     LaserOnly = "ii"
     OrthExcited = "iii"
-
-    @property
-    def label(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from squeezer_sim import (
     compare_to_analytic,
     estimate_psd,
     integrate,
-    jacobian,
     orth_phase_variance,
     orth_phase_variance_reduced,
     orth_threshold_intensity,
@@ -171,7 +170,7 @@ def test_criterion_7_numerical_hygiene(moderate):
     for _ in range(100):
         y = np.concatenate([rng.uniform(0, 3, 2), rng.uniform(0, 1, 3)])
         g = float(10.0 ** rng.uniform(-1, 1))
-        J = jacobian(y, moderate, g)
+        J = model.jacobian(y, moderate, g)
         scale_J = np.max(np.abs(J))
         for j in range(5):
             h = 1e-6 * max(1.0, abs(y[j]))

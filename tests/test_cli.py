@@ -177,6 +177,33 @@ def test_check_runs_with_odd_rate_ordering(tmp_path, capsys):
     assert "SKIP" in out  # no lasing window, reported rather than rejected
 
 
+@pytest.mark.parametrize("key, value, flags", [
+    ("seed", -1, ["mc-verify"]),
+    ("seed", None, ["mc-verify", "--seed", "-1"]),
+    ("seed", None, ["check", "--seed", "-1"]),
+    ("segments", 4, ["mc-verify"]),
+    ("dt", -1.0, ["mc-verify"]),
+    ("duration", 0.0, ["mc-verify"]),
+], ids=["seed-key", "seed-flag-mc-verify", "seed-flag-check", "segments", "dt",
+        "duration"])
+def test_out_of_range_values_are_input_errors(tmp_path, capsys, key, value, flags):
+    argv = [*flags, "--out", str(tmp_path / "x.csv")]
+    if value is not None:
+        argv += ["--config", _write_cfg(tmp_path / "c.cfg", {key: value})]
+    assert main(argv) == 1
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["thresholds", "--seed", "3"],
+    ["spectrum", "--seed", "3"],
+    ["check", "--plot"],
+    ["mc-verify", "--plot"],
+], ids=lambda argv: "-".join(argv).replace("--", ""))
+def test_subcommand_rejects_flag_it_does_not_read(tmp_path, argv):
+    assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 1
+
+
 def test_unknown_config_key_is_hard_error(tmp_path):
     cfg = _write_cfg(tmp_path / "c.cfg", {"nl_coupling_moo": 1.0})
     assert main(["thresholds", "--config", cfg]) == 1

@@ -1,0 +1,55 @@
+"""Import hygiene of the package sources, checked with `ast`."""
+
+import ast
+from pathlib import Path
+
+import squeezer_sim
+
+
+def _imports(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _module_bindings(tree):
+    names = {name for name, _ in _imports(tree)}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def _dunder_all(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def test_all_entries_resolve_and_no_import_is_unused():
+    # Every __all__ name must be bound at module level, and every
+    # module-level import must be read somewhere in its module; the
+    # package __init__ is exempt from the second rule, as it re-exports.
+    sources = sorted(Path(squeezer_sim.__file__).parent.glob("*.py"))
+    assert len(sources) >= 10
+    problems = []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = _module_bindings(tree)
+        problems += [f"{path.name}: __all__ names unbound {name!r}"
+                     for name in _dunder_all(tree) if name not in bound]
+        if path.name == "__init__.py":
+            continue
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        problems += [f"{path.name}:{line}: unused import {name!r}"
+                     for name, line in _imports(tree) if name not in read]
+    assert problems == []

@@ -5,7 +5,6 @@ import pytest
 
 from squeezer_sim import (
     DomainError,
-    Quadrature,
     SingularMatrix,
     SpectrumCurve,
     WrongRegime,
@@ -102,7 +101,7 @@ def test_full_and_reduced_routes_agree(rng):
 
 def test_full_route_headline_value_at_reference(reference):
     # Just below the instability the population-based form must land on
-    # the same -7.49 dB point; this exercises the sigma3 quadratic at
+    # the same -7.49 dB point; this exercises the region-ii closed form at
     # the reference rate spans (k2 = 1e19) without any ODE involvement.
     g = orth_threshold_pump(reference) * (1.0 - 1e-9)
     v = orth_phase_variance(reference, g, OMEGA_2MHZ)
@@ -174,7 +173,6 @@ def test_frequency_sweep_minimum_at_dc(reference):
     grid = np.linspace(0.0, 5.0 * reference.gamma_orth, 200)
     curve = frequency_sweep_curve(reference, i_star, grid)
     assert np.argmin(curve.variances) == 0
-    assert curve.quadrature is Quadrature.Phase
 
 
 def test_frequency_sweep_matches_threshold_formula(reference):
@@ -188,18 +186,16 @@ def test_frequency_sweep_matches_threshold_formula(reference):
 def test_spectrum_curve_validates_inputs(reference):
     with pytest.raises(ValueError):
         SpectrumCurve(omegas=np.array([2.0, 1.0]),
-                      variances=np.array([0.5, 0.5]),
-                      quadrature=Quadrature.Phase)
+                      variances=np.array([0.5, 0.5]))
     with pytest.raises(DomainError):
         SpectrumCurve(omegas=np.array([0.0, 1.0]),
-                      variances=np.array([0.5, -0.5]),
-                      quadrature=Quadrature.Phase)
+                      variances=np.array([0.5, -0.5]))
 
 
 def test_pump_sweep_normalized_endpoint(reference):
     curve = pump_sweep_curve(reference, OMEGA_2MHZ,
                              normalized_pumps=np.linspace(0.0, 1.0, 21))
-    last = curve.points[-1]
+    last = curve[-1]
     assert last.status == "ok"
     assert last.variance == pytest.approx(
         threshold_variance(reference, OMEGA_2MHZ), rel=1e-12)
@@ -208,7 +204,7 @@ def test_pump_sweep_normalized_endpoint(reference):
 def test_pump_sweep_monotone_and_minimum(reference):
     curve = pump_sweep_curve(reference, OMEGA_2MHZ,
                              normalized_pumps=np.linspace(0.0, 1.0, 101))
-    vs = [pt.variance for pt in curve.points]
+    vs = [pt.variance for pt in curve]
     assert all(a >= b - 1e-15 for a, b in zip(vs, vs[1:]))
     assert min(vs) == pytest.approx(0.1784, abs=1e-4)
 
@@ -216,7 +212,7 @@ def test_pump_sweep_monotone_and_minimum(reference):
 def test_pump_sweep_below_laser_reported_at_qnl(moderate):
     gl = laser_threshold(moderate)
     curve = pump_sweep_curve(moderate, 1.0, pumps=[0.0, 0.5 * gl])
-    for pt in curve.points:
+    for pt in curve:
         assert pt.status == "below_laser"
         assert pt.variance == 1.0
 
@@ -224,9 +220,9 @@ def test_pump_sweep_below_laser_reported_at_qnl(moderate):
 def test_pump_sweep_flags_points_above_threshold(moderate):
     go = orth_threshold_pump(moderate)
     curve = pump_sweep_curve(moderate, 1.0, pumps=[0.5 * go, 2.0 * go])
-    assert curve.points[0].status == "ok"
-    assert curve.points[1].status == "above_orth"
-    assert curve.points[1].variance is None
+    assert curve[0].status == "ok"
+    assert curve[1].status == "above_orth"
+    assert curve[1].variance is None
 
 
 def test_pump_sweep_needs_exactly_one_grid(moderate):
