@@ -69,11 +69,16 @@ _SCHEMA = {
 
 # Range rules, checked once the config and the --seed flag are merged, so
 # a bad value is reported by its key instead of surfacing mid-run.
+_FINITE_NONNEGATIVE = (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
 _RANGES = {
     "seed": (lambda v: v >= 0, ">= 0"),
     "segments": (lambda v: v >= 8, ">= 8"),
     "dt": (lambda v: v > 0, "> 0"),
     "duration": (lambda v: v > 0, "> 0"),
+    "omega": _FINITE_NONNEGATIVE,
+    "omega_min": _FINITE_NONNEGATIVE,
+    "omega_max": _FINITE_NONNEGATIVE,
+    "i_par": _FINITE_NONNEGATIVE,
 }
 
 

@@ -11,6 +11,13 @@ system by many decades; an L-stable method damps it at any step size,
 so the step is set by accuracy alone.  Dropping the conserved
 population sum drops the structural zero eigenvalue, which would leave
 W = I - h*d*J singular to rounding once h*k2 exceeds 1/eps.
+
+On a four-component state numpy's per-call overhead would cost several
+times the arithmetic, so a step works on Python floats.  `_reduced`
+binds the rate constants once and mirrors `model`'s right-hand side and
+Jacobian bitwise, and each step solves W by its block structure instead
+of inverting it: the population block has determinant >= 1, so all of
+W's singularity sits in a 2x2 block on the amplitudes (`_w_solver`).
 """
 
 from __future__ import annotations
@@ -60,19 +67,84 @@ class Trajectory:
 
 
 def _reduced(params: ModelParams, pump: float):
-    """(f, J) on (a_par, a_orth, s1, s2); J4 is J[:4, :4] with column 4
-    subtracted from columns 2 and 3, the chain rule through sigma3."""
+    """(f, jac) on the reduced state z = (a_par, a_orth, s1, s2).
+
+    The rate constants are bound once per (params, pump), and both
+    functions take and return plain floats: f(z) is `model.rhs[:4]` at
+    (z, sigma3 = 1 - s1 - s2), and jac(z) is J4, `model.jacobian`'s first
+    four rows and columns with column 4 subtracted from columns 2 and 3
+    (the chain rule through sigma3), as a tuple of rows.  Both keep
+    `model`'s expressions and grouping, so they agree with it bitwise.
+    J4's structural zeros (da_orth/dsigma, dsigma1/da, dsigma2/da_orth)
+    are what `_w_solver` relies on.
+    """
+    G = params.stim_rate_G
+    mu = params.nl_coupling_mu
+    k2, k3 = params.decay_k2, params.decay_k3
+    gpar, gorth = params.gamma_par, params.gamma_orth
+
     def f(z):
-        a, b, s1, s2 = z.tolist()
-        return model.rhs((a, b, s1, s2, 1.0 - s1 - s2), params, pump)[:4]
+        a, b, s1, s2 = z
+        s3 = 1.0 - s1 - s2
+        diff = a * a - b * b
+        inv = s3 - s2
+        return (0.5 * G * inv * a - gpar * a - mu * a * diff,
+                -gorth * b + mu * b * diff,
+                k2 * s2 - pump * s1,
+                G * inv * a * a + k3 * s3 - k2 * s2)
 
     def jac(z):
-        a, b, s1, s2 = z.tolist()
-        J = model.jacobian((a, b, s1, s2, 1.0 - s1 - s2), params, pump)
-        J[:4, 2:4] -= J[:4, 4:]
-        return J[:4, :4]
+        a, b, s1, s2 = z
+        inv = 1.0 - s1 - s2 - s2  # sigma3 - s2
+        half = 0.5 * G * a
+        cross = 2.0 * mu * a * b
+        gaa = G * a * a
+        j34 = gaa + k3
+        return ((0.5 * G * inv - gpar - mu * (3.0 * a * a - b * b), cross,
+                 -half, -half - half),
+                (cross, -gorth + mu * (a * a - 3.0 * b * b), 0.0, 0.0),
+                (0.0, 0.0, -pump, k2),
+                (2.0 * G * inv * a, 0.0, -j34, -gaa - k2 - j34))
 
     return f, jac
+
+
+def _w_solver(J, hd: float):
+    """v -> W^-1 v for W = I - hd*J with J = J4, or None if W is singular.
+
+    W is solved by its blocks, not inverted.  Split it into the
+    amplitude block A, the population block D and the couplings B (rows
+    0-1, columns 2-3) and C (rows 2-3, columns 0-1); J4's zeros leave B
+    with one nonzero row and C with the single entry W[3][0].  The
+    Schur complement S = A - B D^-1 C then differs from A only in
+    S[0][0], and det W = det D * det S.  With Gamma the pump,
+    det D = (1 + hd*Gamma)(1 + hd*(2G a^2 + k2 + k3))
+    + (hd)^2 k2 (G a^2 + k3) >= 1 is a sum of non-negative terms: it is
+    formed without cancellation and never vanishes, so all of W's
+    singularity sits in the 2x2 S.  A non-finite J gives a non-finite
+    solve.
+    """
+    (j00, j01, j02, j03), (j10, j11, _, _), (_, _, j22, j23), (j30, _, j32, j33) = J
+    d00, d01, d10, d11 = 1.0 - hd * j22, -hd * j23, -hd * j32, 1.0 - hd * j33
+    det_d = d00 * d11 - d01 * d10
+    w02, w03, w30 = -hd * j02, -hd * j03, -hd * j30
+    s00 = 1.0 - hd * j00 - w30 * (w03 * d00 - w02 * d01) / det_d
+    s01, s10, s11 = -hd * j01, -hd * j10, 1.0 - hd * j11
+    det_s = s00 * s11 - s01 * s10
+    if det_s == 0.0:
+        return None
+
+    def solve(v):
+        v0, v1, p0, p1 = v
+        # Amplitudes from S x_a = v_a - B D^-1 v_p, then populations
+        # from D x_p = v_p - C x_a.
+        r0 = v0 - (w02 * (d11 * p0 - d01 * p1) + w03 * (d00 * p1 - d10 * p0)) / det_d
+        x0 = (s11 * r0 - s01 * v1) / det_s
+        p1 -= w30 * x0
+        return (x0, (s00 * v1 - s10 * r0) / det_s,
+                (d11 * p0 - d01 * p1) / det_d, (d00 * p1 - d10 * p0) / det_d)
+
+    return solve
 
 
 # ode23s coefficients: d makes the pair L-stable, e32 weights the
@@ -85,33 +157,35 @@ _MAX_FACTOR = 5.0
 _MAX_CONSECUTIVE_REJECTS = 60
 
 
-def _norm(v) -> float:
-    return math.sqrt(float(v @ v))
-
-
-def _rosenbrock23(f, jac, y0, t_end: float, rtol: float, atol: float,
+def _rosenbrock23(f, jac, init, t_end: float, rtol: float, atol: float,
                   record: bool = False) -> dict:
-    """Integrate the autonomous system dy/dt = f(y) from 0 to t_end.
+    """Integrate the autonomous system dz/dt = f(z) of `_reduced` from 0
+    to t_end.
 
-    Each step inverts W = I - h*d*J once, with J = jac(y) at the start
-    of the step, applies it to three stage right-hand sides and advances
-    the second-order solution; the third stage only estimates the error.
-    f at the new state is the next step's first stage (FSAL).  Raises
-    StepUnderflow when a step falls below the resolution of t.  Returns
-    the final (t, y), the recorded path when `record`, and step counts.
+    Each step builds the solver of W = I - h*d*J (`_w_solver`) once,
+    with J = jac(y) at the start of the step, applies it to three stage
+    right-hand sides and advances the second-order solution; the third
+    stage only estimates the error.  f at the new state is the next
+    step's first stage (FSAL).  A singular W is a rejected step, and so
+    is a non-finite error estimate (from a non-finite W or state): every
+    divisor is tested nonzero or bounded below (det D >= 1, atol > 0) and
+    the one power taken is of a finite, positive error norm, so float
+    arithmetic raises nothing.  More than 60 rejections in a row raise
+    NonFiniteState if the last one was non-finite and StepUnderflow
+    otherwise; a step below the resolution of t raises StepUnderflow.
+    Returns the final (t, y), the recorded path when `record`, and step
+    counts.
     """
-    y = np.asarray(y0, float).copy()
-    eye = np.eye(len(y))
-    inv_n = 1.0 / len(y)
+    y = tuple(map(float, init))
     t = 0.0
     f0 = f(y)
     nfev = 1
     naccept = nreject = rejects = 0
-    ts, ys = [0.0], [y.copy()]
+    ts, ys = [0.0], [y]
 
-    fnorm = _norm(f0)
+    fnorm = math.hypot(*f0)
     h = t_end if fnorm == 0.0 else min(
-        t_end, 0.01 * (atol + rtol * _norm(y)) / fnorm)
+        t_end, 0.01 * (atol + rtol * math.hypot(*y)) / fnorm)
     J = None
     while t < t_end:
         h = min(h, t_end - t)
@@ -119,16 +193,35 @@ def _rosenbrock23(f, jac, y0, t_end: float, rtol: float, atol: float,
             raise StepUnderflow(f"step {h!r} underflowed at t = {t!r}")
         if J is None:
             J = jac(y)
-        W_inv = np.linalg.inv(eye - (h * _D) * J)
-        k1 = W_inv @ f0
-        f1 = f(y + (0.5 * h) * k1)
-        k2 = W_inv @ (f1 - k1) + k1
-        y_new = y + h * k2
-        f2 = f(y_new)
-        k3 = W_inv @ (f2 - _E32 * (k2 - f1) - 2.0 * (k1 - f0))
-        nfev += 2
-        q = (h / 6.0) * (k1 - 2.0 * k2 + k3) / (atol + rtol * np.abs(y_new))
-        err_norm = math.sqrt(float(q @ q) * inv_n)
+        solve = _w_solver(J, h * _D)
+        if solve is None:
+            err_norm = math.inf
+        else:
+            # Unrolled over the four components: the stages k1, k2, k3
+            # are (a*, b*, c*), f at the three stage points (f0*, f1*,
+            # f2*), and the new state n*.
+            y0, y1, y2, y3 = y
+            f00, f01, f02, f03 = f0
+            a0, a1, a2, a3 = solve(f0)
+            hh = 0.5 * h
+            f10, f11, f12, f13 = f((y0 + hh * a0, y1 + hh * a1,
+                                    y2 + hh * a2, y3 + hh * a3))
+            u0, u1, u2, u3 = solve((f10 - a0, f11 - a1, f12 - a2, f13 - a3))
+            b0, b1, b2, b3 = u0 + a0, u1 + a1, u2 + a2, u3 + a3
+            y_new = n0, n1, n2, n3 = (y0 + h * b0, y1 + h * b1,
+                                      y2 + h * b2, y3 + h * b3)
+            f2 = f20, f21, f22, f23 = f(y_new)
+            c0, c1, c2, c3 = solve((f20 - _E32 * (b0 - f10) - 2.0 * (a0 - f00),
+                                    f21 - _E32 * (b1 - f11) - 2.0 * (a1 - f01),
+                                    f22 - _E32 * (b2 - f12) - 2.0 * (a2 - f02),
+                                    f23 - _E32 * (b3 - f13) - 2.0 * (a3 - f03)))
+            nfev += 2
+            h6 = h / 6.0
+            err_norm = 0.5 * math.hypot(
+                h6 * (a0 - 2.0 * b0 + c0) / (atol + rtol * abs(n0)),
+                h6 * (a1 - 2.0 * b1 + c1) / (atol + rtol * abs(n1)),
+                h6 * (a2 - 2.0 * b2 + c2) / (atol + rtol * abs(n2)),
+                h6 * (a3 - 2.0 * b3 + c3) / (atol + rtol * abs(n3)))
         if not math.isfinite(err_norm):
             rejects += 1
             nreject += 1
@@ -143,7 +236,7 @@ def _rosenbrock23(f, jac, y0, t_end: float, rtol: float, atol: float,
             rejects = 0
             if record:
                 ts.append(t)
-                ys.append(y.copy())
+                ys.append(y)
             h *= _MAX_FACTOR if err_norm == 0.0 else min(
                 _MAX_FACTOR, _SAFETY * err_norm ** (-1.0 / 3.0))
         else:
@@ -153,7 +246,7 @@ def _rosenbrock23(f, jac, y0, t_end: float, rtol: float, atol: float,
                 raise StepUnderflow(f"repeated step rejections at t = {t!r}")
             h *= max(_MIN_FACTOR, _SAFETY * err_norm ** (-1.0 / 3.0))
 
-    if not np.all(np.isfinite(y)):
+    if not all(map(math.isfinite, y)):
         raise NonFiniteState("integration produced non-finite state values")
     return {
         "t": t,
@@ -229,34 +322,37 @@ def settle(params: ModelParams, pump, t_max: float | None = None) -> SteadyState
     if t_max is None:
         t_max = _settle_t_max(params, g)
     f, jac = _reduced(params, g)
-    clamp = 1e-6 * np.array([params.gamma_par, params.gamma_orth])
-    z = np.array([_SEED_AMPLITUDE, _SEED_AMPLITUDE, 1.0, 0.0])
+    mu2 = 2.0 * params.nl_coupling_mu
+    clamp = (1e-6 * params.gamma_par, 1e-6 * params.gamma_orth)
+    z = [_SEED_AMPLITUDE, _SEED_AMPLITUDE, 1.0, 0.0]
     for _ in range(_MAX_RESEEDS + 1):
         # Path accuracy is not what matters here: every Rosenbrock stage
         # is W^-1 applied to a combination of f values, so the stages
         # vanish where f = 0 and equilibria are preserved exactly.  The
         # residual test below judges the end state, and loose-ish
         # tolerances keep the walk towards the attractor cheap.
-        z = _rosenbrock23(f, jac, z, t_max, rtol=1e-7, atol=1e-9)["y"]
-        gain = np.diagonal(jac(z))[:2] + 2.0 * params.nl_coupling_mu * z[:2] ** 2
-        unstable = (gain > clamp) & (np.abs(z[:2]) < _SEED_AMPLITUDE)
-        if not unstable.any():
+        z = list(_rosenbrock23(f, jac, z, t_max, rtol=1e-7, atol=1e-9)["y"])
+        J = jac(z)
+        gain = [J[i][i] + mu2 * (z[i] * z[i]) for i in (0, 1)]
+        unstable = [i for i in (0, 1)
+                    if gain[i] > clamp[i] and abs(z[i]) < _SEED_AMPLITUDE]
+        if not unstable:
             break
-        z[:2][unstable] = _SEED_AMPLITUDE
+        for i in unstable:
+            z[i] = _SEED_AMPLITUDE
     else:
         raise NoConvergence(f"unstable dark state after {_MAX_RESEEDS} reseeds")
-    a, b, s1, s2 = z.tolist()
+    a, b, s1, s2 = z
     s3 = 1.0 - s1 - s2
     floored = (max(abs(a), _SEED_AMPLITUDE), max(abs(b), _SEED_AMPLITUDE),
                s1, s2, s3)
     residual = np.max(np.abs(f(z)) / model.rate_scales(floored, params, g)[:4])
     if not residual < 1e-10:
         raise NoConvergence(f"scaled residual {residual!r} at t_max = {t_max!r}")
-    lit = np.abs(gain) < clamp
     i_par, i_orth = a * a, b * b
-    if lit[1]:
+    if abs(gain[1]) < clamp[1]:
         regime = Regime.OrthExcited
-    elif lit[0]:
+    elif abs(gain[0]) < clamp[0]:
         regime = Regime.LaserOnly
         i_orth = 0.0
     else:
@@ -285,7 +381,8 @@ def stability(params: ModelParams, pump, branch: Regime | None = None) -> dict:
     else:
         ss = steady_state(params, g)
     _, jac = _reduced(params, g)
-    real_parts = np.sort(np.linalg.eigvals(jac(ss.state_vector()[:4])).real)
+    J4 = np.array(jac(ss.state_vector()[:4].tolist()))
+    real_parts = np.sort(np.linalg.eigvals(J4).real)
     scale = max(params.stim_rate_G, params.decay_k2, params.decay_k3,
                 params.gamma_par, params.gamma_orth, g)
     return {

@@ -184,14 +184,26 @@ def test_check_runs_with_odd_rate_ordering(tmp_path, capsys):
     ("segments", 4, ["mc-verify"]),
     ("dt", -1.0, ["mc-verify"]),
     ("duration", 0.0, ["mc-verify"]),
+    ("omega", -1.0, ["thresholds"]),
+    ("omega", -1.0, ["pump-sweep"]),
+    ("omega_min", -5.0, ["spectrum"]),
+    ("i_par", -1.0, ["spectrum"]),
 ], ids=["seed-key", "seed-flag-mc-verify", "seed-flag-check", "segments", "dt",
-        "duration"])
+        "duration", "omega-thresholds", "omega-pump-sweep", "omega_min", "i_par"])
 def test_out_of_range_values_are_input_errors(tmp_path, capsys, key, value, flags):
     argv = [*flags, "--out", str(tmp_path / "x.csv")]
     if value is not None:
         argv += ["--config", _write_cfg(tmp_path / "c.cfg", {key: value})]
     assert main(argv) == 1
     assert key in capsys.readouterr().err
+
+
+def test_i_par_past_threshold_is_a_domain_error(tmp_path, capsys):
+    # In range as an input, but past the orthogonal threshold intensity,
+    # where the spectrum's formula no longer applies.
+    cfg = _write_cfg(tmp_path / "c.cfg", {"i_par": 1e30})
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "DomainError" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,9 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from squeezer_sim import (
+    NonFiniteState,
     Regime,
     integrate,
     laser_threshold,
@@ -13,7 +15,8 @@ from squeezer_sim import (
     stability,
     steady_state,
 )
-from squeezer_sim import model
+from squeezer_sim import dynamics, model
+from squeezer_sim.steadystate import zero_field_populations
 
 GROUND = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
 
@@ -225,3 +228,92 @@ def test_stability_at_reference_rates(reference):
         res = stability(reference, g, branch=branch)
         assert not res["stable"]
         assert np.max(res["eigen_real_parts"]) > 0.0
+
+
+def _reduced_states(rng, params, n):
+    """(z, pump) pairs on the reduced state, amplitudes on the scale of
+    the orthogonal threshold intensity of `params`."""
+    scale = np.sqrt(orth_threshold_intensity(params))
+    g_max = 2.0 * orth_threshold_pump(params)
+    for _ in range(n):
+        a, b = rng.uniform(-3.0, 3.0, 2) * scale
+        s1, s2 = rng.uniform(0.0, 1.0, 2)
+        yield (float(a), float(b), float(s1), float(s2)), float(rng.uniform(0.0, g_max))
+
+
+@pytest.mark.parametrize("which", ["moderate", "reference"])
+def test_kernel_equations_match_model_bitwise(moderate, reference, rng, which):
+    params = {"moderate": moderate, "reference": reference}[which]
+    for z, g in _reduced_states(rng, params, 1000):
+        f, jac = dynamics._reduced(params, g)
+        y = (*z, 1.0 - z[2] - z[3])
+        assert np.array(f(z)).tobytes() == model.rhs(y, params, g)[:4].tobytes()
+        J = model.jacobian(y, params, g)
+        J[:, 2:4] -= J[:, 4:]
+        assert np.array(jac(z)).tobytes() == J[:4, :4].tobytes()
+
+
+def test_block_solve_matches_dense_w(reference, rng):
+    gl, go = laser_threshold(reference), orth_threshold_pump(reference)
+    s1, s2, _ = zero_field_populations(reference, 1.5 * gl)
+    cases = [((0.0, 0.0, s1, s2), 1.5 * gl)]  # dark fields above threshold
+    for g in (1.5 * gl, np.sqrt(gl * go), 1.5 * go):  # lit
+        cases.append((tuple(steady_state(reference, g).state_vector()[:4].tolist()), g))
+    worst = 0.0
+    for z, g in cases:
+        f, jac = dynamics._reduced(reference, g)
+        J = jac(z)
+        for hd in np.geomspace(1e-25, 1.0, 51):
+            solve = dynamics._w_solver(J, float(hd))
+            W = np.eye(4) - hd * np.array(J)
+            for v in (np.array(f(z)), *rng.standard_normal((3, 4))):
+                x = np.array(solve(v.tolist()))
+                err = np.max(np.abs(W @ x - v)) / (
+                    np.max(np.abs(W).sum(axis=1)) * np.max(np.abs(x)) + np.max(np.abs(v)))
+                worst = max(worst, float(err))
+    assert worst <= 1e-14
+
+
+def _singular_step(params):
+    """(pump, z, h): dark fields above the laser threshold and a step h at
+    which W's amplitude block diag(1 - h*d*J4[0][0], 1 - h*d*J4[1][1])
+    has its first entry round to exactly 0 (J4[0][0] > 0 there)."""
+    gl = laser_threshold(params)
+    for k in range(100):
+        g = 1.5 * gl * (1.0 + 1e-3 * k)
+        s1, s2, _ = zero_field_populations(params, g)
+        z = (0.0, 0.0, s1, s2)
+        j00 = dynamics._reduced(params, g)[1](z)[0][0]
+        h0 = 1.0 / (dynamics._D * j00)
+        for h in (h0, *np.nextafter(h0, [0.0, np.inf]).tolist()):
+            if 1.0 - h * dynamics._D * j00 == 0.0:
+                return g, z, h
+    raise AssertionError("no step makes W exactly singular")
+
+
+def test_singular_w_is_a_rejected_step(reference):
+    g, z, h = _singular_step(reference)
+    _, jac = dynamics._reduced(reference, g)
+    assert dynamics._w_solver(jac(z), h * dynamics._D) is None
+
+    # With f = 0 the first step is the whole span h, so it meets the
+    # singular W, is rejected and retried at a fifth of the step.
+    def still(_):
+        return (0.0, 0.0, 0.0, 0.0)
+
+    out = dynamics._rosenbrock23(still, jac, z, h, rtol=1e-7, atol=1e-9)
+    assert out["n_rejected"] == 1
+    assert out["y"] == z
+
+    def nan_jac(_):
+        return ((math.nan,) * 4,) * 4
+
+    with pytest.raises(NonFiniteState):
+        dynamics._rosenbrock23(still, nan_jac, z, 1.0, rtol=1e-7, atol=1e-9)
+
+
+def test_integrate_step_counts_are_pinned(moderate):
+    # The kernel's cost per step is what changes; the steps it takes stay.
+    traj = integrate(moderate, 1.1 * laser_threshold(moderate),
+                     (1e-3, 1e-3, 1.0, 0.0, 0.0), t_end=10.0)
+    assert traj.diagnostics == {"nfev": 1613, "n_accepted": 806, "n_rejected": 0}
