@@ -75,10 +75,9 @@ _RANGES = {
     "segments": (lambda v: v >= 8, ">= 8"),
     "dt": (lambda v: v > 0, "> 0"),
     "duration": (lambda v: v > 0, "> 0"),
-    "omega": _FINITE_NONNEGATIVE,
-    "omega_min": _FINITE_NONNEGATIVE,
-    "omega_max": _FINITE_NONNEGATIVE,
-    "i_par": _FINITE_NONNEGATIVE,
+    **{k: _FINITE_NONNEGATIVE for k in (
+        "pump", "pump_min", "pump_max", "pump_norm_min", "pump_norm_max",
+        "omega", "omega_min", "omega_max", "i_par")},
 }
 
 
@@ -142,18 +141,19 @@ def _model_params(cfg: dict) -> ModelParams:
 
 
 def _grid(cfg: dict, name: str, default_min: float, default_max: float,
-          default_steps: int) -> np.ndarray:
+          default_steps: int) -> tuple[np.ndarray, dict]:
+    """The `name` grid and its resolved `<name>_*` keys for the header."""
     lo = cfg.get(f"{name}_min", default_min)
     hi = cfg.get(f"{name}_max", default_max)
     steps = cfg.get(f"{name}_steps", default_steps)
-    log = cfg.get(f"{name}_log", False)
+    log = bool(cfg.get(f"{name}_log", False))
     if steps < 2 or not (hi > lo):
         raise ConfigError(f"{name} grid needs min < max and steps >= 2")
-    if log:
-        if lo <= 0:
-            raise ConfigError(f"{name}_log requires {name}_min > 0")
-        return np.geomspace(lo, hi, steps)
-    return np.linspace(lo, hi, steps)
+    if log and lo <= 0:
+        raise ConfigError(f"{name}_log requires {name}_min > 0")
+    grid = (np.geomspace if log else np.linspace)(lo, hi, steps)
+    return grid, {f"{name}_min": float(grid[0]), f"{name}_max": float(grid[-1]),
+                  f"{name}_steps": steps, f"{name}_log": log}
 
 
 def _check_out_writable(path: str):
@@ -212,10 +212,8 @@ def cmd_steady_sweep(cfg: dict, out: str, plot: bool) -> int:
     if "pump_max" not in cfg and not math.isfinite(thresholds[1]):
         raise Unreachable("cannot build a default pump grid: orthogonal-mode "
                           "threshold unreachable; give pump_min/max/steps")
-    pumps = _grid(cfg, "pump", 0.0, 2.0 * thresholds[1], 201)
-    snapshot = {**params.as_dict(),
-                "pump_min": float(pumps[0]), "pump_max": float(pumps[-1]),
-                "pump_steps": len(pumps), "pump_log": bool(cfg.get("pump_log", False))}
+    pumps, grid_keys = _grid(cfg, "pump", 0.0, 2.0 * thresholds[1], 201)
+    snapshot = {**params.as_dict(), **grid_keys}
     rows = [_steady_row(params, thresholds, float(g)) for g in pumps]
     write_csv(out, ["Gamma", "regime", "a_par", "a_orth",
                     "sigma1", "sigma2", "sigma3", "sh_power", "status"],
@@ -236,8 +234,10 @@ def cmd_steady_sweep(cfg: dict, out: str, plot: bool) -> int:
 def cmd_pump_sweep(cfg: dict, out: str, plot: bool) -> int:
     params = _model_params(cfg)
     omega = cfg.get("omega", 4.0 * math.pi * 1e6)
+    # The header records the grid keys the user gave: an explicit pump
+    # grid, or the default grid normalized to the oscillation threshold.
     if "pump_min" in cfg or "pump_max" in cfg:
-        pumps = _grid(cfg, "pump", 0.0, 0.0, 101)
+        pumps, grid_keys = _grid(cfg, "pump", 0.0, 0.0, 101)
         points = pump_sweep_curve(params, omega, pumps=pumps)
     else:
         lo = cfg.get("pump_norm_min", 0.0)
@@ -248,15 +248,15 @@ def cmd_pump_sweep(cfg: dict, out: str, plot: bool) -> int:
                               "steps >= 2")
         points = pump_sweep_curve(
             params, omega, normalized_pumps=np.linspace(lo, hi, steps))
+        grid_keys = {"pump_norm_min": points[0].pump_normalized,
+                     "pump_norm_max": points[-1].pump_normalized,
+                     "pump_steps": len(points)}
     above = [pt for pt in points if pt.status == "above_orth"]
     if above:
         raise WrongRegime(f"{len(above)} grid points lie above the oscillation "
                           "threshold; restrict the grid to the lasing-only "
                           "region")
-    snapshot = {**params.as_dict(), "omega": float(omega),
-                "pump_norm_min": points[0].pump_normalized,
-                "pump_norm_max": points[-1].pump_normalized,
-                "pump_steps": len(points)}
+    snapshot = {**params.as_dict(), "omega": float(omega), **grid_keys}
     rows = [[pt.pump, pt.pump_normalized, pt.variance,
              to_decibel(pt.variance)] for pt in points]
     write_csv(out, ["Gamma", "Gamma_normalized", "variance", "variance_db"],
@@ -272,7 +272,7 @@ def cmd_pump_sweep(cfg: dict, out: str, plot: bool) -> int:
 
 def cmd_spectrum(cfg: dict, out: str, plot: bool) -> int:
     params = _model_params(cfg)
-    omegas = _grid(cfg, "omega", 0.0, 10.0 * params.gamma_orth, 501)
+    omegas, grid_keys = _grid(cfg, "omega", 0.0, 10.0 * params.gamma_orth, 501)
     if "i_par" in cfg:
         i_par = cfg["i_par"]
     elif "pump" in cfg:
@@ -284,10 +284,7 @@ def cmd_spectrum(cfg: dict, out: str, plot: bool) -> int:
     else:
         i_par = orth_threshold_intensity(params)
     curve = frequency_sweep_curve(params, i_par, omegas)
-    snapshot = {**params.as_dict(), "i_par": float(i_par),
-                "omega_min": float(omegas[0]), "omega_max": float(omegas[-1]),
-                "omega_steps": len(omegas),
-                "omega_log": bool(cfg.get("omega_log", False))}
+    snapshot = {**params.as_dict(), "i_par": float(i_par), **grid_keys}
     rows = [[w, v, to_decibel(v)]
             for w, v in zip(curve.omegas, curve.variances)]
     write_csv(out, ["omega_rad_s", "variance", "variance_db"], rows,
@@ -346,10 +343,14 @@ def cmd_mc_verify(cfg: dict, out: str, negative_control: bool) -> int:
     snapshot = {**params.as_dict(), "seed": int(seed), "dt": float(dt),
                 "duration": float(duration), "segments": int(segments),
                 "i_par": float(i_star)}
+    comments = snapshot_lines(snapshot)
     if negative_control:
-        snapshot["negative_control_gamma_orth_c"] = analytic_params.gamma_orth_c
+        # Commented out once more, so that the stripped header stays a
+        # config file; --negative-control on the rerun writes it again.
+        comments.append("# negative_control_gamma_orth_c = "
+                        + format_exact(analytic_params.gamma_orth_c))
     write_csv(out, ["omega_rad_s", "psd", "analytic", "deviation_sigma"],
-              rows, comments=snapshot_lines(snapshot))
+              rows, comments=comments)
 
     ok = res_thr["pass"] and res_qnl["max_sigma_deviation"] <= 4.0
     lines = [
@@ -446,17 +447,23 @@ def _check_continuity(params, thresholds):
 
 
 def _check_jacobian_fd(params, rng):
+    # Differences the rates over the four coordinates the oracle carries
+    # against the J4 it steps with.
     pump = float(10.0 ** rng.uniform(-1, 1) * params.decay_k3)
+    _, jac = model.rate_equations(params, pump)
     worst = 0.0
     for _ in range(100):
         y = np.concatenate([rng.uniform(0, 3, size=2), rng.uniform(0, 1, size=3)])
-        J = model.jacobian(y, params, pump)
+        J = np.array(jac(*y.tolist()))
         scales = model.rate_scales(y, params, pump)
-        for j in range(5):
+        for j in range(4):
             h = 1e-6 * max(1.0, abs(y[j]))
             yp, ym = y.copy(), y.copy()
             yp[j] += h
             ym[j] -= h
+            if j >= 2:  # sigma3 = 1 - sigma1 - sigma2 moves the other way
+                yp[4] -= h
+                ym[4] += h
             col = (model.rhs(yp, params, pump) - model.rhs(ym, params, pump)) / (2 * h)
             # Differencing cannot resolve elements below its own rounding
             # noise, ~eps * equation magnitude / h; elements under that

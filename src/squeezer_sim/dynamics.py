@@ -13,11 +13,12 @@ population sum drops the structural zero eigenvalue, which would leave
 W = I - h*d*J singular to rounding once h*k2 exceeds 1/eps.
 
 On a four-component state numpy's per-call overhead would cost several
-times the arithmetic, so a step works on Python floats.  `_reduced`
-binds the rate constants once and mirrors `model`'s right-hand side and
-Jacobian bitwise, and each step solves W by its block structure instead
-of inverting it: the population block has determinant >= 1, so all of
-W's singularity sits in a 2x2 block on the amplitudes (`_w_solver`).
+times the arithmetic, so a step works on Python floats: it calls the
+rate equations and J4 of `model.rate_equations`, bound once per (params,
+pump), with sigma3 = 1 - sigma1 - sigma2.  Each step solves W by its
+block structure instead of inverting it: the population block has
+determinant >= 1, so all of W's singularity sits in a 2x2 block on the
+amplitudes (`_w_solver`).
 """
 
 from __future__ import annotations
@@ -64,49 +65,6 @@ class Trajectory:
             raise ValueError("times and states must have equal length")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
-
-
-def _reduced(params: ModelParams, pump: float):
-    """(f, jac) on the reduced state z = (a_par, a_orth, s1, s2).
-
-    The rate constants are bound once per (params, pump), and both
-    functions take and return plain floats: f(z) is `model.rhs[:4]` at
-    (z, sigma3 = 1 - s1 - s2), and jac(z) is J4, `model.jacobian`'s first
-    four rows and columns with column 4 subtracted from columns 2 and 3
-    (the chain rule through sigma3), as a tuple of rows.  Both keep
-    `model`'s expressions and grouping, so they agree with it bitwise.
-    J4's structural zeros (da_orth/dsigma, dsigma1/da, dsigma2/da_orth)
-    are what `_w_solver` relies on.
-    """
-    G = params.stim_rate_G
-    mu = params.nl_coupling_mu
-    k2, k3 = params.decay_k2, params.decay_k3
-    gpar, gorth = params.gamma_par, params.gamma_orth
-
-    def f(z):
-        a, b, s1, s2 = z
-        s3 = 1.0 - s1 - s2
-        diff = a * a - b * b
-        inv = s3 - s2
-        return (0.5 * G * inv * a - gpar * a - mu * a * diff,
-                -gorth * b + mu * b * diff,
-                k2 * s2 - pump * s1,
-                G * inv * a * a + k3 * s3 - k2 * s2)
-
-    def jac(z):
-        a, b, s1, s2 = z
-        inv = 1.0 - s1 - s2 - s2  # sigma3 - s2
-        half = 0.5 * G * a
-        cross = 2.0 * mu * a * b
-        gaa = G * a * a
-        j34 = gaa + k3
-        return ((0.5 * G * inv - gpar - mu * (3.0 * a * a - b * b), cross,
-                 -half, -half - half),
-                (cross, -gorth + mu * (a * a - 3.0 * b * b), 0.0, 0.0),
-                (0.0, 0.0, -pump, k2),
-                (2.0 * G * inv * a, 0.0, -j34, -gaa - k2 - j34))
-
-    return f, jac
 
 
 def _w_solver(J, hd: float):
@@ -159,26 +117,27 @@ _MAX_CONSECUTIVE_REJECTS = 60
 
 def _rosenbrock23(f, jac, init, t_end: float, rtol: float, atol: float,
                   record: bool = False) -> dict:
-    """Integrate the autonomous system dz/dt = f(z) of `_reduced` from 0
-    to t_end.
+    """Integrate dz/dt = f(z) from 0 to t_end on the reduced state z =
+    (a_par, a_orth, sigma1, sigma2).
 
-    Each step builds the solver of W = I - h*d*J (`_w_solver`) once,
-    with J = jac(y) at the start of the step, applies it to three stage
-    right-hand sides and advances the second-order solution; the third
-    stage only estimates the error.  f at the new state is the next
-    step's first stage (FSAL).  A singular W is a rejected step, and so
-    is a non-finite error estimate (from a non-finite W or state): every
-    divisor is tested nonzero or bounded below (det D >= 1, atol > 0) and
-    the one power taken is of a finite, positive error norm, so float
-    arithmetic raises nothing.  More than 60 rejections in a row raise
-    NonFiniteState if the last one was non-finite and StepUnderflow
-    otherwise; a step below the resolution of t raises StepUnderflow.
-    Returns the final (t, y), the recorded path when `record`, and step
-    counts.
+    f and jac are the pair of `model.rate_equations`; every call passes
+    them sigma3 = 1 - sigma1 - sigma2.  Each step builds the solver of
+    W = I - h*d*J (`_w_solver`) once, with J = jac at the start of the
+    step, applies it to three stage right-hand sides and advances the
+    second-order solution; the third stage only estimates the error.  f
+    at the new state is the next step's first stage (FSAL).  A singular
+    W is a rejected step, and so is a non-finite error estimate (from a
+    non-finite W or state): every divisor is tested nonzero or bounded
+    below (det D >= 1, atol > 0) and the one power taken is of a finite,
+    positive error norm, so float arithmetic raises nothing.  More than
+    60 rejections in a row raise NonFiniteState if the last one was
+    non-finite and StepUnderflow otherwise; a step below the resolution
+    of t raises StepUnderflow.  Returns the final (t, y), the recorded
+    path when `record`, and step counts.
     """
-    y = tuple(map(float, init))
+    y = y0, y1, y2, y3 = tuple(map(float, init))
     t = 0.0
-    f0 = f(y)
+    f0 = f(y0, y1, y2, y3, 1.0 - y2 - y3)
     nfev = 1
     naccept = nreject = rejects = 0
     ts, ys = [0.0], [y]
@@ -192,25 +151,25 @@ def _rosenbrock23(f, jac, init, t_end: float, rtol: float, atol: float,
         if t + h <= t:
             raise StepUnderflow(f"step {h!r} underflowed at t = {t!r}")
         if J is None:
-            J = jac(y)
+            J = jac(y0, y1, y2, y3, 1.0 - y2 - y3)
         solve = _w_solver(J, h * _D)
         if solve is None:
             err_norm = math.inf
         else:
             # Unrolled over the four components: the stages k1, k2, k3
             # are (a*, b*, c*), f at the three stage points (f0*, f1*,
-            # f2*), and the new state n*.
-            y0, y1, y2, y3 = y
+            # f2*), the midpoint m* and the new state n*.
             f00, f01, f02, f03 = f0
             a0, a1, a2, a3 = solve(f0)
             hh = 0.5 * h
-            f10, f11, f12, f13 = f((y0 + hh * a0, y1 + hh * a1,
-                                    y2 + hh * a2, y3 + hh * a3))
+            m0, m1, m2, m3 = (y0 + hh * a0, y1 + hh * a1,
+                              y2 + hh * a2, y3 + hh * a3)
+            f10, f11, f12, f13 = f(m0, m1, m2, m3, 1.0 - m2 - m3)
             u0, u1, u2, u3 = solve((f10 - a0, f11 - a1, f12 - a2, f13 - a3))
             b0, b1, b2, b3 = u0 + a0, u1 + a1, u2 + a2, u3 + a3
             y_new = n0, n1, n2, n3 = (y0 + h * b0, y1 + h * b1,
                                       y2 + h * b2, y3 + h * b3)
-            f2 = f20, f21, f22, f23 = f(y_new)
+            f2 = f20, f21, f22, f23 = f(n0, n1, n2, n3, 1.0 - n2 - n3)
             c0, c1, c2, c3 = solve((f20 - _E32 * (b0 - f10) - 2.0 * (a0 - f00),
                                     f21 - _E32 * (b1 - f11) - 2.0 * (a1 - f01),
                                     f22 - _E32 * (b2 - f12) - 2.0 * (a2 - f02),
@@ -232,6 +191,7 @@ def _rosenbrock23(f, jac, init, t_end: float, rtol: float, atol: float,
         if err_norm <= 1.0:
             t += h
             y, f0, J = y_new, f2, None
+            y0, y1, y2, y3 = y
             naccept += 1
             rejects = 0
             if record:
@@ -277,8 +237,9 @@ def integrate(params: ModelParams, pump, init, t_end: float,
     total = float(y0[2:].sum())
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"init populations sum to {total!r}, not 1")
-    out = _rosenbrock23(*_reduced(params, as_pump(pump)), y0[:4], t_end,
-                        rtol=rel_tol, atol=abs_tol, record=True)
+    f, jac = model.rate_equations(params, as_pump(pump))
+    out = _rosenbrock23(f, jac, y0[:4], t_end, rtol=rel_tol, atol=abs_tol,
+                        record=True)
     ys = out["ys"]
     diags = {"nfev": out["nfev"], "n_accepted": out["n_accepted"],
              "n_rejected": out["n_rejected"]}
@@ -311,7 +272,7 @@ def settle(params: ModelParams, pump, t_max: float | None = None) -> SteadyState
     field's diagonal Jacobian entry and eigenvalue) is positive gets
     reseeded, at most three times.  A field is lit when its net gain is
     clamped within 1e-6 of its decay.  The end state must have |rhs|
-    below 1e-10 of `model.rate_scales` on the four independent rows,
+    below 1e-10 of `model.rate_scales` on each of the four rates,
     with the amplitudes floored at the seed inside the scales so a
     decaying dark field cannot hold the test up; otherwise
     NoConvergence.  The default t_max is 400 over the slowest of (k3,
@@ -321,7 +282,7 @@ def settle(params: ModelParams, pump, t_max: float | None = None) -> SteadyState
     g = as_pump(pump)
     if t_max is None:
         t_max = _settle_t_max(params, g)
-    f, jac = _reduced(params, g)
+    f, jac = model.rate_equations(params, g)
     mu2 = 2.0 * params.nl_coupling_mu
     clamp = (1e-6 * params.gamma_par, 1e-6 * params.gamma_orth)
     z = [_SEED_AMPLITUDE, _SEED_AMPLITUDE, 1.0, 0.0]
@@ -332,7 +293,7 @@ def settle(params: ModelParams, pump, t_max: float | None = None) -> SteadyState
         # residual test below judges the end state, and loose-ish
         # tolerances keep the walk towards the attractor cheap.
         z = list(_rosenbrock23(f, jac, z, t_max, rtol=1e-7, atol=1e-9)["y"])
-        J = jac(z)
+        J = jac(*z, 1.0 - z[2] - z[3])
         gain = [J[i][i] + mu2 * (z[i] * z[i]) for i in (0, 1)]
         unstable = [i for i in (0, 1)
                     if gain[i] > clamp[i] and abs(z[i]) < _SEED_AMPLITUDE]
@@ -346,7 +307,8 @@ def settle(params: ModelParams, pump, t_max: float | None = None) -> SteadyState
     s3 = 1.0 - s1 - s2
     floored = (max(abs(a), _SEED_AMPLITUDE), max(abs(b), _SEED_AMPLITUDE),
                s1, s2, s3)
-    residual = np.max(np.abs(f(z)) / model.rate_scales(floored, params, g)[:4])
+    residual = np.max(np.abs(f(a, b, s1, s2, s3))
+                      / model.rate_scales(floored, params, g))
     if not residual < 1e-10:
         raise NoConvergence(f"scaled residual {residual!r} at t_max = {t_max!r}")
     i_par, i_orth = a * a, b * b
@@ -380,8 +342,9 @@ def stability(params: ModelParams, pump, branch: Regime | None = None) -> dict:
                          i_par=0.0, i_orth=0.0, regime=Regime.BelowLaser)
     else:
         ss = steady_state(params, g)
-    _, jac = _reduced(params, g)
-    J4 = np.array(jac(ss.state_vector()[:4].tolist()))
+    _, jac = model.rate_equations(params, g)
+    a, b, s1, s2 = ss.state_vector()[:4].tolist()
+    J4 = np.array(jac(a, b, s1, s2, 1.0 - s1 - s2))
     real_parts = np.sort(np.linalg.eigvals(J4).real)
     scale = max(params.stim_rate_G, params.decay_k2, params.decay_k3,
                 params.gamma_par, params.gamma_orth, g)

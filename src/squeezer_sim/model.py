@@ -1,4 +1,4 @@
-"""Right-hand sides and Jacobian of the five semiclassical equations.
+"""The semiclassical rate equations and their Jacobian, written out once.
 
 State ordering is (a_par, a_orth, sigma1, sigma2, sigma3) with real
 amplitudes.  The amplitudes are treated as real throughout: the model is
@@ -9,10 +9,13 @@ and the oracle role lose nothing by restricting to the real slice.
     da_orth/dt = -gorth a_orth + mu a_orth (a_par^2 - a_orth^2)
     ds1/dt     = k2 s2 - Gamma s1
     ds2/dt     = G (s3 - s2) a_par^2 + k3 s3 - k2 s2
-    ds3/dt     = -G (s3 - s2) a_par^2 - k3 s3 + Gamma s1
 
-The three population rates cancel pairwise, so s1 + s2 + s3 is an exact
-invariant of the flow.
+The populations sum to 1, so ds3/dt = -(ds1/dt + ds2/dt) carries no
+information and is not written out.  The Jacobian is J4, taken over the
+four independent coordinates (a_par, a_orth, s1, s2) with s3 = 1 - s1 -
+s2 following them.  Every other module (the ODE oracle, `stability`, the
+fixed-point residual of the closed forms, `check`) evaluates these
+expressions through `rate_equations`.
 """
 
 from __future__ import annotations
@@ -21,56 +24,52 @@ import numpy as np
 
 from .params import ModelParams
 
+__all__ = ["rate_equations", "rate_scales", "rhs"]
+
+
+def rate_equations(params: ModelParams, pump: float):
+    """(f, jac) with the rate constants bound once per (params, pump).
+
+    Both take the five state components as plain floats, sigma3 given
+    explicitly: the ODE oracle passes 1 - s1 - s2 for it, and the
+    residual of a closed form passes the sigma3 that form computed.
+    f returns the four rates above as a tuple.  jac returns J4 as a
+    tuple of rows, the chain rule through sigma3 already applied; its
+    structural zeros (da_orth/dsigma, dsigma1/da, dsigma2/da_orth) are
+    what the oracle's block solve of W = I - h*d*J4 relies on.
+    """
+    G = params.stim_rate_G
+    mu = params.nl_coupling_mu
+    k2, k3 = params.decay_k2, params.decay_k3
+    gpar, gorth = params.gamma_par, params.gamma_orth
+
+    def f(a, b, s1, s2, s3):
+        diff = a * a - b * b
+        inv = s3 - s2
+        return (0.5 * G * inv * a - gpar * a - mu * a * diff,
+                -gorth * b + mu * b * diff,
+                k2 * s2 - pump * s1,
+                G * inv * a * a + k3 * s3 - k2 * s2)
+
+    def jac(a, b, s1, s2, s3):
+        inv = s3 - s2
+        half = 0.5 * G * a
+        cross = 2.0 * mu * a * b
+        gaa = G * a * a
+        j34 = gaa + k3
+        return ((0.5 * G * inv - gpar - mu * (3.0 * a * a - b * b), cross,
+                 -half, -half - half),
+                (cross, -gorth + mu * (a * a - 3.0 * b * b), 0.0, 0.0),
+                (0.0, 0.0, -pump, k2),
+                (2.0 * G * inv * a, 0.0, -j34, -gaa - k2 - j34))
+
+    return f, jac
+
 
 def rhs(y, params: ModelParams, pump: float) -> np.ndarray:
-    """Time derivatives of the five-component state."""
+    """The four rates of `rate_equations` at the five-component state y."""
     a, b, s1, s2, s3 = y.tolist() if isinstance(y, np.ndarray) else y
-    G = params.stim_rate_G
-    mu = params.nl_coupling_mu
-    k2, k3 = params.decay_k2, params.decay_k3
-    gpar, gorth = params.gamma_par, params.gamma_orth
-    diff = a * a - b * b
-    inv = s3 - s2
-    stim = G * inv * a * a
-    r3 = k2 * s2 - pump * s1
-    r4 = stim + k3 * s3 - k2 * s2
-    # -stim - k3 s3 + pump s1, grouped so the population rates cancel
-    # exactly (bitwise) and the sum is a structural invariant.
-    r5 = -(r3 + r4)
-    return np.array([
-        0.5 * G * inv * a - gpar * a - mu * a * diff,
-        -gorth * b + mu * b * diff,
-        r3,
-        r4,
-        r5,
-    ])
-
-
-def jacobian(y, params: ModelParams, pump: float) -> np.ndarray:
-    """Analytic 5x5 Jacobian of rhs with respect to the state."""
-    a, b, s1, s2, s3 = y.tolist() if isinstance(y, np.ndarray) else y
-    G = params.stim_rate_G
-    mu = params.nl_coupling_mu
-    k2, k3 = params.decay_k2, params.decay_k3
-    gpar, gorth = params.gamma_par, params.gamma_orth
-    diff = a * a - b * b
-    inv = s3 - s2
-    J = np.zeros((5, 5))
-    J[0, 0] = 0.5 * G * inv - gpar - mu * (3.0 * a * a - b * b)
-    J[0, 1] = 2.0 * mu * a * b
-    J[0, 3] = -0.5 * G * a
-    J[0, 4] = 0.5 * G * a
-    J[1, 0] = 2.0 * mu * a * b
-    J[1, 1] = -gorth + mu * (a * a - 3.0 * b * b)
-    J[2, 2] = -pump
-    J[2, 3] = k2
-    J[3, 0] = 2.0 * G * inv * a
-    J[3, 3] = -G * a * a - k2
-    J[3, 4] = G * a * a + k3
-    # Mirrors the r5 = -(r3 + r4) grouping in rhs, so the population
-    # columns sum to zero bitwise.
-    J[4] = -(J[2] + J[3])
-    return J
+    return np.array(rate_equations(params, pump)[0](a, b, s1, s2, s3))
 
 
 def rate_scales(y, params: ModelParams, pump: float) -> np.ndarray:
@@ -88,15 +87,11 @@ def rate_scales(y, params: ModelParams, pump: float) -> np.ndarray:
     gpar, gorth = params.gamma_par, params.gamma_orth
     diff = abs(a * a - b * b)
     inv = abs(s3 - s2)
-    stim = G * inv * a * a
     scales = np.array([
         0.5 * G * inv * abs(a) + gpar * abs(a) + mu * abs(a) * diff,
         gorth * abs(b) + mu * abs(b) * diff,
         k2 * abs(s2) + pump * abs(s1),
-        stim + k3 * abs(s3) + k2 * abs(s2),
-        # r5 is evaluated as -(r3 + r4); k2*s2 cancels only in exact
-        # arithmetic, so it still sets the rounding scale.
-        stim + k3 * abs(s3) + pump * abs(s1) + k2 * abs(s2),
+        G * inv * a * a + k3 * abs(s3) + k2 * abs(s2),
     ])
     floor = max(G, mu, k2, k3, gpar, gorth, pump) * 1e-30 + 1e-300
     return np.maximum(scales, floor)

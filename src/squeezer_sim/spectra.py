@@ -170,7 +170,8 @@ def pump_sweep_curve(params: ModelParams, omega, pumps=None,
     orthogonal-mode threshold pump.  Returns one `PumpSweepPoint` per
     grid pump, in grid order.  Points below laser threshold are reported
     at the QNL (V = 1); points beyond the instability are flagged per
-    point rather than failing the sweep.
+    point rather than failing the sweep.  A grid pump that is negative
+    or not finite raises InvalidParams.
     """
     w = _check_omega(omega)
     g_orth = orth_threshold_pump(params)  # may raise Unreachable
@@ -178,9 +179,9 @@ def pump_sweep_curve(params: ModelParams, omega, pumps=None,
     if (pumps is None) == (normalized_pumps is None):
         raise ValueError("give exactly one of pumps or normalized_pumps")
     if normalized_pumps is not None:
-        grid = [(float(x) * g_orth, float(x)) for x in normalized_pumps]
+        grid = [(as_pump(float(x) * g_orth), float(x)) for x in normalized_pumps]
     else:
-        grid = [(float(g), float(g) / g_orth) for g in pumps]
+        grid = [(g, g / g_orth) for g in map(as_pump, pumps)]
     top = orth_threshold_intensity(params)
     points = []
     for g, gn in grid:

@@ -244,12 +244,13 @@ def classify_regime(params: ModelParams, pump,
 def fixed_point_residual(params: ModelParams, pump, ss: SteadyState) -> float:
     """Largest scaled residual |rhs| / rate_scales of the state.
 
-    Only the first four rate equations count: the fifth is their exact
-    negative sum and carries no independent information.
+    The rates are evaluated at the state's own sigma3, not at 1 - sigma1
+    - sigma2, which loses relative precision where the clamped inversion
+    is small.
     """
     g = as_pump(pump)
     y = ss.state_vector()
-    scaled = np.abs(model.rhs(y, params, g)[:4]) / model.rate_scales(y, params, g)[:4]
+    scaled = np.abs(model.rhs(y, params, g)) / model.rate_scales(y, params, g)
     return float(np.max(scaled))
 
 

@@ -170,13 +170,17 @@ def test_criterion_7_numerical_hygiene(moderate):
     for _ in range(100):
         y = np.concatenate([rng.uniform(0, 3, 2), rng.uniform(0, 1, 3)])
         g = float(10.0 ** rng.uniform(-1, 1))
-        J = model.jacobian(y, moderate, g)
+        # J4: over (a_par, a_orth, s1, s2), with s3 = 1 - s1 - s2.
+        J = np.array(model.rate_equations(moderate, g)[1](*y.tolist()))
         scale_J = np.max(np.abs(J))
-        for j in range(5):
+        for j in range(4):
             h = 1e-6 * max(1.0, abs(y[j]))
             yp, ym = y.copy(), y.copy()
             yp[j] += h
             ym[j] -= h
+            if j >= 2:
+                yp[4] -= h
+                ym[4] += h
             col = (model.rhs(yp, moderate, g)
                    - model.rhs(ym, moderate, g)) / (2 * h)
             denom = np.maximum(np.abs(J[:, j]), 1e-7 * scale_J)

@@ -20,6 +20,17 @@ MC_VERIFY_SEED7_CSV_SHA256 = (
 MC_VERIFY_SEED7_REPORT_SHA256 = (
     "4b8dfef356b5a34395a9d67205d4ecb70d909ff5d5091dbb8bfc8ba877105cf1")
 
+# SHA-256 of the default closed-form outputs, measured with numpy 2.4.6
+# on the code from before `model.rate_equations` became the one copy of
+# the rate equations; that change left all four byte-identical.  Another
+# libm or numpy build may move the last digits.
+DEFAULT_OUTPUT_SHA256 = {
+    "steady-sweep": "361a7d90ae69d254ab2f2a0b1e6d3417d1581fcea930e606f387ecc0ecdfe588",
+    "pump-sweep": "d44f424b7afbad15f04325e4cfd1fe2d20eee8be11009ac32d434ad19b3da1d2",
+    "spectrum": "e4d258e9a37f53a889933d030f2ae4feda46f3da4fbeb7f010faf1662571d717",
+    "thresholds": "41a9950ded224b3fa2dfce233aee30f57960810dd6c15ec0fd99020b57076eb1",
+}
+
 
 def _read_csv(path):
     comments, header, rows = [], None, []
@@ -188,8 +199,14 @@ def test_check_runs_with_odd_rate_ordering(tmp_path, capsys):
     ("omega", -1.0, ["pump-sweep"]),
     ("omega_min", -5.0, ["spectrum"]),
     ("i_par", -1.0, ["spectrum"]),
+    ("pump", -1.0, ["steady-sweep"]),
+    ("pump_min", -1.0, ["pump-sweep"]),
+    ("pump_max", -1.0, ["steady-sweep"]),
+    ("pump_norm_min", -1.0, ["pump-sweep"]),
+    ("pump_norm_max", math.inf, ["pump-sweep"]),
 ], ids=["seed-key", "seed-flag-mc-verify", "seed-flag-check", "segments", "dt",
-        "duration", "omega-thresholds", "omega-pump-sweep", "omega_min", "i_par"])
+        "duration", "omega-thresholds", "omega-pump-sweep", "omega_min", "i_par",
+        "pump", "pump_min", "pump_max", "pump_norm_min", "pump_norm_max"])
 def test_out_of_range_values_are_input_errors(tmp_path, capsys, key, value, flags):
     argv = [*flags, "--out", str(tmp_path / "x.csv")]
     if value is not None:
@@ -233,17 +250,39 @@ def test_missing_config_file(tmp_path):
     assert main(["thresholds", "--config", str(tmp_path / "nope.cfg")]) == 1
 
 
-def test_csv_header_reproduces_file(tmp_path):
+@pytest.mark.parametrize("argv, config", [
+    (["steady-sweep"], {"pump_min": 0.0, "pump_max": 2.5e18, "pump_steps": 40}),
+    (["pump-sweep"], {}),
+    (["pump-sweep"], {"pump_min": 1e17, "pump_max": 1e18, "pump_steps": 5,
+                      "pump_log": "true"}),
+    (["spectrum"], {"omega_min": 1e5, "omega_max": 1e9, "omega_steps": 7,
+                    "omega_log": "true"}),
+    (["mc-verify", "--negative-control"], {"segments": 16}),
+], ids=["steady-sweep", "pump-sweep-normalized", "pump-sweep-log-pumps",
+        "spectrum-log-omegas", "mc-verify-negative-control"])
+def test_csv_header_reproduces_file(tmp_path, capsys, argv, config):
     out1 = tmp_path / "s1.csv"
-    cfg = _write_cfg(tmp_path / "c.cfg", {
-        "pump_min": 0.0, "pump_max": 2.5e18, "pump_steps": 40})
-    assert main(["steady-sweep", "--config", cfg, "--out", str(out1)]) == 0
+    cfg = _write_cfg(tmp_path / "c.cfg", config)
+    rc = main([*argv, "--config", cfg, "--out", str(out1)])
+    assert rc in (0, 3)
     comments, _, _ = _read_csv(out1)
     cfg2 = tmp_path / "from_header.cfg"
     cfg2.write_text("\n".join(comments) + "\n")
     out2 = tmp_path / "s2.csv"
-    assert main(["steady-sweep", "--config", str(cfg2), "--out", str(out2)]) == 0
+    assert main([*argv, "--config", str(cfg2), "--out", str(out2)]) == rc
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULT_OUTPUT_SHA256))
+def test_default_outputs_are_pinned(tmp_path, capsys, command):
+    out = tmp_path / "x.csv"
+    if command == "thresholds":
+        assert main([command]) == 0
+        data = capsys.readouterr().out.encode()
+    else:
+        assert main([command, "--out", str(out)]) == 0
+        data = out.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == DEFAULT_OUTPUT_SHA256[command]
 
 
 def test_log_spaced_grid(tmp_path):

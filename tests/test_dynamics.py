@@ -28,13 +28,7 @@ def _random_states(rng, n):
 
 def test_ground_state_is_stationary_without_pump(moderate):
     rates = model.rhs(GROUND, moderate, 0.0)
-    assert rates.tolist() == [0.0] * 5
-
-
-def test_population_rates_cancel_exactly(moderate, rng):
-    for y in _random_states(rng, 50):
-        r = model.rhs(y, moderate, rng.uniform(0, 10))
-        assert r[2] + r[3] + r[4] == 0.0
+    assert rates.tolist() == [0.0] * 4
 
 
 def test_closed_form_steady_state_is_a_fixed_point(moderate):
@@ -158,30 +152,30 @@ def test_population_sum_conserved_along_trajectory(moderate):
     assert np.max(np.abs(sums - 1.0)) < 1e-9
 
 
-def test_jacobian_matches_finite_differences(moderate, rng):
-    from squeezer_sim import model as _model
+def _j4(params, pump, y):
+    return np.array(model.rate_equations(params, pump)[1](*y.tolist()))
 
+
+def test_jacobian_matches_finite_differences(moderate, rng):
+    # J4 is the Jacobian over (a_par, a_orth, s1, s2) with s3 = 1 - s1 -
+    # s2, so a step in s1 or s2 takes s3 the other way.
     worst = 0.0
     for y in _random_states(rng, 100):
         g = float(10.0 ** rng.uniform(-1, 1))
-        J = model.jacobian(y, moderate, g)
+        J = _j4(moderate, g, y)
         scale_J = np.max(np.abs(J))
-        for j in range(5):
+        for j in range(4):
             h = 1e-6 * max(1.0, abs(y[j]))
             yp, ym = y.copy(), y.copy()
             yp[j] += h
             ym[j] -= h
-            col = (_model.rhs(yp, moderate, g) - _model.rhs(ym, moderate, g)) / (2 * h)
+            if j >= 2:
+                yp[4] -= h
+                ym[4] += h
+            col = (model.rhs(yp, moderate, g) - model.rhs(ym, moderate, g)) / (2 * h)
             denom = np.maximum(np.abs(J[:, j]), 1e-7 * scale_J)
             worst = max(worst, float(np.max(np.abs(col - J[:, j]) / denom)))
     assert worst < 1e-5
-
-
-def test_population_columns_sum_to_zero(moderate, rng):
-    for y in _random_states(rng, 20):
-        J = model.jacobian(y, moderate, rng.uniform(0, 10))
-        for j in (2, 3, 4):
-            assert J[2, j] + J[3, j] + J[4, j] == 0.0
 
 
 def test_orth_eigenvalue_crosses_zero_at_threshold(moderate):
@@ -192,7 +186,7 @@ def test_orth_eigenvalue_crosses_zero_at_threshold(moderate):
     ss = laser_only_branch(moderate, go)
     eig = -moderate.gamma_orth + moderate.nl_coupling_mu * ss.i_par
     assert abs(eig) <= 1e-8 * moderate.gamma_orth
-    J = model.jacobian(ss.state_vector(), moderate, go)
+    J = _j4(moderate, go, ss.state_vector())
     assert J[1, 1] == pytest.approx(eig, abs=1e-8 * moderate.gamma_orth)
     assert ss.i_par == pytest.approx(i_star, rel=1e-9)
 
@@ -230,29 +224,6 @@ def test_stability_at_reference_rates(reference):
         assert np.max(res["eigen_real_parts"]) > 0.0
 
 
-def _reduced_states(rng, params, n):
-    """(z, pump) pairs on the reduced state, amplitudes on the scale of
-    the orthogonal threshold intensity of `params`."""
-    scale = np.sqrt(orth_threshold_intensity(params))
-    g_max = 2.0 * orth_threshold_pump(params)
-    for _ in range(n):
-        a, b = rng.uniform(-3.0, 3.0, 2) * scale
-        s1, s2 = rng.uniform(0.0, 1.0, 2)
-        yield (float(a), float(b), float(s1), float(s2)), float(rng.uniform(0.0, g_max))
-
-
-@pytest.mark.parametrize("which", ["moderate", "reference"])
-def test_kernel_equations_match_model_bitwise(moderate, reference, rng, which):
-    params = {"moderate": moderate, "reference": reference}[which]
-    for z, g in _reduced_states(rng, params, 1000):
-        f, jac = dynamics._reduced(params, g)
-        y = (*z, 1.0 - z[2] - z[3])
-        assert np.array(f(z)).tobytes() == model.rhs(y, params, g)[:4].tobytes()
-        J = model.jacobian(y, params, g)
-        J[:, 2:4] -= J[:, 4:]
-        assert np.array(jac(z)).tobytes() == J[:4, :4].tobytes()
-
-
 def test_block_solve_matches_dense_w(reference, rng):
     gl, go = laser_threshold(reference), orth_threshold_pump(reference)
     s1, s2, _ = zero_field_populations(reference, 1.5 * gl)
@@ -261,12 +232,13 @@ def test_block_solve_matches_dense_w(reference, rng):
         cases.append((tuple(steady_state(reference, g).state_vector()[:4].tolist()), g))
     worst = 0.0
     for z, g in cases:
-        f, jac = dynamics._reduced(reference, g)
-        J = jac(z)
+        f, jac = model.rate_equations(reference, g)
+        y = (*z, 1.0 - z[2] - z[3])
+        J = jac(*y)
         for hd in np.geomspace(1e-25, 1.0, 51):
             solve = dynamics._w_solver(J, float(hd))
             W = np.eye(4) - hd * np.array(J)
-            for v in (np.array(f(z)), *rng.standard_normal((3, 4))):
+            for v in (np.array(f(*y)), *rng.standard_normal((3, 4))):
                 x = np.array(solve(v.tolist()))
                 err = np.max(np.abs(W @ x - v)) / (
                     np.max(np.abs(W).sum(axis=1)) * np.max(np.abs(x)) + np.max(np.abs(v)))
@@ -283,7 +255,7 @@ def _singular_step(params):
         g = 1.5 * gl * (1.0 + 1e-3 * k)
         s1, s2, _ = zero_field_populations(params, g)
         z = (0.0, 0.0, s1, s2)
-        j00 = dynamics._reduced(params, g)[1](z)[0][0]
+        j00 = model.rate_equations(params, g)[1](*z, 1.0 - s1 - s2)[0][0]
         h0 = 1.0 / (dynamics._D * j00)
         for h in (h0, *np.nextafter(h0, [0.0, np.inf]).tolist()):
             if 1.0 - h * dynamics._D * j00 == 0.0:
@@ -293,19 +265,19 @@ def _singular_step(params):
 
 def test_singular_w_is_a_rejected_step(reference):
     g, z, h = _singular_step(reference)
-    _, jac = dynamics._reduced(reference, g)
-    assert dynamics._w_solver(jac(z), h * dynamics._D) is None
+    _, jac = model.rate_equations(reference, g)
+    assert dynamics._w_solver(jac(*z, 1.0 - z[2] - z[3]), h * dynamics._D) is None
 
     # With f = 0 the first step is the whole span h, so it meets the
     # singular W, is rejected and retried at a fifth of the step.
-    def still(_):
+    def still(*_):
         return (0.0, 0.0, 0.0, 0.0)
 
     out = dynamics._rosenbrock23(still, jac, z, h, rtol=1e-7, atol=1e-9)
     assert out["n_rejected"] == 1
     assert out["y"] == z
 
-    def nan_jac(_):
+    def nan_jac(*_):
         return ((math.nan,) * 4,) * 4
 
     with pytest.raises(NonFiniteState):

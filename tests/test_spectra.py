@@ -5,6 +5,7 @@ import pytest
 
 from squeezer_sim import (
     DomainError,
+    InvalidParams,
     SingularMatrix,
     SpectrumCurve,
     WrongRegime,
@@ -230,6 +231,15 @@ def test_pump_sweep_needs_exactly_one_grid(moderate):
         pump_sweep_curve(moderate, 1.0)
     with pytest.raises(ValueError):
         pump_sweep_curve(moderate, 1.0, pumps=[1.0], normalized_pumps=[0.5])
+
+
+@pytest.mark.parametrize("grid", [{"pumps": [1.0, -1.0]},
+                                  {"pumps": [math.nan]},
+                                  {"normalized_pumps": [-0.5, 0.5]},
+                                  {"normalized_pumps": [math.inf]}])
+def test_pump_sweep_rejects_invalid_pumps(moderate, grid):
+    with pytest.raises(InvalidParams):
+        pump_sweep_curve(moderate, 1.0, **grid)
 
 
 # ---------------------------------------------------------------------------
