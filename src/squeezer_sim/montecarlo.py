@@ -22,6 +22,8 @@ estimated spectrum converges to the continuous input-output result,
 which is exactly why this simulation is a genuine check of the analytic
 spectrum rather than a restatement of it.
 
+The update is a first-order recurrence, solved as a blocked scan
+(Blelloch, "Prefix sums and their applications", 1990) by `_ar1`.
 The output spectrum is a Hann-windowed, 50%-overlap Welch estimate
 (Welch, IEEE Trans. Audio Electroacoust. 15, 70, 1967) in the two-sided
 density convention.  It is computed one-sided, with one batched real FFT
@@ -43,6 +45,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BandMismatch, DomainError, TooShort
 from .params import ModelParams
@@ -59,6 +62,9 @@ _MIN_SEGMENT = 64
 # and its complex spectrum to about 1 MB each at nperseg 4096, whatever
 # the series length.
 _SEGMENT_BLOCK = 32
+# Samples per block of the AR(1) scan, and blocks per cache-sized matmul.
+_AR1_BLOCK = 32
+_AR1_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -105,11 +111,6 @@ def simulate_decoupled(params: ModelParams, i_par, seed: int, dt: float,
     replace the two noise channels (e.g. to watch the noise-free decay,
     or to couple runs at different dt through shared Brownian paths).
     """
-    # scipy.signal is imported here and in estimate_psd rather than at
-    # module level: it costs about a second and tens of MB, and importing
-    # the package should not pay that for work that never simulates.
-    from scipy.signal import lfilter
-
     i = float(i_par)
     top = orth_threshold_intensity(params)
     if not 0.0 <= i <= top * (1.0 + 1e-12):
@@ -124,8 +125,8 @@ def simulate_decoupled(params: ModelParams, i_par, seed: int, dt: float,
     g1 = channel_gains[0] * math.sqrt(2.0 * params.gamma_orth_l)
     g2 = channel_gains[1] * math.sqrt(2.0 * params.gamma_orth_c)
     a = 1.0 - lam * dt
-    # y[0] = y0 and y[k+1] = a*y[k] + drive[k] is lfilter's plain
-    # recurrence on the input (y0, drive[0], ..., drive[n-1]), so the
+    # y[0] = y0 and y[k+1] = a*y[k] + drive[k] is the AR(1) recurrence
+    # `_ar1` solves on the input (y0, drive[0], ..., drive[n-1]), so the
     # trajectory comes out as one n+1 buffer: series_cavity[k] = y[k] is
     # the pre-update state and y[k+1] the post-update one.  The drive is
     # built in place in that input buffer, starting from the in1 draws.
@@ -149,7 +150,7 @@ def simulate_decoupled(params: ModelParams, i_par, seed: int, dt: float,
         dw2 = dw2[:n].copy()
     drive *= g1
     drive += g2 * dw2
-    y = lfilter([1.0], [1.0, -a], x)
+    y = _ar1(x, a)
     del x, drive  # free the input buffer before `out` is allocated
     # Output over step k: boxcar average of the cavity field minus the
     # boxcar-averaged reflected input, sharing the same in2 increment.
@@ -161,8 +162,59 @@ def simulate_decoupled(params: ModelParams, i_par, seed: int, dt: float,
                   series_out=out, series_cavity=y[:-1])
 
 
+def _ar1(x: np.ndarray, a: float) -> np.ndarray:
+    """y[k] = a*y[k-1] + x[k] from y[-1] = 0, for 0 <= a < 1.
+
+    A blocked scan over rows of B = `_AR1_BLOCK` samples: a GEMV gives
+    each row's end from zero, the carries between rows follow the same
+    recurrence with a^B (solved by recursion), and each row is then
+    `[row, carry] @ mat`.  Short inputs and the tail run a plain loop.
+    Sums run in another order than in a sequential loop, so the two agree
+    to rounding, not bitwise; the rounding of a^B, which the carry memory
+    1/(1 - a^B) would amplify 3e4-fold at a = 1 - 1e-6, is corrected for.
+    """
+    b = _AR1_BLOCK
+    m = len(x) // b
+    y = np.empty(len(x))
+    start, prev = 0, 0.0
+    if m >= 2:
+        xb, yb = x[:m * b].reshape(m, b), y[:m * b].reshape(m, b)
+        p = a ** np.arange(b + 1.0)
+        # a^(i-j) for i >= j, over the carry-in weights a^(i+1).
+        lag = np.arange(b) - np.arange(b)[:, None]
+        mat = np.vstack((np.where(lag >= 0, p[abs(lag)], 0.0), p[1:]))
+        c = float(p[b])
+        # ends[r] is the end value of row r - 1: the carry into row r.
+        ends = np.concatenate(([0.0], _ar1(xb @ mat[:b, -1], c)))
+        if c > 0.5:
+            # Below 0.5 the carry memory is under 2 and c's rounding does
+            # not grow; above, the logs give a^B - c exactly enough.
+            c_err = c * (b * math.log1p(a - 1.0) - math.log1p(c - 1.0))
+            ends[1:] += _ar1(c_err * ends[:-1], c)
+        carry = ends[:-1, None]
+        for r in range(0, m, _AR1_ROWS):
+            rows = slice(r, r + _AR1_ROWS)
+            np.matmul(np.hstack((xb[rows], carry[rows])), mat, out=yb[rows])
+        start, prev = m * b, float(ends[-1])
+    for k, v in enumerate(x[start:].tolist(), start):
+        prev = a * prev + v
+        y[k] = prev
+    return y
+
+
 def _transient_samples(run: SdeRun) -> int:
     return int(math.ceil(10.0 / run.relaxation_rate / run.dt))
+
+
+def _welch_window(nperseg: int, dt: float):
+    """Density-scaled periodic Hann window and one-sided grid in Hz, as
+    scipy's ShortTimeFFT(..., scale_to="psd") builds them: a general
+    cosine, scaled over the sampling period 1/fs, which is not always dt.
+    """
+    period = 1.0 / (1.0 / dt)
+    win = 0.5 + 0.5 * np.cos(np.linspace(-math.pi, math.pi, nperseg + 1)[:-1])
+    win *= 1.0 / np.sqrt(sum((win * win).tolist()) / period)
+    return win, np.fft.rfftfreq(nperseg, period)
 
 
 def estimate_psd(run: SdeRun, n_segments: int) -> PsdEstimate:
@@ -181,17 +233,13 @@ def estimate_psd(run: SdeRun, n_segments: int) -> PsdEstimate:
     interior one-sided bins are the two-sided density at +f before any
     folding, so without the usual doubling they are exactly the
     two-sided values; the unpaired Nyquist bin is dropped, as the
-    two-sided f >= 0 half has no +fs/2 bin.  Each periodogram is the
-    squared magnitude of the windowed segment's rfft, as in scipy's
-    `welch`, and the transposed write keeps each bin's row contiguous,
-    so the mean sums in the same order and the result has the same
-    bytes as a whole-series two-sided Welch call at f >= 0, with a
+    two-sided f >= 0 half has no +fs/2 bin.  The window, its scaling and
+    the frequency grid are computed as scipy's ShortTimeFFT does, and
+    the transposed write keeps each bin's row contiguous, so the mean
+    sums in the same order and the result has the same bytes as
+    `scipy.signal.welch(..., return_onesided=False)` at f >= 0, with a
     working set of about one series length instead of about eight.
     """
-    from numpy.lib.stride_tricks import sliding_window_view
-    from scipy.fft import rfft
-    from scipy.signal import ShortTimeFFT, get_window
-
     if n_segments < 8:
         raise ValueError("n_segments must be >= 8")
     x = run.series_out[_transient_samples(run):]
@@ -205,16 +253,14 @@ def estimate_psd(run: SdeRun, n_segments: int) -> PsdEstimate:
     nperseg = 2 ** int(math.floor(math.log2(limit)))
     hop = nperseg // 2
     k = (n - nperseg) // hop + 1
-    # Supplies the psd-scaled window and the one-sided frequency grid.
-    sft = ShortTimeFFT(get_window("hann", nperseg), hop, 1.0 / run.dt,
-                       fft_mode="onesided", scale_to="psd")
+    win, freqs = _welch_window(nperseg, run.dt)
     segments = sliding_window_view(x, nperseg)[::hop]
     windowed = np.empty((_SEGMENT_BLOCK, nperseg))
     pxx = np.empty((hop + 1, k))
     for p0 in range(0, k, _SEGMENT_BLOCK):
         p1 = min(p0 + _SEGMENT_BLOCK, k)
-        seg = np.multiply(segments[p0:p1], sft.win, out=windowed[:p1 - p0])
-        spec = rfft(seg, axis=-1)
+        seg = np.multiply(segments[p0:p1], win, out=windowed[:p1 - p0])
+        spec = np.fft.rfft(seg, axis=-1)
         # |X|^2 in place in the spectrum's own real part: no other buffer.
         re, im = spec.real, spec.imag
         np.square(re, out=re)
@@ -224,7 +270,7 @@ def estimate_psd(run: SdeRun, n_segments: int) -> PsdEstimate:
         # Freed before the next block's rfft allocates, so two spectra
         # are never alive at once.
         del spec, re, im
-    freqs = 2.0 * math.pi * sft.f[:-1]
+    freqs = 2.0 * math.pi * freqs[:-1]
     psd = pxx.mean(axis=-1)[:-1]
     rel = math.sqrt((1.0 + 2.0 * _HANN_OVERLAP_RHO * (k - 1) / k) / k)
     return PsdEstimate(freqs=freqs, psd=psd, n_segments=k, rel_std_err=rel,

@@ -191,8 +191,11 @@ def test_criterion_7_numerical_hygiene(moderate):
     g = 1.6 * orth_threshold_pump(moderate)
     traj = integrate(moderate, g, np.array([1e-3, 1e-3, 1.0, 0.0, 0.0]),
                      t_end=_settle_t_max(moderate, g))
-    drift = float(np.max(np.abs(traj.states[:, 2:].sum(axis=1) - 1.0)))
-    drift_ok = drift < 1e-9
+    # integrate builds s3 as 1 - s1 - s2, so their sum cannot drift; the
+    # Rosenbrock step does not keep each one inside [0, 1], so check that.
+    pops = traj.states[:, 2:]
+    lo, hi = float(pops.min()), float(pops.max())
+    pops_ok = 0.0 <= lo and hi <= 1.0
 
     i_star = orth_threshold_intensity(reference_params())
     dt = 0.01 / reference_params().gamma_orth
@@ -203,8 +206,8 @@ def test_criterion_7_numerical_hygiene(moderate):
     seed_ok = (a.series_out.tobytes() == b.series_out.tobytes()
                and a.series_cavity.tobytes() == b.series_cavity.tobytes())
 
-    _verdict(7, fd_ok and drift_ok and seed_ok,
+    _verdict(7, fd_ok and pops_ok and seed_ok,
              f"Jacobian vs central differences {worst_fd:.2e} (tol 1e-5) on "
-             f"100 random states; population-sum drift {drift:.2e} over a "
-             f"full trajectory (tol 1e-9); same-seed reruns byte-identical: "
-             f"{seed_ok}")
+             f"100 random states; populations in [{lo!r}, {hi!r}] over "
+             f"{len(pops)} rows of a full trajectory (must lie in [0, 1]); "
+             f"same-seed reruns byte-identical: {seed_ok}")

@@ -144,12 +144,14 @@ def test_dark_orthogonal_mode_is_invariant(moderate):
     assert np.all(traj.states[:, 1] == 0.0)
 
 
-def test_population_sum_conserved_along_trajectory(moderate):
+def test_populations_stay_in_unit_interval_along_trajectory(moderate):
+    # integrate builds s3 as 1 - s1 - s2, so the sum is 1 whatever the
+    # stepper does; each population staying in [0, 1] is not enforced.
     g = 1.5 * orth_threshold_pump(moderate)
     y0 = np.array([1e-3, 1e-3, 1.0, 0.0, 0.0])
     traj = integrate(moderate, g, y0, t_end=50.0)
-    sums = traj.states[:, 2:].sum(axis=1)
-    assert np.max(np.abs(sums - 1.0)) < 1e-9
+    pops = traj.states[:, 2:]
+    assert np.all((pops >= 0.0) & (pops <= 1.0))
 
 
 def _j4(params, pump, y):

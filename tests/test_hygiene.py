@@ -1,9 +1,14 @@
 """Import hygiene of the package sources, checked with `ast`."""
 
 import ast
+import re
 from pathlib import Path
 
+import pytest
+
 import squeezer_sim
+
+_SOURCES = sorted(Path(squeezer_sim.__file__).parent.glob("*.py"))
 
 
 def _imports(tree):
@@ -39,10 +44,9 @@ def test_all_entries_resolve_and_no_import_is_unused():
     # Every __all__ name must be bound at module level, and every
     # module-level import must be read somewhere in its module; the
     # package __init__ is exempt from the second rule, as it re-exports.
-    sources = sorted(Path(squeezer_sim.__file__).parent.glob("*.py"))
-    assert len(sources) >= 10
+    assert len(_SOURCES) >= 10
     problems = []
-    for path in sources:
+    for path in _SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         bound = _module_bindings(tree)
         problems += [f"{path.name}: __all__ names unbound {name!r}"
@@ -53,3 +57,28 @@ def test_all_entries_resolve_and_no_import_is_unused():
         problems += [f"{path.name}:{line}: unused import {name!r}"
                      for name, line in _imports(tree) if name not in read]
     assert problems == []
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # scipy is a test-only reference: no module may import it, at module
+    # level or inside a function, and the manifest must not require it.
+    scipy_imports = []
+    for path in _SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            scipy_imports += [f"{path.name}:{node.lineno}: {name}"
+                              for name in names
+                              if name.split(".")[0] == "scipy"]
+    assert scipy_imports == []
+    tomllib = pytest.importorskip("tomllib")
+    manifest = Path(squeezer_sim.__file__).parents[2] / "pyproject.toml"
+    if not manifest.exists():
+        pytest.skip("package imported from outside its source tree")
+    deps = tomllib.loads(manifest.read_text(encoding="utf-8"))["project"][
+        "dependencies"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in deps] == ["numpy"]

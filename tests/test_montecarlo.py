@@ -160,8 +160,7 @@ def test_estimate_matches_two_sided_welch_exactly(reference, qnl_leg,
 
 def test_memory_footprint_of_simulation_and_estimate(reference):
     # tracemalloc sees every numpy buffer, so the peaks are exact counts.
-    # scipy.signal is already imported above, keeping import-time
-    # allocations out of the measured windows.
+    # Neither call imports anything, so the windows hold only their data.
     tracemalloc.start()
     try:
         run, _ = _threshold_run(reference, segments=512)
@@ -176,6 +175,68 @@ def test_memory_footprint_of_simulation_and_estimate(reference):
     assert len(run.series_out) > 1_000_000
     assert sim_peak <= 4.5 * nbytes
     assert psd_peak - start <= 1.5 * nbytes
+
+
+def _ar1_loop(x, a):
+    y, prev = np.empty(len(x)), 0.0
+    for k, v in enumerate(x.tolist()):
+        prev = a * prev + v
+        y[k] = prev
+    return y
+
+
+@pytest.mark.parametrize("a", [0.9, 0.98, 1.0 - 1e-6])
+def test_ar1_matches_lfilter_on_a_long_series(a):
+    # The scan sums in another order than lfilter's sequential loop, so
+    # the bound comes from the dtype: 1e-14 of the series' scale, or the
+    # rounding lfilter itself accumulates over its memory of 1/(1 - a)
+    # steps, eps*sqrt(1/(1 - a)) = 2.2e-13 at a = 1 - 1e-6, whichever is
+    # larger.  On white noise a long-double loop puts lfilter about
+    # 5e-14 from the exact recurrence there, and the scan about 5e-16.
+    x = np.random.default_rng(17).standard_normal(4_200_000)
+    ref = scipy.signal.lfilter([1.0], [1.0, -a], x)
+    y = montecarlo._ar1(x, a)
+    eps = np.finfo(float).eps
+    tol = max(1e-14, eps * math.sqrt(1.0 / (1.0 - a)))
+    assert np.max(np.abs(y - ref)) <= tol * np.max(np.abs(ref))
+
+
+def test_ar1_impulse_response_is_powers_of_a():
+    # Held against pow to 1e-14 where lfilter's own rounding cannot be:
+    # without its carry correction the scan misses by 2.5e-12 here.
+    a = 1.0 - 1e-6
+    x = np.zeros(4_200_000)
+    x[0] = 1.0
+    powers = a ** np.arange(len(x), dtype=float)
+    y = montecarlo._ar1(x, a)
+    assert np.max(np.abs(y - powers) / powers) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 129, 100003])
+def test_ar1_matches_a_plain_loop(n):
+    # Below two whole blocks the scan is the loop itself; beyond, it
+    # agrees to rounding, with the first sample playing y0.
+    x = np.random.default_rng(n).standard_normal(n)
+    x[0] = 1.5
+    ref = _ar1_loop(x, 0.98)
+    y = montecarlo._ar1(x, 0.98)
+    if n < 2 * montecarlo._AR1_BLOCK:
+        assert np.array_equal(y, ref)
+    assert np.max(np.abs(y - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("nperseg", [64, 512, 4096])
+def test_welch_window_and_grid_match_short_time_fft_bitwise(reference,
+                                                           nperseg):
+    # At the QNL leg's dt, 1/(1/dt) != dt, and the window at nperseg
+    # 4096 differs in its last bits if it is scaled over dt itself.
+    dt = 0.05 / reference.gamma_orth
+    win, f = montecarlo._welch_window(nperseg, dt)
+    sft = scipy.signal.ShortTimeFFT(
+        scipy.signal.get_window("hann", nperseg), nperseg // 2, 1.0 / dt,
+        fft_mode="onesided", scale_to="psd")
+    assert np.array_equal(win, sft.win)
+    assert np.array_equal(f, sft.f)
 
 
 def test_supplied_increments_are_left_unchanged(reference):
