@@ -1,21 +1,23 @@
-"""The semiclassical rate equations and their Jacobian, written out once.
+"""The semiclassical rate equations and their linearizations, written out once.
 
-State ordering is (a_par, a_orth, sigma1, sigma2, sigma3) with real
-amplitudes.  The amplitudes are treated as real throughout: the model is
-invariant under a global phase rotation, so the fixed-point structure
-and the oracle role lose nothing by restricting to the real slice.
+The fields a_par and a_orth are complex and the populations real:
 
-    da_par/dt  = (G/2)(s3 - s2) a_par - gpar a_par - mu a_par (a_par^2 - a_orth^2)
-    da_orth/dt = -gorth a_orth + mu a_orth (a_par^2 - a_orth^2)
+    da_par/dt  = ((G/2)(s3 - s2) - gpar) a_par - mu (|a_par|^2 a_par - a_orth^2 a_par*)
+    da_orth/dt = -gorth a_orth + mu (a_par^2 a_orth* - |a_orth|^2 a_orth)
     ds1/dt     = k2 s2 - Gamma s1
-    ds2/dt     = G (s3 - s2) a_par^2 + k3 s3 - k2 s2
+    ds2/dt     = G (s3 - s2) |a_par|^2 + k3 s3 - k2 s2
 
 The populations sum to 1, so ds3/dt = -(ds1/dt + ds2/dt) carries no
-information and is not written out.  The Jacobian is J4, taken over the
-four independent coordinates (a_par, a_orth, s1, s2) with s3 = 1 - s1 -
-s2 following them.  Every other module (the ODE oracle, `stability`, the
-fixed-point residual of the closed forms, `check`) evaluates these
-expressions through `rate_equations`.
+information and is not written out.  The model is invariant under a
+global phase rotation, so the steady states and the ODE oracle lose
+nothing by working on the real slice, with state ordering (a_par,
+a_orth, sigma1, sigma2, sigma3).  There the Jacobian splits.  The real
+directions give J4, taken over the four independent coordinates (a_par,
+a_orth, s1, s2) with s3 = 1 - s1 - s2 following them.  The imaginary
+directions (the phase quadratures) give the 2x2 block of `phase_drift`,
+which the noise spectra use.  Every other module (the ODE oracle,
+`stability`, the fixed-point residual of the closed forms, `spectra`,
+`check`) evaluates these expressions through this module.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .params import ModelParams
 
-__all__ = ["rate_equations", "rate_scales", "rhs"]
+__all__ = ["phase_drift", "rate_equations", "rate_scales", "rhs"]
 
 
 def rate_equations(params: ModelParams, pump: float):
@@ -64,6 +66,19 @@ def rate_equations(params: ModelParams, pump: float):
                 (2.0 * G * inv * a, 0.0, -j34, -gaa - k2 - j34))
 
     return f, jac
+
+
+def phase_drift(params: ModelParams, a, b, s2, s3):
+    """Jacobian block of the phase quadratures (Im a_par, Im a_orth).
+
+    At b = 0 the modes decouple and the orthogonal entry is -(gorth + mu
+    a^2); at a region-iii state the block annihilates (a, b).
+    """
+    mu = params.nl_coupling_mu
+    both = mu * (a * a + b * b)
+    cross = 2.0 * mu * a * b
+    return ((0.5 * params.stim_rate_G * (s3 - s2) - params.gamma_par - both, cross),
+            (cross, -params.gamma_orth - both))
 
 
 def rhs(y, params: ModelParams, pump: float) -> np.ndarray:

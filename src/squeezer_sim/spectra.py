@@ -23,19 +23,22 @@ into the reduced form
     V(omega) = 1 - 4*gc*mu*i_par / ((gorth + mu*i_par)^2 + omega^2)
 
 depending only on mu, the orthogonal-mode decays and the operating
-intensity.  Both routes are implemented and must agree to 1e-12; their
-agreement validates the clamping algebra and the spectrum itself.  The
-region-ii populations are derived from i_par, so whether that state is a
-fixed point at all is checked separately, against the rate equations.
+intensity.  These closed forms are the production path in region ii.
+One input-output solve, `output_phase_variances` on the phase block of
+`model.phase_drift`, gives the coupled pair of region iii and checks
+the reduced form (`check`'s route_equivalence).  The region-ii
+populations are derived from i_par, so whether that state is a fixed
+point at all is checked separately, against the rate equations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .errors import DomainError, SingularMatrix, WrongRegime
 from .params import ModelParams, as_pump
 from .steadystate import (
@@ -53,6 +56,7 @@ __all__ = [
     "SpectrumCurve",
     "PumpSweepPoint",
     "PhasePairVariance",
+    "output_phase_variances",
     "orth_phase_variance",
     "orth_phase_variance_reduced",
     "threshold_variance",
@@ -197,74 +201,70 @@ def pump_sweep_curve(params: ModelParams, omega, pumps=None,
 
 
 # ---------------------------------------------------------------------------
-# Region-iii extension: coupled phase-quadrature pair.
+# Input-output solve of the phase quadratures; the region-iii pair.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class PhasePairVariance:
-    """Output phase variances of both modes with the assumption set pinned."""
+    """Output phase variances of both modes in region iii."""
 
     v_orth: float
     v_par: float
-    metadata: dict = field(default_factory=dict)
 
 
-def _phase_pair_drift(params: ModelParams, a: float, b: float) -> np.ndarray:
-    """Drift matrix of (dY_par, dY_orth) at a region-iii operating point.
+# Column of each mode's output-coupler vacuum in `_phase_noise`.
+_COUPLER_PORT = (2, 4)
 
-    Gain clamping removes the net damping of the laser phase, leaving
 
-        dY_par:  -2 mu b^2            coupling  2 mu a b
-        dY_orth: -gorth - mu(a^2-b^2) - 2 mu b^2, coupling 2 mu a b
-
-    Both cross couplings carry the same sign: the pair must annihilate
-    the global-phase direction (a, b), which is the exactly neutral mode
-    of the phase dynamics, so the matrix is singular at omega = 0 and
-    nowhere else.
+def _phase_noise(params: ModelParams, a: float, b: float):
+    """Noise map of (Y_par, Y_orth) on unit vacuum inputs: the shared
+    second-harmonic port, then each mode's passive loss and coupler.
     """
-    mu = params.nl_coupling_mu
-    diff = a * a - b * b
-    return np.array([
-        [-2.0 * mu * b * b, 2.0 * mu * a * b],
-        [2.0 * mu * a * b, -params.gamma_orth - mu * diff - 2.0 * mu * b * b],
-    ])
+    rm = 2.0 * math.sqrt(params.nl_coupling_mu)
+    return ((rm * a, math.sqrt(2.0 * params.gamma_par_l),
+             math.sqrt(2.0 * params.gamma_par_c), 0.0, 0.0),
+            (-rm * b, 0.0, 0.0, math.sqrt(2.0 * params.gamma_orth_l),
+             math.sqrt(2.0 * params.gamma_orth_c)))
 
 
-def _phase_pair_noise(params: ModelParams, a: float, b: float,
-                      include_pump_noise: bool) -> tuple[np.ndarray, list]:
-    """Noise input map; the frequency-doubled vacuum port is shared.
+def output_phase_variances(params: ModelParams, drift, a: float, b: float,
+                           modes, omega) -> list[float]:
+    """Output phase-quadrature variance of each mode in `modes`.
 
-    Each column is a unit-variance vacuum input: b_in (second-harmonic
-    port), in1 (passive loss), in2 (output coupler) and, optionally, pump.
+    Modes are 0 (parallel) and 1 (orthogonal), and drift is the block of
+    `model.phase_drift` over them at amplitudes (a, b).  By input-output
+    theory (Gardiner & Collett, PRA 31, 3761, 1985) the quadratures solve
+    (i w - A) Y = B Z for the vacuum inputs Z of `_phase_noise`, and mode
+    j leaves as sqrt(2 gc_j) Y_j - Z_j, Z_j its own coupler vacuum:
+
+        V_j = sum_k |sqrt(2 gc_j) [(i w - A)^-1 B]_jk - delta(k, coupler_j)|^2
+
+    Raises SingularMatrix where i w - A is singular: at omega = 0 in
+    region iii, where the global phase is free.
     """
-    mu = params.nl_coupling_mu
-    channels = [("b_in", None), ("in1", "par"), ("in2", "par"),
-                ("in1", "orth"), ("in2", "orth")]
-    B = np.array([
-        [2.0 * math.sqrt(mu) * a,
-         math.sqrt(2.0 * params.gamma_par_l), math.sqrt(2.0 * params.gamma_par_c),
-         0.0, 0.0],
-        [-2.0 * math.sqrt(mu) * b,
-         0.0, 0.0,
-         math.sqrt(2.0 * params.gamma_orth_l), math.sqrt(2.0 * params.gamma_orth_c)],
-    ])
-    if include_pump_noise:
-        channels.append(("pump", "par"))
-        B = np.hstack([B, [[math.sqrt(params.stim_rate_G)], [0.0]]])
-    return B, channels
+    w = _check_omega(omega)
+    M = [[(1j * w if j == k else 0.0) - x for k, x in enumerate(row)]
+         for j, row in enumerate(drift)]
+    scale = max(abs(x) for row in M for x in row)
+    if abs(np.linalg.det(M)) <= 1e-12 * scale ** len(M):
+        raise SingularMatrix(
+            f"(i w I - A) singular at omega {w!r} (free-phase direction)")
+    noise = _phase_noise(params, a, b)
+    T = np.linalg.solve(M, [noise[m] for m in modes])
+    couplers = (params.gamma_par_c, params.gamma_orth_c)
+    variances = []
+    for row, m in zip(T, modes):
+        out = math.sqrt(2.0 * couplers[m]) * row
+        out[_COUPLER_PORT[m]] -= 1.0
+        variances.append(float(np.sum(np.abs(out) ** 2)))
+    return variances
 
 
-def regime3_phase_pair_spectrum(params: ModelParams, pump, omega,
-                                include_pump_noise: bool = False) -> PhasePairVariance:
+def regime3_phase_pair_spectrum(params: ModelParams, pump, omega) -> PhasePairVariance:
     """Coupled phase-quadrature output variances in region iii.
 
-    Solves (i w I - A) Y = B Z in frequency space and applies the output
-    relations Y_out = sqrt(2 gc) Y - Z_in2 per mode, keeping the
-    correlation between each intracavity field and its reflected
-    coupler vacuum.  Whether the pump-noise channel sqrt(G) Z_p feeds
-    the parallel phase row is not decidable from the drift equations
-    alone; it is off by default and the choice is pinned in the result
-    metadata.
+    `output_phase_variances` of both modes, with the model's phase block
+    at the region-iii steady state.
     """
     w = _check_omega(omega)
     g = as_pump(pump)
@@ -273,30 +273,6 @@ def regime3_phase_pair_spectrum(params: ModelParams, pump, omega,
         raise WrongRegime(f"pump {g!r} is not in the orth-excited region")
     ss = steady_state(params, g, thresholds=thresholds)
     a, b = ss.a_par, ss.a_orth
-    A = _phase_pair_drift(params, a, b)
-    B, channels = _phase_pair_noise(params, a, b, include_pump_noise)
-    M = 1j * w * np.eye(2) - A
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    scale = float(np.max(np.abs(M))) ** 2
-    if abs(det) <= 1e-12 * scale:
-        raise SingularMatrix(
-            f"(i w I - A) singular at omega {w!r} (free-phase direction)")
-    try:
-        T = np.linalg.solve(M, B.astype(complex))
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(f"(i w I - A) singular at omega {w!r}") from exc
-    idx_par_in2, idx_orth_in2 = 2, 4
-    out_par = math.sqrt(2.0 * params.gamma_par_c) * T[0]
-    out_par[idx_par_in2] -= 1.0
-    out_orth = math.sqrt(2.0 * params.gamma_orth_c) * T[1]
-    out_orth[idx_orth_in2] -= 1.0
-    meta = {
-        "include_pump_noise": include_pump_noise,
-        "channels": channels,
-        "cross_coupling": "global-phase neutral (+2 mu a_par a_orth both rows)",
-        "i_par": ss.i_par,
-        "i_orth": ss.i_orth,
-    }
-    return PhasePairVariance(
-        v_orth=float(np.sum(np.abs(out_orth) ** 2)),
-        v_par=float(np.sum(np.abs(out_par) ** 2)), metadata=meta)
+    drift = model.phase_drift(params, a, b, ss.sigma2, ss.sigma3)
+    v_par, v_orth = output_phase_variances(params, drift, a, b, (0, 1), w)
+    return PhasePairVariance(v_orth=v_orth, v_par=v_par)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import squeezer_sim
+from squeezer_sim import model
 from squeezer_sim.cli import main
 
 OMEGA_2MHZ = 4.0 * math.pi * 1e6
@@ -169,12 +170,27 @@ def test_check_reference_config_passes(capsys):
     assert main(["check"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    for name in ("route_equivalence", "clamping_identities",
-                 "oracle_equivalence", "jacobian_fd"):
+    for name in ("route_equivalence", "oracle_equivalence", "jacobian_fd"):
         assert f"{name}: PASS" in out
     # The oracle runs on the configured rates, not on a substitute family.
     oracle = next(ln for ln in out.splitlines() if ln.startswith("oracle_equivalence"))
     assert "bundled" not in oracle
+
+
+def test_check_route_equivalence_fails_on_the_amplitude_rate(monkeypatch, capsys):
+    # Negative control: give the orthogonal phase the amplitude rate
+    # -gorth + mu a^2 and the input-output solve must part from the
+    # closed form.
+    true_drift = model.phase_drift
+
+    def amplitude_rate(params, a, b, s2, s3):
+        (d00, d01), (d10, _) = true_drift(params, a, b, s2, s3)
+        return ((d00, d01),
+                (d10, -params.gamma_orth + params.nl_coupling_mu * a * a))
+
+    monkeypatch.setattr(model, "phase_drift", amplitude_rate)
+    assert main(["check"]) == 2
+    assert "route_equivalence: FAIL" in capsys.readouterr().out
 
 
 def test_check_rejects_invalid_params(tmp_path):

@@ -16,6 +16,7 @@ from squeezer_sim import (
     steady_state,
 )
 from squeezer_sim import dynamics, model
+from squeezer_sim.sampling import sample_reachable_params
 from squeezer_sim.steadystate import zero_field_populations
 
 GROUND = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
@@ -178,6 +179,71 @@ def test_jacobian_matches_finite_differences(moderate, rng):
             denom = np.maximum(np.abs(J[:, j]), 1e-7 * scale_J)
             worst = max(worst, float(np.max(np.abs(col - J[:, j]) / denom)))
     assert worst < 1e-5
+
+
+def _complex_field_rates(params, a, b, s2, s3):
+    # The field equations on complex amplitudes, written out here rather
+    # than taken from `model`.
+    G, mu = params.stim_rate_G, params.nl_coupling_mu
+    da = ((0.5 * G * (s3 - s2) - params.gamma_par) * a
+          - mu * (abs(a) ** 2 * a - b * b * a.conjugate()))
+    db = -params.gamma_orth * b + mu * (a * a * b.conjugate() - abs(b) ** 2 * b)
+    return np.array([da, db])
+
+
+def _field_states(rng, params, n):
+    # Amplitudes up to twice the instability amplitude of each rate set.
+    amp = 2.0 * math.sqrt(orth_threshold_intensity(params))
+    for _ in range(n):
+        yield np.concatenate([rng.uniform(0.0, amp, 2), rng.uniform(0.0, 1.0, 3)])
+
+
+def test_phase_drift_matches_complex_field_differences(reference, rng):
+    # A step of h in Im a_par or Im a_orth must move the rates by i*h
+    # times the block's column: the imaginary rows are the block, and the
+    # real rows do not move, at a real state.
+    worst = 0.0
+    for params in (reference, *(sample_reachable_params(rng) for _ in range(5))):
+        for y in _field_states(rng, params, 20):
+            a, b, _s1, s2, s3 = y.tolist()
+            P = np.array(model.phase_drift(params, a, b, s2, s3))
+            scale_P = np.max(np.abs(P))
+            h = 1e-6 * max(1.0, math.hypot(a, b))
+            for j, step in enumerate(((1j * h, 0.0), (0.0, 1j * h))):
+                plus = _complex_field_rates(params, a + step[0], b + step[1], s2, s3)
+                minus = _complex_field_rates(params, a - step[0], b - step[1], s2, s3)
+                col = (plus - minus) / (2 * h)
+                denom = np.maximum(np.abs(P[:, j]), 1e-7 * scale_P)
+                worst = max(worst, float(np.max(np.abs(col - 1j * P[:, j]) / denom)))
+    assert worst <= 1e-5
+
+
+def test_complex_field_real_slice_is_the_rate_equations(reference, rng):
+    for params in (reference, *(sample_reachable_params(rng) for _ in range(5))):
+        g = float(10.0 ** rng.uniform(-1, 1)) * laser_threshold(params)
+        f, _ = model.rate_equations(params, g)
+        for y in _field_states(rng, params, 20):
+            a, b, s1, s2, s3 = y.tolist()
+            field = _complex_field_rates(params, complex(a), complex(b), s2, s3)
+            assert np.all(field.imag == 0.0)
+            err = np.abs(field.real - f(a, b, s1, s2, s3)[:2])
+            assert np.all(err <= 1e-14 * model.rate_scales(y, params, g)[:2])
+
+
+def test_phase_drift_annihilates_global_phase_in_region_iii(reference, rng):
+    # Rotating both fields by one phase is neutral, so at a region-iii
+    # state the block must map (a, b) to zero, to rounding of its terms.
+    for params in (reference, *(sample_reachable_params(rng) for _ in range(5))):
+        for m in (1.0001, 1.2, 2.0, 3.5, 100.0):
+            ss = steady_state(params, m * orth_threshold_pump(params))
+            a, b = ss.a_par, ss.a_orth
+            P = np.array(model.phase_drift(params, a, b, ss.sigma2, ss.sigma3))
+            mu = params.nl_coupling_mu
+            terms = np.array([
+                0.5 * params.stim_rate_G * abs(ss.sigma3 - ss.sigma2) + params.gamma_par
+                + mu * (a * a + b * b),
+                params.gamma_orth + mu * (a * a + b * b)]) * np.hypot(a, b)
+            assert np.all(np.abs(P @ [a, b]) <= 1e-12 * terms)
 
 
 def test_orth_eigenvalue_crosses_zero_at_threshold(moderate):

@@ -23,7 +23,9 @@ from squeezer_sim import (
     to_decibel,
     validate,
 )
+from squeezer_sim import model
 from squeezer_sim.sampling import sample_reachable_params, sample_regime_pumps
+from squeezer_sim.spectra import output_phase_variances
 
 OMEGA_2MHZ = 4.0 * math.pi * 1e6
 
@@ -257,21 +259,32 @@ def test_regime3_approaches_threshold_variance_from_above(moderate):
 
 
 def test_regime3_reduces_to_decoupled_spectrum_when_uncoupled(moderate):
-    # Zeroing the orthogonal amplitude removes the cross coupling; the
-    # 2x2 solve must then reproduce the closed-form spectrum.
-    from squeezer_sim.spectra import _phase_pair_drift, _phase_pair_noise
-
-    i_star = orth_threshold_intensity(moderate)
-    a = math.sqrt(i_star)
-    A = _phase_pair_drift(moderate, a, 0.0)
-    B, _ = _phase_pair_noise(moderate, a, 0.0, include_pump_noise=False)
+    # With the orthogonal amplitude zero the model's phase block has no
+    # cross coupling; the 2x2 solve must then reproduce the closed form.
+    ss = steady_state(moderate, orth_threshold_pump(moderate))
+    a = math.sqrt(orth_threshold_intensity(moderate))
+    A = model.phase_drift(moderate, a, 0.0, ss.sigma2, ss.sigma3)
+    assert A[0][1] == A[1][0] == 0.0
     for w in (0.3, 2.0, 11.0):
-        M = 1j * w * np.eye(2) - A
-        T = np.linalg.solve(M, B.astype(complex))
-        out = math.sqrt(2.0 * moderate.gamma_orth_c) * T[1]
-        out[4] -= 1.0
-        v = float(np.sum(np.abs(out) ** 2))
+        _, v = output_phase_variances(moderate, A, a, 0.0, (0, 1), w)
         assert v == pytest.approx(threshold_variance(moderate, w), rel=1e-12)
+
+
+def test_io_solve_matches_reduced_form_in_region_ii(rng):
+    # The route_equivalence line of `check`: the input-output solve on
+    # the model's orthogonal phase rate against the closed form.
+    worst = 0.0
+    for _ in range(10):
+        p = sample_reachable_params(rng)
+        for _ in range(50):
+            ss = steady_state(p, sample_regime_pumps(rng, p, "ii"))
+            a, b = ss.a_par, ss.a_orth
+            drift = [[model.phase_drift(p, a, b, ss.sigma2, ss.sigma3)[1][1]]]
+            for w in (0.0, 0.7 * p.gamma_orth, 6.0 * p.gamma_orth):
+                io, = output_phase_variances(p, drift, a, b, (1,), w)
+                red = orth_phase_variance_reduced(p, ss.i_par, w)
+                worst = max(worst, abs(io - red) / red)
+    assert worst <= 1e-12
 
 
 def test_regime3_positive_and_finite(moderate, rng):
@@ -305,13 +318,3 @@ def test_regime3_wrong_regime_rejected(moderate):
     with pytest.raises(WrongRegime):
         regime3_phase_pair_spectrum(
             moderate, 0.5 * orth_threshold_pump(moderate), 1.0)
-
-
-def test_regime3_assumption_set_pinned(moderate):
-    go = orth_threshold_pump(moderate)
-    r0 = regime3_phase_pair_spectrum(moderate, 1.5 * go, 1.0)
-    r1 = regime3_phase_pair_spectrum(moderate, 1.5 * go, 1.0,
-                                     include_pump_noise=True)
-    assert r0.metadata["include_pump_noise"] is False
-    assert r1.metadata["include_pump_noise"] is True
-    assert r1.v_par > r0.v_par  # the extra channel only adds noise
