@@ -124,7 +124,11 @@ def load_config(path: str | None) -> dict:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
-    return _parse_config_text(p.read_text(encoding="utf-8"))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    return _parse_config_text(text)
 
 
 def _check_ranges(cfg: dict):
@@ -158,7 +162,8 @@ def _grid(cfg: dict, name: str, default_min: float, default_max: float,
 
 def _check_out_writable(path: str):
     parent = Path(path).resolve().parent
-    if not path or not parent.is_dir() or not os.access(parent, os.W_OK):
+    if (not path or Path(path).is_dir() or not parent.is_dir()
+            or not os.access(parent, os.W_OK)):
         raise ConfigError(f"output path not writable: {path}")
 
 

@@ -39,12 +39,21 @@ def snapshot_lines(snapshot: dict) -> list[str]:
     return [f"{k} = {format_exact(v)}" for k, v in snapshot.items()]
 
 
-def write_csv(path, columns: list[str], rows, comments: list[str] | None = None):
-    """Write rows (any mix of str/int/float cells) with comment header."""
-    lines = []
-    for c in comments or []:
-        lines.append(f"# {c}")
+def write_csv(path, columns: list[str], rows: list[list],
+              comments: list[str] | None = None):
+    """Write a list of rows (str/int/float cells) under a comment header.
+
+    Cells are rendered column by column: an all-float column in one
+    `"%.12e" %` pass, which equals `format_value` on every float, nan,
+    inf and -0.0 included; any other column cell by cell.
+    """
+    if any(len(row) != len(columns) for row in rows):
+        raise ValueError(f"every row needs {len(columns)} cells")
+    cells = [["%.12e" % v for v in col]
+             if all(isinstance(v, (float, np.floating)) for v in col)
+             else [format_value(v) for v in col]
+             for col in zip(*rows)]
+    lines = [f"# {c}" for c in comments or []]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+    lines.extend(map(",".join, zip(*cells)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

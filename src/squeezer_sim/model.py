@@ -26,7 +26,7 @@ import numpy as np
 
 from .params import ModelParams
 
-__all__ = ["phase_drift", "rate_equations", "rate_scales", "rhs"]
+__all__ = ["phase_drift", "rate_equations", "rate_scales", "rate_scales_at", "rhs"]
 
 
 def rate_equations(params: ModelParams, pump: float):
@@ -87,26 +87,30 @@ def rhs(y, params: ModelParams, pump: float) -> np.ndarray:
     return np.array(rate_equations(params, pump)[0](a, b, s1, s2, s3))
 
 
-def rate_scales(y, params: ModelParams, pump: float) -> np.ndarray:
+def rate_scales_at(params: ModelParams, pump: float, a, b, s1, s2, s3):
     """Per-equation magnitude scales (sum of absolute term sizes).
 
+    Takes the state components as `rate_equations`' f does and returns
+    four floats, each floored just above 0; a NaN scale stays NaN.
     Used to express residuals of the fixed-point equations (and the
     rounding floor of finite differences) in relative terms, which keeps
     the residual tests of the closed forms and of `settle` meaningful
     when the rate constants span many decades.
     """
-    a, b, s1, s2, s3 = y
     G = params.stim_rate_G
     mu = params.nl_coupling_mu
     k2, k3 = params.decay_k2, params.decay_k3
     gpar, gorth = params.gamma_par, params.gamma_orth
     diff = abs(a * a - b * b)
     inv = abs(s3 - s2)
-    scales = np.array([
-        0.5 * G * inv * abs(a) + gpar * abs(a) + mu * abs(a) * diff,
-        gorth * abs(b) + mu * abs(b) * diff,
-        k2 * abs(s2) + pump * abs(s1),
-        G * inv * a * a + k3 * abs(s3) + k2 * abs(s2),
-    ])
     floor = max(G, mu, k2, k3, gpar, gorth, pump) * 1e-30 + 1e-300
-    return np.maximum(scales, floor)
+    return (max(0.5 * G * inv * abs(a) + gpar * abs(a) + mu * abs(a) * diff, floor),
+            max(gorth * abs(b) + mu * abs(b) * diff, floor),
+            max(k2 * abs(s2) + pump * abs(s1), floor),
+            max(G * inv * a * a + k3 * abs(s3) + k2 * abs(s2), floor))
+
+
+def rate_scales(y, params: ModelParams, pump: float) -> np.ndarray:
+    """`rate_scales_at` on the five-component state y, as an array."""
+    a, b, s1, s2, s3 = y.tolist() if isinstance(y, np.ndarray) else y
+    return np.array(rate_scales_at(params, pump, a, b, s1, s2, s3))

@@ -242,16 +242,18 @@ def classify_regime(params: ModelParams, pump,
 
 
 def fixed_point_residual(params: ModelParams, pump, ss: SteadyState) -> float:
-    """Largest scaled residual |rhs| / rate_scales of the state.
+    """Largest scaled residual |f_i| / s_i of the state, NaN if any is NaN.
 
-    The rates are evaluated at the state's own sigma3, not at 1 - sigma1
-    - sigma2, which loses relative precision where the clamped inversion
-    is small.
+    f and s are `model.rate_equations`' rates and `model.rate_scales_at`,
+    taken at the state's own sigma3, not at 1 - sigma1 - sigma2, which
+    loses relative precision where the clamped inversion is small.
     """
     g = as_pump(pump)
-    y = ss.state_vector()
-    scaled = np.abs(model.rhs(y, params, g)) / model.rate_scales(y, params, g)
-    return float(np.max(scaled))
+    y = (ss.a_par, ss.a_orth, ss.sigma1, ss.sigma2, ss.sigma3)
+    scaled = [abs(r) / s for r, s in zip(model.rate_equations(params, g)[0](*y),
+                                         model.rate_scales_at(params, g, *y))]
+    # The terms are >= 0, so their sum is NaN exactly when one of them is.
+    return math.nan if math.isnan(sum(scaled)) else max(scaled)
 
 
 def _regime3_state(params: ModelParams, pump: float) -> SteadyState:

@@ -267,6 +267,17 @@ def test_missing_config_file(tmp_path):
     assert main(["thresholds", "--config", str(tmp_path / "nope.cfg")]) == 1
 
 
+def test_unreadable_config_is_an_input_error(tmp_path, capsys):
+    # A directory or a file that is not UTF-8 exits 1 with one error line.
+    bad = tmp_path / "latin1.cfg"
+    bad.write_bytes(b"stim_rate_G = 12 # \xe9\n")
+    for cfg in (tmp_path, bad):
+        assert main(["thresholds", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file")
+        assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, config", [
     (["steady-sweep"], {"pump_min": 0.0, "pump_max": 2.5e18, "pump_steps": 40}),
     (["pump-sweep"], {}),
@@ -300,6 +311,20 @@ def test_default_outputs_are_pinned(tmp_path, capsys, command):
         assert main([command, "--out", str(out)]) == 0
         data = out.read_bytes()
     assert hashlib.sha256(data).hexdigest() == DEFAULT_OUTPUT_SHA256[command]
+
+
+def test_log_grid_steady_sweep_is_pinned(tmp_path):
+    # The benchmark's 1..1e19 log grid reaches far past the default grid's
+    # 2x orthogonal threshold, deep into region iii.
+    out = tmp_path / "x.csv"
+    cfg = _write_cfg(tmp_path / "c.cfg", {"pump_min": 1.0, "pump_max": 1e19,
+                                          "pump_steps": 2001, "pump_log": "true"})
+    assert main(["steady-sweep", "--config", cfg, "--out", str(out)]) == 0
+    _, _, rows = _read_csv(out)
+    regimes = [r[1] for r in rows]
+    assert [regimes.count(r) for r in ("i", "ii", "iii")] == [216, 1682, 103]
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "39dab9fb1ff239a4bf2b025d1861a1f26beb961c94899b46718df88b76d2aca1")
 
 
 def test_log_spaced_grid(tmp_path):
@@ -355,3 +380,9 @@ def test_import_loads_no_scipy(tmp_path):
 def test_unwritable_output_rejected(tmp_path):
     target = str(tmp_path / "no" / "such" / "dir" / "x.csv")
     assert main(["steady-sweep", "--out", target]) == 1
+
+
+def test_directory_output_rejected(tmp_path, capsys):
+    for command in ("thresholds", "steady-sweep"):
+        assert main([command, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: output path not writable")

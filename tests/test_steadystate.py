@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from squeezer_sim import (
 )
 from squeezer_sim import model
 from squeezer_sim.sampling import sample_reachable_params, sample_regime_pumps
+from squeezer_sim.steadystate import fixed_point_residual
 
 
 def _mid_regime2_pump(params):
@@ -240,6 +242,36 @@ def _scaled_residual(params, pump, ss):
     y = ss.state_vector()
     f = model.rhs(y, params, pump)
     return np.max(np.abs(f) / model.rate_scales(y, params, pump))
+
+
+def test_float_residual_equals_array_formula(reference, rng):
+    # fixed_point_residual runs on Python floats; _scaled_residual is the
+    # numpy reference, and the two must agree bitwise in every region.
+    gl, go = laser_threshold(reference), orth_threshold_pump(reference)
+    cases = [(reference, g) for g in np.concatenate([
+        np.linspace(0.0, 0.999 * gl, 20), np.geomspace(1.0001 * gl, 0.9999 * go, 40),
+        np.geomspace(1.0001 * go, 1000.0 * go, 40)])]
+    for _ in range(200):
+        p = sample_reachable_params(rng)
+        cases += [(p, sample_regime_pumps(rng, p, region)) for region in ("i", "ii", "iii")]
+    seen = set()
+    for p, g in cases:
+        ss = steady_state(p, float(g))
+        seen.add(ss.regime)
+        got = fixed_point_residual(p, float(g), ss)
+        assert got.hex() == float(_scaled_residual(p, float(g), ss)).hex()
+    assert seen == set(Regime)
+
+
+def test_residual_of_a_nan_component_is_nan(reference):
+    # SteadyState admits both; i_orth = 1e300 overflows the orthogonal
+    # rate to -inf/inf = NaN behind a finite first component.
+    g = 2.0 * orth_threshold_pump(reference)
+    for i_orth in (math.nan, 1e300):
+        ss = dataclasses.replace(steady_state(reference, g), i_orth=i_orth)
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(_scaled_residual(reference, g, ss))
+        assert math.isnan(fixed_point_residual(reference, g, ss))
 
 
 def test_closed_forms_are_fixed_points_at_reference(reference):
