@@ -335,12 +335,14 @@ def cmd_mc_verify(cfg: dict, out: str, negative_control: bool) -> int:
         d["gamma_orth_c"] *= 1.2
         analytic_params = validate(d)
 
-    _, res_qnl = _mc_leg(params, 0.0, seed, 0.05 / params.gamma_orth,
-                         duration * lam / params.gamma_orth, segments,
-                         analytic_params, 0.0)
+    # The threshold leg runs first: its dt gate refuses an oversize dt
+    # before the QNL leg, whose length grows with dt, allocates.
     est_thr, res_thr = _mc_leg(
         params, i_star, seed + 1, dt, duration, segments, analytic_params,
         min(i_star, orth_threshold_intensity(analytic_params)))
+    _, res_qnl = _mc_leg(params, 0.0, seed, 0.05 / params.gamma_orth,
+                         duration * lam / params.gamma_orth, segments,
+                         analytic_params, 0.0)
 
     rows = [[w, p, a, d] for w, p, a, d in zip(
         res_thr["omegas"], res_thr["psd"], res_thr["analytic"],

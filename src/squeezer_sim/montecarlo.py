@@ -29,11 +29,12 @@ The output spectrum is a Hann-windowed, 50%-overlap Welch estimate
 density convention.  It is computed one-sided, with one batched real FFT
 per block of segments read through a strided view of the series: for a
 real series the interior one-sided bins, left undoubled, are exactly the
-two-sided density at f >= 0, and the unpaired Nyquist bin is dropped
-because the two-sided f >= 0 half has none.  Both halves of the data
-path work in place on a few series-length buffers: a simulation of n
-steps peaks at about 3n doubles, and the estimate adds about one series
-length (its bin-by-segment matrix) on top of the run it reads.
+two-sided density at f >= 0.  Both halves of the data path work in
+place: a simulation of n steps holds two series-length buffers, the
+trajectory and the in2 draws that the output overwrites, and peaks at
+about 2.1n doubles; the estimate keeps only the bins the comparison
+trusts, up to a quarter of Nyquist, so its bin-by-segment matrix adds
+about n/4 on top of the run it reads.
 
 Seeding uses a counter-based generator (Philox), so every run is fully
 reproducible from (seed, dt, duration) alone.
@@ -65,6 +66,12 @@ _SEGMENT_BLOCK = 32
 # Samples per block of the AR(1) scan, and blocks per cache-sized matmul.
 _AR1_BLOCK = 32
 _AR1_ROWS = 512
+# Samples per chunk of simulate_decoupled's elementwise passes, which
+# keeps their temporaries at 256 KB instead of one series length.
+_CHUNK = 32768
+# The comparison trusts the Euler-Maruyama spectrum up to this fraction
+# of Nyquist, so estimate_psd keeps no bins above it.
+_TRUSTED_NYQUIST = 0.25
 
 
 @dataclass(frozen=True)
@@ -89,7 +96,7 @@ class SdeRun:
 class PsdEstimate:
     """Welch estimate of the two-sided output PSD, QNL-normalized."""
 
-    freqs: np.ndarray  # angular, rad/s, ascending, >= 0
+    freqs: np.ndarray  # angular, rad/s, ascending, 0 to Nyquist/4
     psd: np.ndarray
     n_segments: int
     rel_std_err: float
@@ -149,21 +156,27 @@ def simulate_decoupled(params: ModelParams, i_par, seed: int, dt: float,
         drive[:] = dw1[:n]
         dw2 = dw2[:n].copy()
     drive *= g1
-    drive += g2 * dw2
+    chunks = [slice(k, k + _CHUNK) for k in range(0, n, _CHUNK)]
+    for part in chunks:
+        drive[part] += g2 * dw2[part]
     y = _ar1(x, a)
-    del x, drive  # free the input buffer before `out` is allocated
     # Output over step k: boxcar average of the cavity field minus the
     # boxcar-averaged reflected input, sharing the same in2 increment.
+    # It is built chunk by chunk over the in2 buffer, which it replaces.
     dw2 /= dt
-    out = y[:-1] + y[1:]
-    out *= math.sqrt(2.0 * params.gamma_orth_c) * 0.5
-    out -= dw2
+    c = math.sqrt(2.0 * params.gamma_orth_c) * 0.5
+    pre, post = y[:-1], y[1:]
+    for part in chunks:
+        cav = pre[part] + post[part]
+        cav *= c
+        np.subtract(cav, dw2[part], out=dw2[part])
     return SdeRun(dt=float(dt), relaxation_rate=lam,
-                  series_out=out, series_cavity=y[:-1])
+                  series_out=dw2, series_cavity=pre)
 
 
 def _ar1(x: np.ndarray, a: float) -> np.ndarray:
-    """y[k] = a*y[k-1] + x[k] from y[-1] = 0, for 0 <= a < 1.
+    """y[k] = a*y[k-1] + x[k] from y[-1] = 0, for 0 <= a < 1, written
+    over the contiguous float input x, which is returned.
 
     A blocked scan over rows of B = `_AR1_BLOCK` samples: a GEMV gives
     each row's end from zero, the carries between rows follow the same
@@ -175,10 +188,9 @@ def _ar1(x: np.ndarray, a: float) -> np.ndarray:
     """
     b = _AR1_BLOCK
     m = len(x) // b
-    y = np.empty(len(x))
     start, prev = 0, 0.0
     if m >= 2:
-        xb, yb = x[:m * b].reshape(m, b), y[:m * b].reshape(m, b)
+        xb = x[:m * b].reshape(m, b)
         p = a ** np.arange(b + 1.0)
         # a^(i-j) for i >= j, over the carry-in weights a^(i+1).
         lag = np.arange(b) - np.arange(b)[:, None]
@@ -194,12 +206,12 @@ def _ar1(x: np.ndarray, a: float) -> np.ndarray:
         carry = ends[:-1, None]
         for r in range(0, m, _AR1_ROWS):
             rows = slice(r, r + _AR1_ROWS)
-            np.matmul(np.hstack((xb[rows], carry[rows])), mat, out=yb[rows])
+            np.matmul(np.hstack((xb[rows], carry[rows])), mat, out=xb[rows])
         start, prev = m * b, float(ends[-1])
     for k, v in enumerate(x[start:].tolist(), start):
         prev = a * prev + v
-        y[k] = prev
-    return y
+        x[k] = prev
+    return x
 
 
 def _transient_samples(run: SdeRun) -> int:
@@ -227,18 +239,19 @@ def estimate_psd(run: SdeRun, n_segments: int) -> PsdEstimate:
     The segments are rows of a strided view of the series, so none is
     copied before windowing.  `_SEGMENT_BLOCK` of them at a time are
     multiplied by the psd-scaled Hann window into one reused buffer and
-    transformed by a single `rfft` along the rows; their squared
-    magnitudes are written transposed into one (nperseg//2 + 1, k)
+    transformed by a single `rfft` along the rows; the squared
+    magnitudes of the bins up to `_TRUSTED_NYQUIST` of Nyquist (the
+    first nperseg//8 + 1) are written transposed into one (bins, k)
     matrix, whose segment mean is the estimate.  For a real series the
     interior one-sided bins are the two-sided density at +f before any
     folding, so without the usual doubling they are exactly the
-    two-sided values; the unpaired Nyquist bin is dropped, as the
-    two-sided f >= 0 half has no +fs/2 bin.  The window, its scaling and
-    the frequency grid are computed as scipy's ShortTimeFFT does, and
-    the transposed write keeps each bin's row contiguous, so the mean
-    sums in the same order and the result has the same bytes as
+    two-sided values.  The window, its scaling and the frequency grid
+    are computed as scipy's ShortTimeFFT does, and the transposed write
+    keeps each bin's row contiguous, so the mean sums in the same order
+    and the kept bins have the same bytes as
     `scipy.signal.welch(..., return_onesided=False)` at f >= 0, with a
-    working set of about one series length instead of about eight.
+    working set of about a quarter of a series length instead of about
+    eight.
     """
     if n_segments < 8:
         raise ValueError("n_segments must be >= 8")
@@ -256,13 +269,15 @@ def estimate_psd(run: SdeRun, n_segments: int) -> PsdEstimate:
     win, freqs = _welch_window(nperseg, run.dt)
     segments = sliding_window_view(x, nperseg)[::hop]
     windowed = np.empty((_SEGMENT_BLOCK, nperseg))
-    pxx = np.empty((hop + 1, k))
+    bins = int(_TRUSTED_NYQUIST * hop) + 1
+    pxx = np.empty((bins, k))
     for p0 in range(0, k, _SEGMENT_BLOCK):
         p1 = min(p0 + _SEGMENT_BLOCK, k)
         seg = np.multiply(segments[p0:p1], win, out=windowed[:p1 - p0])
         spec = np.fft.rfft(seg, axis=-1)
-        # |X|^2 in place in the spectrum's own real part: no other buffer.
-        re, im = spec.real, spec.imag
+        # |X|^2 of the kept bins in place in the spectrum's own real
+        # part: no other buffer.
+        re, im = spec.real[:, :bins], spec.imag[:, :bins]
         np.square(re, out=re)
         np.square(im, out=im)
         re += im
@@ -270,8 +285,8 @@ def estimate_psd(run: SdeRun, n_segments: int) -> PsdEstimate:
         # Freed before the next block's rfft allocates, so two spectra
         # are never alive at once.
         del spec, re, im
-    freqs = 2.0 * math.pi * freqs[:-1]
-    psd = pxx.mean(axis=-1)[:-1]
+    freqs = 2.0 * math.pi * freqs[:bins]
+    psd = pxx.mean(axis=-1)
     rel = math.sqrt((1.0 + 2.0 * _HANN_OVERLAP_RHO * (k - 1) / k) / k)
     return PsdEstimate(freqs=freqs, psd=psd, n_segments=k, rel_std_err=rel,
                        dt=run.dt)
@@ -291,7 +306,7 @@ def compare_to_analytic(estimate: PsdEstimate, params: ModelParams, i_par,
     gorth = params.gamma_orth
     nyquist = math.pi / estimate.dt
     lo, hi = band if band is not None else (0.1 * gorth, 10.0 * gorth)
-    hi = min(hi, nyquist / 4.0)
+    hi = min(hi, _TRUSTED_NYQUIST * nyquist)
     mask = (estimate.freqs >= lo) & (estimate.freqs <= hi) & (estimate.freqs > 0)
     if not np.any(mask):
         raise BandMismatch(

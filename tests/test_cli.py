@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,37 @@ def test_mc_verify_rerun_is_byte_identical(tmp_path):
     assert main(["mc-verify", "--out", str(a), "--seed", "11"]) == 0
     assert main(["mc-verify", "--out", str(b), "--seed", "11"]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_mc_verify_legs_never_hold_two_series(tmp_path, capsys):
+    # tracemalloc sees every numpy buffer.  One leg's simulation and
+    # estimate peak near 2.5 threshold series; had the two legs' series
+    # coexisted, the peak would pass 2.75.
+    out = tmp_path / "mc.csv"
+    cfg = _write_cfg(tmp_path / "c.cfg", {"segments": 512})
+    tracemalloc.start()
+    try:
+        assert main(["mc-verify", "--config", cfg, "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    meta = dict(line.split(" = ") for line in _read_csv(out)[0])
+    nbytes = 8 * int(float(meta["duration"]) / float(meta["dt"]))
+    assert nbytes > 8_000_000
+    assert peak <= 2.75 * nbytes
+
+
+def test_mc_verify_oversize_dt_is_refused_before_allocating(tmp_path, capsys):
+    # The QNL leg's length grows with dt (1e-3 would ask for 19 TiB), so
+    # the threshold leg's dt gate must refuse it first.
+    cfg = _write_cfg(tmp_path / "c.cfg", {"dt": 1e-3})
+    assert main(["mc-verify", "--config", cfg, "--out",
+                 str(tmp_path / "mc.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: DomainError: dt must satisfy")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_check_reference_config_passes(capsys):

@@ -146,16 +146,19 @@ def test_estimate_matches_two_sided_welch_exactly(reference, qnl_leg,
         run, _ = _threshold_run(reference, seed=5, segments=segments)
     est = estimate_psd(run, segments)
     assert est.n_segments == expected
-    assert 2 * len(est.freqs) == (1024 if qnl_leg else 4096)
+    # Only the bins up to a quarter of Nyquist, which compare_to_analytic
+    # trusts, are kept; those hold scipy's bytes.
+    nperseg = 1024 if qnl_leg else 4096
+    bins = nperseg // 8 + 1
+    assert len(est.freqs) == bins
     x = run.series_out[montecarlo._transient_samples(run):]
-    nperseg = 2 * len(est.freqs)
     f, pxx = scipy.signal.welch(
         x, fs=1.0 / run.dt, window="hann", nperseg=nperseg,
         noverlap=nperseg // 2, detrend=False, return_onesided=False,
         scaling="density")
-    keep = f >= 0.0
-    assert np.array_equal(est.freqs, 2.0 * math.pi * f[keep])
-    assert np.array_equal(est.psd, pxx[keep])
+    # scipy orders the two-sided grid from 0 up, then the negatives.
+    assert np.array_equal(est.freqs, 2.0 * math.pi * f[:bins])
+    assert np.array_equal(est.psd, pxx[:bins])
 
 
 def test_memory_footprint_of_simulation_and_estimate(reference):
@@ -173,8 +176,11 @@ def test_memory_footprint_of_simulation_and_estimate(reference):
         tracemalloc.stop()
     nbytes = run.series_out.nbytes
     assert len(run.series_out) > 1_000_000
-    assert sim_peak <= 4.5 * nbytes
-    assert psd_peak - start <= 1.5 * nbytes
+    # The run is two series-length buffers (trajectory and output) plus
+    # the scan's and the chunks' temporaries; the estimate is a
+    # quarter-length bin matrix plus about 2 MB of FFT blocks.
+    assert sim_peak <= 2.5 * nbytes
+    assert psd_peak - start <= 0.75 * nbytes
 
 
 def _ar1_loop(x, a):
