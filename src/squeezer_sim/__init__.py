@@ -35,6 +35,7 @@ from .spectra import (
     orth_phase_variance,
     orth_phase_variance_reduced,
     pump_sweep_curve,
+    reduced_variances,
     regime3_phase_pair_spectrum,
     threshold_variance,
     to_decibel,
@@ -42,6 +43,7 @@ from .spectra import (
 from .steadystate import (
     Regime,
     SteadyState,
+    SteadySweep,
     classify_regime,
     laser_only_branch,
     laser_threshold,
@@ -49,6 +51,7 @@ from .steadystate import (
     orth_threshold_pump,
     sh_power,
     steady_state,
+    steady_state_sweep,
 )
 
 __version__ = "0.1.0"

@@ -26,8 +26,9 @@ from . import model
 from .csvio import format_exact, snapshot_lines, write_csv
 from .dynamics import settle
 from .dynamics import _settle_t_max as dynamics_t_max
-from .errors import InvalidParams, SqueezerSimError, Unreachable, WrongRegime
-from .montecarlo import compare_to_analytic, estimate_psd, simulate_decoupled
+from .errors import (DomainError, InvalidParams, SqueezerSimError, Unreachable,
+                     WrongRegime)
+from .montecarlo import compare_to_analytic, estimate_psd, run_length, simulate_decoupled
 from .params import ModelParams, reference_params, validate
 from .sampling import sample_regime_pumps
 from .spectra import (
@@ -43,8 +44,8 @@ from .steadystate import (
     fixed_point_residual,
     orth_threshold_intensity,
     regime_thresholds,
-    sh_power,
     steady_state,
+    steady_state_sweep,
 )
 from .svg import line_plot_svg
 
@@ -201,16 +202,6 @@ def cmd_thresholds(cfg: dict, out: str | None) -> int:
     return EXIT_OK
 
 
-def _steady_row(params, thresholds, g):
-    try:
-        ss = steady_state(params, g, thresholds=thresholds)
-        return [g, ss.regime.value, ss.a_par, ss.a_orth,
-                ss.sigma1, ss.sigma2, ss.sigma3, sh_power(params, ss), "ok"]
-    except SqueezerSimError as exc:
-        return [g, "", math.nan, math.nan, math.nan, math.nan, math.nan,
-                math.nan, f"error:{type(exc).__name__}"]
-
-
 def cmd_steady_sweep(cfg: dict, out: str, plot: bool) -> int:
     params = _model_params(cfg)
     thresholds = regime_thresholds(params)
@@ -219,19 +210,19 @@ def cmd_steady_sweep(cfg: dict, out: str, plot: bool) -> int:
                           "threshold unreachable; give pump_min/max/steps")
     pumps, grid_keys = _grid(cfg, "pump", 0.0, 2.0 * thresholds[1], 201)
     snapshot = {**params.as_dict(), **grid_keys}
-    rows = [_steady_row(params, thresholds, float(g)) for g in pumps]
-    write_csv(out, ["Gamma", "regime", "a_par", "a_orth",
-                    "sigma1", "sigma2", "sigma3", "sh_power", "status"],
-              rows, comments=snapshot_lines(snapshot))
+    sweep = steady_state_sweep(params, pumps, thresholds)
+    columns = ["Gamma", "regime", "a_par", "a_orth",
+               "sigma1", "sigma2", "sigma3", "sh_power", "status"]
+    values = [sweep.pumps, *(getattr(sweep, c) for c in columns[1:])]
+    write_csv(out, columns, list(zip(*(v.tolist() for v in values))),
+              comments=snapshot_lines(snapshot))
     if plot:
-        gs = [r[0] for r in rows]
-        for idx, name in ((2, "a_par"), (3, "a_orth"), (7, "sh_power")):
-            line_plot_svg(_plot_path(out, name), gs, [r[idx] for r in rows],
+        for name in ("a_par", "a_orth", "sh_power"):
+            line_plot_svg(_plot_path(out, name), sweep.pumps, getattr(sweep, name),
                           title=name, xlabel="pump rate (1/s)", ylabel=name)
-    bad = [r for r in rows if r[-1] != "ok"]
+    bad = int(np.count_nonzero(sweep.status != "ok"))
     if bad:
-        print(f"{len(bad)} of {len(rows)} rows failed to resolve",
-              file=sys.stderr)
+        print(f"{bad} of {len(pumps)} rows failed to resolve", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 
@@ -291,7 +282,7 @@ def cmd_spectrum(cfg: dict, out: str, plot: bool) -> int:
     curve = frequency_sweep_curve(params, i_par, omegas)
     snapshot = {**params.as_dict(), "i_par": float(i_par), **grid_keys}
     rows = [[w, v, to_decibel(v)]
-            for w, v in zip(curve.omegas, curve.variances)]
+            for w, v in zip(curve.omegas.tolist(), curve.variances.tolist())]
     write_csv(out, ["omega_rad_s", "variance", "variance_db"], rows,
               comments=snapshot_lines(snapshot))
     if plot:
@@ -301,6 +292,22 @@ def cmd_spectrum(cfg: dict, out: str, plot: bool) -> int:
                       xlabel="analysis frequency (rad/s)",
                       ylabel="variance (dB)")
     return EXIT_OK
+
+
+# Peak doubles per step of one mc-verify run: the trajectory and the in2
+# buffer (about 2.1 series lengths) and the kept Welch bins (n/4).
+_MC_DOUBLES_PER_STEP = 2.35
+
+
+def _check_fits_in_memory(steps: int):
+    """Refuse a run whose buffers exceed the machine's physical memory."""
+    need = 8 * _MC_DOUBLES_PER_STEP * steps
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise DomainError(
+            f"a run of {steps} steps needs about {need / 2**30:.3g} GiB, more "
+            f"than the {have / 2**30:.3g} GiB of physical memory; shorten "
+            "duration or raise dt")
 
 
 def _mc_leg(params, i_par, seed, dt, duration, segments, analytic_params,
@@ -335,13 +342,17 @@ def cmd_mc_verify(cfg: dict, out: str, negative_control: bool) -> int:
         d["gamma_orth_c"] *= 1.2
         analytic_params = validate(d)
 
-    # The threshold leg runs first: its dt gate refuses an oversize dt
-    # before the QNL leg, whose length grows with dt, allocates.
+    # Both legs are sized before either allocates: the threshold leg
+    # first, since its dt gate refuses an oversize dt, with which the QNL
+    # leg's length grows; then the longer leg against physical memory.
+    qnl_dt = 0.05 / params.gamma_orth
+    qnl_duration = duration * lam / params.gamma_orth
+    _check_fits_in_memory(max(run_length(params, i_star, dt, duration),
+                              run_length(params, 0.0, qnl_dt, qnl_duration)))
     est_thr, res_thr = _mc_leg(
         params, i_star, seed + 1, dt, duration, segments, analytic_params,
         min(i_star, orth_threshold_intensity(analytic_params)))
-    _, res_qnl = _mc_leg(params, 0.0, seed, 0.05 / params.gamma_orth,
-                         duration * lam / params.gamma_orth, segments,
+    _, res_qnl = _mc_leg(params, 0.0, seed, qnl_dt, qnl_duration, segments,
                          analytic_params, 0.0)
 
     rows = [[w, p, a, d] for w, p, a, d in zip(

@@ -43,17 +43,29 @@ def write_csv(path, columns: list[str], rows: list[list],
               comments: list[str] | None = None):
     """Write a list of rows (str/int/float cells) under a comment header.
 
-    Cells are rendered column by column: an all-float column in one
-    `"%.12e" %` pass, which equals `format_value` on every float, nan,
-    inf and -0.0 included; any other column cell by cell.
+    `"%.12e" %` equals `format_value` on every float, nan, inf and -0.0
+    included, and `"%s" %` on every str.  When each column is all-float
+    or all-str, every row is rendered by one format string made of
+    those; otherwise cell by cell.
     """
     if any(len(row) != len(columns) for row in rows):
         raise ValueError(f"every row needs {len(columns)} cells")
-    cells = [["%.12e" % v for v in col]
-             if all(isinstance(v, (float, np.floating)) for v in col)
-             else [format_value(v) for v in col]
-             for col in zip(*rows)]
     lines = [f"# {c}" for c in comments or []]
     lines.append(",".join(columns))
-    lines.extend(map(",".join, zip(*cells)))
+    formats = [_column_format(col) for col in zip(*rows)]
+    if None in formats:
+        lines.extend(",".join(map(format_value, row)) for row in rows)
+    else:
+        fmt = ",".join(formats)
+        lines.extend(fmt % tuple(row) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _column_format(col) -> str | None:
+    """"%.12e" for an all-float column, "%s" for an all-str one, else None."""
+    kinds = set(map(type, col))
+    if all(issubclass(k, (float, np.floating)) for k in kinds):
+        return "%.12e"
+    if all(issubclass(k, str) for k in kinds):
+        return "%s"
+    return None

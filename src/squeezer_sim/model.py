@@ -92,6 +92,8 @@ def rate_scales_at(params: ModelParams, pump: float, a, b, s1, s2, s3):
 
     Takes the state components as `rate_equations`' f does and returns
     four floats, each floored just above 0; a NaN scale stays NaN.
+    Where the state is not floats but arrays, every scale is an array
+    too, elementwise with the same bits.
     Used to express residuals of the fixed-point equations (and the
     rounding floor of finite differences) in relative terms, which keeps
     the residual tests of the closed forms and of `settle` meaningful
@@ -103,11 +105,13 @@ def rate_scales_at(params: ModelParams, pump: float, a, b, s1, s2, s3):
     gpar, gorth = params.gamma_par, params.gamma_orth
     diff = abs(a * a - b * b)
     inv = abs(s3 - s2)
-    floor = max(G, mu, k2, k3, gpar, gorth, pump) * 1e-30 + 1e-300
-    return (max(0.5 * G * inv * abs(a) + gpar * abs(a) + mu * abs(a) * diff, floor),
-            max(gorth * abs(b) + mu * abs(b) * diff, floor),
-            max(k2 * abs(s2) + pump * abs(s1), floor),
-            max(G * inv * a * a + k3 * abs(s3) + k2 * abs(s2), floor))
+    # max picks exactly as np.maximum does, NaN first argument included.
+    clip = max if isinstance(a, float) else np.maximum
+    floor = clip(max(G, mu, k2, k3, gpar, gorth), pump) * 1e-30 + 1e-300
+    return (clip(0.5 * G * inv * abs(a) + gpar * abs(a) + mu * abs(a) * diff, floor),
+            clip(gorth * abs(b) + mu * abs(b) * diff, floor),
+            clip(k2 * abs(s2) + pump * abs(s1), floor),
+            clip(G * inv * a * a + k3 * abs(s3) + k2 * abs(s2), floor))
 
 
 def rate_scales(y, params: ModelParams, pump: float) -> np.ndarray:

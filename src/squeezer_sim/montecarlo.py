@@ -50,11 +50,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BandMismatch, DomainError, TooShort
 from .params import ModelParams
-from .spectra import orth_phase_variance_reduced
+from .spectra import reduced_variances
 from .steadystate import orth_threshold_intensity
 
-__all__ = ["SdeRun", "PsdEstimate", "simulate_decoupled", "estimate_psd",
-           "compare_to_analytic"]
+__all__ = ["SdeRun", "PsdEstimate", "run_length", "simulate_decoupled",
+           "estimate_psd", "compare_to_analytic"]
 
 # Squared overlap correlation of Hann-windowed periodograms at 50% hop.
 _HANN_OVERLAP_RHO = 1.0 / 9.0
@@ -109,6 +109,31 @@ class PsdEstimate:
             raise ValueError("implausible Welch averaging statistics")
 
 
+def _relaxation_rate(params: ModelParams, i_par) -> float:
+    return params.gamma_orth + params.nl_coupling_mu * float(i_par)
+
+
+def run_length(params: ModelParams, i_par, dt: float, duration: float) -> int:
+    """Steps n of the `simulate_decoupled` run with these arguments.
+
+    Raises the run's DomainErrors (i_par outside [0, gamma_orth/mu], dt
+    above 0.1 over the relaxation rate, fewer than two steps) without
+    allocating anything, so a run can be sized before it is made.
+    """
+    i = float(i_par)
+    top = orth_threshold_intensity(params)
+    if not 0.0 <= i <= top * (1.0 + 1e-12):
+        raise DomainError(f"i_par must lie in [0, {top!r}], got {i!r}")
+    lam = _relaxation_rate(params, i)
+    if dt <= 0 or dt > 0.1 / lam:
+        raise DomainError(
+            f"dt must satisfy 0 < dt <= 0.1/relaxation rate = {0.1 / lam!r}")
+    n = int(duration / dt)
+    if n < 2:
+        raise DomainError("duration must cover at least two steps")
+    return n
+
+
 def simulate_decoupled(params: ModelParams, i_par, seed: int, dt: float,
                        duration: float, *, channel_gains=(1.0, 1.0),
                        y0: float = 0.0, increments=None) -> SdeRun:
@@ -118,17 +143,8 @@ def simulate_decoupled(params: ModelParams, i_par, seed: int, dt: float,
     replace the two noise channels (e.g. to watch the noise-free decay,
     or to couple runs at different dt through shared Brownian paths).
     """
-    i = float(i_par)
-    top = orth_threshold_intensity(params)
-    if not 0.0 <= i <= top * (1.0 + 1e-12):
-        raise DomainError(f"i_par must lie in [0, {top!r}], got {i!r}")
-    lam = params.gamma_orth + params.nl_coupling_mu * i
-    if dt <= 0 or dt > 0.1 / lam:
-        raise DomainError(
-            f"dt must satisfy 0 < dt <= 0.1/relaxation rate = {0.1 / lam!r}")
-    n = int(duration / dt)
-    if n < 2:
-        raise DomainError("duration must cover at least two steps")
+    n = run_length(params, i_par, dt, duration)
+    lam = _relaxation_rate(params, i_par)
     g1 = channel_gains[0] * math.sqrt(2.0 * params.gamma_orth_l)
     g2 = channel_gains[1] * math.sqrt(2.0 * params.gamma_orth_c)
     a = 1.0 - lam * dt
@@ -312,8 +328,7 @@ def compare_to_analytic(estimate: PsdEstimate, params: ModelParams, i_par,
         raise BandMismatch(
             f"no PSD bins inside the trusted band [{lo!r}, {hi!r}]")
     om = estimate.freqs[mask]
-    analytic = np.array(
-        [orth_phase_variance_reduced(params, i_par, w) for w in om])
+    analytic = reduced_variances(params, i_par, om)
     sigma = analytic * estimate.rel_std_err
     dev = np.abs(estimate.psd[mask] - analytic) / sigma
     worst = int(np.argmax(dev))

@@ -43,6 +43,7 @@ from .errors import DomainError, SingularMatrix, WrongRegime
 from .params import ModelParams, as_pump
 from .steadystate import (
     Regime,
+    as_pumps,
     classify_regime,
     laser_branch_intensity,
     laser_threshold,
@@ -59,6 +60,7 @@ __all__ = [
     "output_phase_variances",
     "orth_phase_variance",
     "orth_phase_variance_reduced",
+    "reduced_variances",
     "threshold_variance",
     "to_decibel",
     "pump_sweep_curve",
@@ -133,11 +135,34 @@ def orth_phase_variance_reduced(params: ModelParams, i_par, omega) -> float:
     top = orth_threshold_intensity(params)
     if not math.isfinite(i) or i < 0 or i > top * (1.0 + 1e-12):
         raise DomainError(f"i_par must lie in [0, {top!r}], got {i!r}")
-    i = min(i, top)
+    return _reduced_form(params, min(i, top), w)
+
+
+def _reduced_form(params: ModelParams, i, w):
+    """The reduced form in + - * / only, on floats or arrays alike.
+
+    The square is a product: `**` would call libm's pow, which is not
+    correctly rounded for about one argument in a thousand.
+    """
     mu_i = params.nl_coupling_mu * i
-    num = 4.0 * params.gamma_orth_c * mu_i
-    den = (params.gamma_orth + mu_i) ** 2 + w * w
-    return 1.0 - num / den
+    rate = params.gamma_orth + mu_i
+    return 1.0 - 4.0 * params.gamma_orth_c * mu_i / (rate * rate + w * w)
+
+
+def reduced_variances(params: ModelParams, i_par, omega) -> np.ndarray:
+    """`orth_phase_variance_reduced` elementwise over arrays of i_par
+    and omega (broadcast together), with the same bits and the same
+    DomainErrors.
+    """
+    w = np.asarray(omega, float)
+    if not np.all(np.isfinite(w) & (w >= 0.0)):
+        raise DomainError("omega must be finite and >= 0")
+    i = np.asarray(i_par, float)
+    top = orth_threshold_intensity(params)
+    bad = ~(np.isfinite(i) & (i >= 0.0) & (i <= top * (1.0 + 1e-12)))
+    if bad.any():
+        raise DomainError(f"i_par must lie in [0, {top!r}], got {i[bad].flat[0]!r}")
+    return _reduced_form(params, np.minimum(i, top), w)
 
 
 def threshold_variance(params: ModelParams, omega) -> float:
@@ -162,8 +187,7 @@ def to_decibel(variance: float) -> float:
 def frequency_sweep_curve(params: ModelParams, i_par, omega_grid) -> SpectrumCurve:
     """Reduced-form variance across an increasing grid of frequencies."""
     om = np.asarray(omega_grid, float)
-    var = np.array([orth_phase_variance_reduced(params, i_par, w) for w in om])
-    return SpectrumCurve(omegas=om, variances=var)
+    return SpectrumCurve(omegas=om, variances=reduced_variances(params, i_par, om))
 
 
 def pump_sweep_curve(params: ModelParams, omega, pumps=None,
@@ -183,21 +207,21 @@ def pump_sweep_curve(params: ModelParams, omega, pumps=None,
     if (pumps is None) == (normalized_pumps is None):
         raise ValueError("give exactly one of pumps or normalized_pumps")
     if normalized_pumps is not None:
-        grid = [(as_pump(float(x) * g_orth), float(x)) for x in normalized_pumps]
+        gn = np.asarray(normalized_pumps, float)
+        g = as_pumps(gn * g_orth)
     else:
-        grid = [(g, g / g_orth) for g in map(as_pump, pumps)]
-    top = orth_threshold_intensity(params)
-    points = []
-    for g, gn in grid:
-        if g < g_laser:
-            points.append(PumpSweepPoint(g, gn, 1.0, "below_laser"))
-        elif g <= g_orth * (1.0 + 1e-12):
-            i = min(laser_branch_intensity(params, g), top)
-            points.append(PumpSweepPoint(
-                g, gn, orth_phase_variance_reduced(params, i, w), "ok"))
-        else:
-            points.append(PumpSweepPoint(g, gn, None, "above_orth"))
-    return points
+        g = as_pumps(pumps)
+        gn = g / g_orth
+    below = g < g_laser
+    lasing = ~below & (g <= g_orth * (1.0 + 1e-12))
+    variance = np.ones(g.shape)
+    i = np.minimum(laser_branch_intensity(params, g[lasing]),
+                   orth_threshold_intensity(params))
+    variance[lasing] = reduced_variances(params, i, w)
+    status = np.where(below, "below_laser", np.where(lasing, "ok", "above_orth"))
+    return [PumpSweepPoint(p, pn, None if s == "above_orth" else v, s)
+            for p, pn, v, s in zip(g.tolist(), gn.tolist(), variance.tolist(),
+                                   status.tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,13 @@ Region iii clamps the inversion at sigma3 - sigma2 = 2(gamma_par +
 gamma_orth)/G, which gives the populations and both intensities
 directly; a scaled-residual guard rejects a region-iii answer that is
 not a fixed point of the rate equations.
+
+The algebra of each form is written once, in helpers that use only
++ - * /, abs and a square root the caller passes in, and so take a pump
+float or a pump array alike.  `steady_state` calls them on one pump
+with `math.sqrt` and Python branches; `steady_state_sweep` calls them
+on a whole pump grid with `np.sqrt` and row masks, and gives bitwise
+the same values.
 """
 
 from __future__ import annotations
@@ -24,13 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .errors import RootFindFailure, Unreachable, WrongRegime
+from .errors import InvalidParams, RootFindFailure, Unreachable, WrongRegime
 from .params import ModelParams, as_pump
 
 __all__ = [
     "Regime",
     "SteadyState",
+    "SteadySweep",
+    "as_pumps",
     "steady_state",
+    "steady_state_sweep",
     "classify_regime",
     "regime_thresholds",
     "laser_threshold",
@@ -97,6 +107,73 @@ class SteadyState:
                          self.sigma1, self.sigma2, self.sigma3])
 
 
+def as_pumps(pumps) -> np.ndarray:
+    """`as_pump` on every element of a pump grid, as a float array."""
+    g = np.asarray(pumps, float)
+    if not np.all(np.isfinite(g) & (g >= 0.0)):
+        raise InvalidParams(["pump rate must be finite and >= 0"])
+    return g
+
+
+# The closed forms.  Each takes the pump as a float or as an array and
+# uses only + - * / and abs, which round the same in numpy and on floats.
+
+def _dark_populations(params: ModelParams, g):
+    """s2 = (k3/k2) s3 and s1 = (k3/Gamma) s3 at unit sum; a pump of 0
+    divides by zero, to s3 = 1/inf = 0 in numpy."""
+    r = params.decay_k3 / params.decay_k2
+    s3 = 1.0 / (1.0 + r + params.decay_k3 / g)
+    s2 = r * s3
+    return 1.0 - s2 - s3, s2, s3
+
+
+def _lasing_root(params: ModelParams, g, sqrt):
+    """C of the lasing-branch quadratic and its positive root, which is
+    the intensity where C < 0.  Where C >= 0 the root means nothing, and
+    abs only keeps sqrt's argument >= 0 there.
+    """
+    G = params.stim_rate_G
+    mu = params.nl_coupling_mu
+    k2, k3 = params.decay_k2, params.decay_k3
+    gpar = params.gamma_par
+    c = g / (k2 + 2.0 * g)
+    K = (k2 - k3) * c + k3
+    B = gpar + mu * K / G
+    C = gpar * K / G - 0.5 * (k2 - k3) * c
+    return C, -2.0 * C / (B + sqrt(abs(B * B - 4.0 * mu * C)))
+
+
+def _lasing_populations(params: ModelParams, g, i_par):
+    """Populations of the lasing branch from its intensity."""
+    inv = 2.0 * (params.gamma_par + params.nl_coupling_mu * i_par) / params.stim_rate_G
+    s2 = g * (1.0 - inv) / (params.decay_k2 + 2.0 * g)
+    s3 = s2 + inv
+    return 1.0 - s2 - s3, s2, s3
+
+
+def _orth_excited_values(params: ModelParams, g):
+    """(s1, s2, s3, i_par, i_orth) of region iii; see `_regime3_state`."""
+    G = params.stim_rate_G
+    k2, k3 = params.decay_k2, params.decay_k3
+    D = 2.0 * (params.gamma_par + params.gamma_orth) / G
+    s2 = g * (1.0 - D) / (k2 + 2.0 * g)
+    s3 = s2 + D
+    s1 = 1.0 - s2 - s3
+    i_par = (k2 * s2 - k3 * s3) / (G * D)
+    return s1, s2, s3, i_par, i_par - orth_threshold_intensity(params)
+
+
+def _scaled_rates(params: ModelParams, g, y) -> list:
+    """|f_i| / s_i of the four rates at state y = (a, b, s1, s2, s3)."""
+    f, _ = model.rate_equations(params, g)
+    return [abs(r) / s for r, s in zip(f(*y), model.rate_scales_at(params, g, *y))]
+
+
+def _sh_flux(params: ModelParams, i_par, i_orth):
+    diff = i_par - i_orth
+    return params.nl_coupling_mu * diff * diff
+
+
 def zero_field_populations(params: ModelParams, pump) -> tuple[float, float, float]:
     """Population balance with both fields dark.
 
@@ -106,14 +183,10 @@ def zero_field_populations(params: ModelParams, pump) -> tuple[float, float, flo
     g = as_pump(pump)
     if g == 0.0:
         return 1.0, 0.0, 0.0
-    r = params.decay_k3 / params.decay_k2
-    s3 = 1.0 / (1.0 + r + params.decay_k3 / g)
-    s2 = r * s3
-    s1 = 1.0 - s2 - s3
-    return s1, s2, s3
+    return _dark_populations(params, g)
 
 
-def laser_branch_intensity(params: ModelParams, pump) -> float:
+def laser_branch_intensity(params: ModelParams, pump):
     """i_par on the lasing branch, 0 at and below the laser threshold.
 
     Gain clamping fixes s3 - s2 = 2(gamma_par + mu i)/G; the s1 balance
@@ -126,29 +199,18 @@ def laser_branch_intensity(params: ModelParams, pump) -> float:
 
     The positive root is taken as -2C / (B + sqrt(B^2 - 4 mu C)), which
     keeps full relative precision down to the threshold, where C -> 0.
+    A pump array gives the intensity at every pump, as an array.
     """
-    g = as_pump(pump)
-    G = params.stim_rate_G
-    mu = params.nl_coupling_mu
-    k2, k3 = params.decay_k2, params.decay_k3
-    gpar = params.gamma_par
-    c = g / (k2 + 2.0 * g)
-    K = (k2 - k3) * c + k3
-    B = gpar + mu * K / G
-    C = gpar * K / G - 0.5 * (k2 - k3) * c
-    if C >= 0.0:
-        return 0.0
-    return -2.0 * C / (B + math.sqrt(B * B - 4.0 * mu * C))
+    if isinstance(pump, np.ndarray):
+        C, root = _lasing_root(params, as_pumps(pump), np.sqrt)
+        return np.where(C >= 0.0, 0.0, root)
+    C, root = _lasing_root(params, as_pump(pump), math.sqrt)
+    return 0.0 if C >= 0.0 else root
 
 
 def _laser_branch_state(params: ModelParams, pump: float, i_par: float) -> SteadyState:
-    """Populations of the lasing branch from its intensity."""
-    inv = 2.0 * (params.gamma_par + params.nl_coupling_mu * i_par) / params.stim_rate_G
-    s2 = pump * (1.0 - inv) / (params.decay_k2 + 2.0 * pump)
-    s3 = s2 + inv
-    s1 = 1.0 - s2 - s3
-    return SteadyState(sigma1=s1, sigma2=s2, sigma3=s3,
-                       i_par=i_par, i_orth=0.0, regime=Regime.LaserOnly)
+    return SteadyState(*_lasing_populations(params, pump, i_par),
+                       i_par, 0.0, Regime.LaserOnly)
 
 
 def laser_only_branch(params: ModelParams, pump) -> SteadyState:
@@ -248,10 +310,8 @@ def fixed_point_residual(params: ModelParams, pump, ss: SteadyState) -> float:
     taken at the state's own sigma3, not at 1 - sigma1 - sigma2, which
     loses relative precision where the clamped inversion is small.
     """
-    g = as_pump(pump)
-    y = (ss.a_par, ss.a_orth, ss.sigma1, ss.sigma2, ss.sigma3)
-    scaled = [abs(r) / s for r, s in zip(model.rate_equations(params, g)[0](*y),
-                                         model.rate_scales_at(params, g, *y))]
+    scaled = _scaled_rates(params, as_pump(pump),
+                           (ss.a_par, ss.a_orth, ss.sigma1, ss.sigma2, ss.sigma3))
     # The terms are >= 0, so their sum is NaN exactly when one of them is.
     return math.nan if math.isnan(sum(scaled)) else max(scaled)
 
@@ -264,14 +324,7 @@ def _regime3_state(params: ModelParams, pump: float) -> SteadyState:
     from the s1 balance plus normalization and the s2 balance hands back
     i_par.
     """
-    G = params.stim_rate_G
-    k2, k3 = params.decay_k2, params.decay_k3
-    D = 2.0 * (params.gamma_par + params.gamma_orth) / G
-    s2 = pump * (1.0 - D) / (k2 + 2.0 * pump)
-    s3 = s2 + D
-    s1 = 1.0 - s2 - s3
-    i_par = (k2 * s2 - k3 * s3) / (G * D)
-    i_orth = i_par - orth_threshold_intensity(params)
+    s1, s2, s3, i_par, i_orth = _orth_excited_values(params, pump)
     if i_orth <= 0.0:
         # Boundary dust: the pump sits numerically at the instability
         # point, where the lasing branch is still the steady state.
@@ -298,12 +351,102 @@ def steady_state(params: ModelParams, pump,
     if regime is Regime.OrthExcited:
         return _regime3_state(params, g)
     if regime is Regime.LaserOnly:
-        i_par = laser_branch_intensity(params, g)
-        if i_par > 0.0:
+        C, i_par = _lasing_root(params, g, math.sqrt)
+        if C < 0.0 and i_par > 0.0:  # laser_branch_intensity > 0
             return _laser_branch_state(params, g, i_par)
     s1, s2, s3 = zero_field_populations(params, g)
     return SteadyState(sigma1=s1, sigma2=s2, sigma3=s3,
                        i_par=0.0, i_orth=0.0, regime=Regime.BelowLaser)
+
+
+@dataclass(frozen=True)
+class SteadySweep:
+    """Steady states of a pump grid, one row per pump.
+
+    `regime` holds the `Regime` values ("i", "ii", "iii") and `status`
+    "ok", or "error:<type>" where `steady_state` would raise that error
+    at the row's pump; such a row has regime "" and NaN values.
+    """
+
+    pumps: np.ndarray
+    regime: np.ndarray
+    a_par: np.ndarray
+    a_orth: np.ndarray
+    sigma1: np.ndarray
+    sigma2: np.ndarray
+    sigma3: np.ndarray
+    sh_power: np.ndarray
+    status: np.ndarray
+
+
+def _check_rows(s1, s2, s3, i_par, i_orth):
+    """`SteadyState`'s invariants on the rows a sweep resolves.
+
+    Its regime rules (dark fields, i_orth = 0 < i_par on the lasing
+    branch, i_orth > 0 above it) hold by the way the rows are chosen.
+    """
+    total = s1 + s2 + s3
+    bad = abs(total - 1.0) > 1e-12
+    if bad.any():
+        raise ValueError(f"populations sum to {total[bad][0]!r}, not 1")
+    for name, v in (("sigma1", s1), ("sigma2", s2), ("sigma3", s3)):
+        bad = ~((v >= -_BOUND_SLACK) & (v <= 1.0 + _BOUND_SLACK))
+        if bad.any():
+            raise ValueError(f"{name}={v[bad][0]!r} outside [0, 1]")
+    if np.any(i_par < 0) or np.any(i_orth < 0):
+        raise ValueError("intensities must be >= 0")
+
+
+def steady_state_sweep(params: ModelParams, pumps,
+                       thresholds: tuple[float, float] | None = None) -> SteadySweep:
+    """`steady_state` at every pump of a grid, evaluated on the whole grid.
+
+    Every row has bitwise the values `steady_state` gives at its pump:
+    the closed forms are the same helpers, evaluated on arrays, and each
+    row takes the branch the scalar call would.  Where the scalar call
+    raises WrongRegime or RootFindFailure, the row's status says so.  A
+    negative or non-finite pump raises InvalidParams, and a resolved row
+    that breaks `SteadyState`'s invariants raises ValueError, as the
+    scalar call does.
+    """
+    g = as_pumps(pumps)
+    g_laser, g_orth = thresholds if thresholds is not None \
+        else regime_thresholds(params)
+    below = g < g_laser
+    lasing = ~below & (g < g_orth)
+    above = ~below & ~lasing
+    # Every form on every row; a row keeps the one its branch takes and
+    # drops the others, with whatever they made of a pump outside their
+    # region.  A zero pump gets the dark (1, 0, 0), as in the scalar.
+    with np.errstate(all="ignore"):
+        dark = _dark_populations(params, g)
+        i_lasing = laser_branch_intensity(params, g)
+        lasing_pops = _lasing_populations(params, g, i_lasing)
+        *orth_pops, i_par3, i_orth3 = _orth_excited_values(params, g)
+        a3, b3 = np.sqrt(i_par3), np.sqrt(i_orth3)
+        residual = np.max(_scaled_rates(params, g, (a3, b3, *orth_pops)), axis=0)
+    # At the instability point itself region iii falls back on the
+    # lasing branch, which must then lase.
+    dust = above & (i_orth3 <= 0.0)
+    wrong = dust & (i_lasing <= 0.0)
+    on_branch = (lasing & (i_lasing > 0.0)) | (dust & ~wrong)
+    orth = above & ~dust
+    branches = (~(on_branch | orth | wrong), on_branch, orth)
+    s1, s2, s3 = (np.select(branches, forms)
+                  for forms in zip(dark, lasing_pops, orth_pops))
+    zero = np.zeros(g.shape)
+    i_par = np.select(branches, (zero, i_lasing, i_par3))
+    i_orth = np.select(branches, (zero, zero, i_orth3))
+    made = ~wrong  # the rows that the scalar call builds a SteadyState for
+    _check_rows(s1[made], s2[made], s3[made], i_par[made], i_orth[made])
+    ok = made & ~(orth & ~(residual <= _RESIDUAL_TOL))  # a NaN residual fails
+    regime = np.select(branches, [r.value for r in Regime], "")
+    regime[~ok] = ""
+    status = np.where(ok, "ok", np.where(
+        wrong, f"error:{WrongRegime.__name__}", f"error:{RootFindFailure.__name__}"))
+    values = [np.where(ok, v, np.nan) for v in (
+        np.sqrt(i_par), np.sqrt(i_orth), s1, s2, s3, _sh_flux(params, i_par, i_orth))]
+    return SteadySweep(g, regime, *values, status)
 
 
 def sh_power(params: ModelParams, ss: SteadyState) -> float:
@@ -314,5 +457,4 @@ def sh_power(params: ModelParams, ss: SteadyState) -> float:
     gamma_orth/mu, so the flux plateaus at gamma_orth^2/mu no matter how
     hard the laser is pumped.
     """
-    diff = ss.i_par - ss.i_orth
-    return params.nl_coupling_mu * diff * diff
+    return _sh_flux(params, ss.i_par, ss.i_orth)

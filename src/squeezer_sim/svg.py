@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import numpy as np
+
 __all__ = ["line_plot_svg"]
 
 _W, _H = 800, 500
@@ -36,13 +38,16 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 def line_plot_svg(path, x, y, title: str = "", xlabel: str = "",
                   ylabel: str = ""):
-    """Write a single-polyline plot of y against x."""
-    xs = [float(v) for v in x]
-    ys = [float(v) for v in y]
-    if len(xs) != len(ys) or not xs:
+    """Write a single-polyline plot of y against x.
+
+    NaN points (unresolved sweep rows) are left out of the axis range.
+    """
+    xs = np.asarray(x, float)
+    ys = np.asarray(y, float)
+    if xs.shape != ys.shape or xs.ndim != 1 or not len(xs):
         raise ValueError("x and y must be equal-length and nonempty")
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    x0, x1 = float(np.nanmin(xs)), float(np.nanmax(xs))
+    y0, y1 = float(np.nanmin(ys)), float(np.nanmax(ys))
     if x1 == x0:
         x1 = x0 + 1.0
     if y1 == y0:
@@ -57,7 +62,7 @@ def line_plot_svg(path, x, y, title: str = "", xlabel: str = "",
     def py(v):
         return _MT + ph * (1.0 - (v - y0) / (y1 - y0))
 
-    pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(xs, ys))
+    pts = " ".join(map("%.2f,%.2f".__mod__, zip(px(xs).tolist(), py(ys).tolist())))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',

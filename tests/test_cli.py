@@ -198,6 +198,26 @@ def test_mc_verify_oversize_dt_is_refused_before_allocating(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_mc_verify_oversize_duration_is_refused_before_allocating(tmp_path, capsys):
+    # duration = 1e6 asks for 1.6e15 steps, petabytes of buffers: the
+    # memory gate must refuse it with one error line before either leg
+    # allocates.
+    cfg = _write_cfg(tmp_path / "c.cfg", {"duration": 1e6})
+    tracemalloc.start()
+    try:
+        rc = main(["mc-verify", "--config", cfg, "--out", str(tmp_path / "mc.csv")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: DomainError: a run of 1575000000000000 steps")
+    assert "physical memory" in err
+    assert err.count("\n") == 1
+    assert peak < 1_000_000
+    assert not (tmp_path / "mc.csv").exists()
+
+
 def test_check_reference_config_passes(capsys):
     assert main(["check"]) == 0
     out = capsys.readouterr().out
@@ -378,6 +398,27 @@ def test_plot_emission(tmp_path):
     assert svg.exists()
     text = svg.read_text()
     assert text.startswith("<svg") and "polyline" in text
+
+
+# SHA-256 of the default-config `--plot` SVGs, measured with numpy 2.4.6
+# on the code from before `svg` mapped the points with numpy; that change
+# left all five byte-identical.
+DEFAULT_SVG_SHA256 = {
+    ("steady-sweep", "a_par"): "dec22eac9b2916156459562d72862806d71a52d1d187e6068d50e52bd18d26dc",
+    ("steady-sweep", "a_orth"): "92cc47a7820774b965da3ff53916d84da51e4e8af970c2fd7a9fb6efbdddbf04",
+    ("steady-sweep", "sh_power"): "8434bbb8b89ca12c862c23853c5b8c680af52a0dd2ee46e3efa60d50f2274da7",
+    ("pump-sweep", "variance_db"): "06001b5c190525887530c1da2f238a4c245b517790ee4b72696ee3a94602420a",
+    ("spectrum", "variance_db"): "48b27fdf1e6235b1082097b36012fc56b69c5c4f2de801ced6ba73328a4629e2",
+}
+
+
+@pytest.mark.parametrize("command", ["steady-sweep", "pump-sweep", "spectrum"])
+def test_default_plots_are_pinned(tmp_path, command):
+    assert main([command, "--out", str(tmp_path / "x.csv"), "--plot"]) == 0
+    for (cmd, curve), digest in DEFAULT_SVG_SHA256.items():
+        if cmd == command:
+            data = (tmp_path / f"x.{curve}.svg").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, curve
 
 
 def _run_child(*args):

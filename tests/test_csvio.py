@@ -35,3 +35,12 @@ def test_write_csv_rejects_ragged_rows(tmp_path):
     for row in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0]):
         with pytest.raises(ValueError):
             write_csv(tmp_path / "t.csv", _COLUMNS, [[0.0, 0.0, 0.0], row])
+
+
+def test_write_csv_row_format_matches_cellwise_format_value(tmp_path):
+    # Every column all-float or all-str: one format string per row.
+    rows = [[r[0], r[1], s] for r, s in zip(_ROWS, ["ok", "error:X", "", "ii",
+                                                    np.str_("iii"), "%s,%d"])]
+    out = tmp_path / "t.csv"
+    write_csv(out, _COLUMNS, rows, comments=["a = 1"])
+    assert out.read_bytes() == _cellwise(_COLUMNS, rows, ["a = 1"])

@@ -16,6 +16,7 @@ from squeezer_sim import (
     orth_threshold_intensity,
     orth_threshold_pump,
     pump_sweep_curve,
+    reduced_variances,
     reference_params,
     regime3_phase_pair_spectrum,
     steady_state,
@@ -26,6 +27,7 @@ from squeezer_sim import (
 from squeezer_sim import model
 from squeezer_sim.sampling import sample_reachable_params, sample_regime_pumps
 from squeezer_sim.spectra import output_phase_variances
+from squeezer_sim.steadystate import laser_branch_intensity
 
 OMEGA_2MHZ = 4.0 * math.pi * 1e6
 
@@ -318,3 +320,64 @@ def test_regime3_wrong_regime_rejected(moderate):
     with pytest.raises(WrongRegime):
         regime3_phase_pair_spectrum(
             moderate, 0.5 * orth_threshold_pump(moderate), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# The array curves against the scalar reduced form
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("grid", [{"normalized_pumps": np.linspace(0.0, 1.0, 101)},
+                                  {"normalized_pumps": np.linspace(0.0, 1.0, 2001)},
+                                  {"pumps": np.geomspace(1.0, 2.5e18, 500)}],
+                         ids=["default", "normalized-2001", "log-pumps"])
+def test_pump_sweep_equals_scalar_reduced_form(reference, grid):
+    # Every point bitwise the scalar form at the lasing intensity, and
+    # the point's status and grid values as the per-point rules give them.
+    gl, go = laser_threshold(reference), orth_threshold_pump(reference)
+    top = orth_threshold_intensity(reference)
+    points = pump_sweep_curve(reference, OMEGA_2MHZ, **grid)
+    for pt in points:
+        if pt.pump < gl:
+            assert (pt.status, pt.variance) == ("below_laser", 1.0)
+        elif pt.pump <= go * (1.0 + 1e-12):
+            i = min(laser_branch_intensity(reference, pt.pump), top)
+            assert pt.status == "ok"
+            assert pt.variance.hex() == orth_phase_variance_reduced(
+                reference, i, OMEGA_2MHZ).hex()
+        else:
+            assert (pt.status, pt.variance) == ("above_orth", None)
+    if "pumps" in grid:
+        assert [pt.pump_normalized for pt in points] == [
+            g / go for g in grid["pumps"].tolist()]
+        assert {pt.status for pt in points} == {"below_laser", "ok", "above_orth"}
+
+
+def test_frequency_sweep_equals_scalar_reduced_form(reference, rng):
+    top = orth_threshold_intensity(reference)
+    omegas = np.concatenate([[0.0], np.geomspace(1e3, 1e10, 2000)])
+    for i_par in (0.0, top, *rng.uniform(0.0, top, 5)):
+        curve = frequency_sweep_curve(reference, i_par, omegas)
+        assert [v.hex() for v in curve.variances.tolist()] == [
+            orth_phase_variance_reduced(reference, i_par, w).hex()
+            for w in omegas.tolist()]
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_curves_reject_bad_omegas(reference, bad):
+    with pytest.raises(DomainError):
+        frequency_sweep_curve(reference, 1e9, [0.0, 1.0, bad])
+    with pytest.raises(DomainError):
+        pump_sweep_curve(reference, bad, normalized_pumps=[0.5])
+    with pytest.raises(DomainError):
+        reduced_variances(reference, 1e9, np.array([1.0, bad]))
+
+
+def test_reduced_variances_gate_the_intensity(reference):
+    top = orth_threshold_intensity(reference)
+    for bad in (-1.0, 1.01 * top, math.nan):
+        with pytest.raises(DomainError):
+            reduced_variances(reference, np.array([0.5 * top, bad]), 1e6)
+    # Dust above the threshold intensity is clamped, as in the scalar form.
+    edge = top * (1.0 + 1e-13)
+    assert reduced_variances(reference, edge, 1e6).item() == \
+        orth_phase_variance_reduced(reference, edge, 1e6)

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from squeezer_sim import (
+    InvalidParams,
     Regime,
+    SqueezerSimError,
     Unreachable,
     WrongRegime,
     classify_regime,
@@ -17,9 +19,10 @@ from squeezer_sim import (
     settle,
     sh_power,
     steady_state,
+    steady_state_sweep,
     validate,
 )
-from squeezer_sim import model
+from squeezer_sim import model, steadystate
 from squeezer_sim.sampling import sample_reachable_params, sample_regime_pumps
 from squeezer_sim.steadystate import fixed_point_residual
 
@@ -305,3 +308,115 @@ def test_oracle_equivalence_random_sets(rng):
             scale = np.maximum(np.abs(ref), 1e-9 * np.max(np.abs(ref)))
             assert np.max(np.abs(got - ref) / scale) < 1e-5
             assert st.regime is ss.regime
+
+
+# ---------------------------------------------------------------------------
+# The batch entry point against the scalar one
+# ---------------------------------------------------------------------------
+
+def _scalar_rows(params, pumps, thresholds=None):
+    """(regime, a_par, a_orth, s1, s2, s3, sh_power, status) per pump,
+    from `steady_state`, with NaN values where it raises."""
+    rows = []
+    for g in pumps.tolist():
+        try:
+            ss = steady_state(params, g, thresholds=thresholds)
+        except SqueezerSimError as exc:
+            rows.append(("", *[math.nan] * 6, f"error:{type(exc).__name__}"))
+        else:
+            rows.append((ss.regime.value, ss.a_par, ss.a_orth, ss.sigma1,
+                         ss.sigma2, ss.sigma3, sh_power(params, ss), "ok"))
+    return rows
+
+
+def _bits(rows):
+    return [tuple(v.hex() if isinstance(v, float) else v for v in row)
+            for row in rows]
+
+
+def _assert_sweep_is_scalar(params, pumps, thresholds=None):
+    """Every row of `steady_state_sweep` bitwise equal to `steady_state`."""
+    sweep = steady_state_sweep(params, pumps, thresholds)
+    assert sweep.pumps.tolist() == np.asarray(pumps, float).tolist()
+    got = zip(*(getattr(sweep, name).tolist() for name in (
+        "regime", "a_par", "a_orth", "sigma1", "sigma2", "sigma3", "sh_power",
+        "status")))
+    assert _bits(got) == _bits(_scalar_rows(params, pumps, thresholds))
+    return sweep
+
+
+@pytest.mark.parametrize("grid", ["default", "linear-2001", "log-2001"])
+def test_sweep_rows_equal_scalar_steady_state(reference, grid):
+    # The steady-sweep grids: the default, the benchmark's 2001-point
+    # linear grid and its 1..1e19 log grid, deep into region iii.
+    go = orth_threshold_pump(reference)
+    pumps = {"default": np.linspace(0.0, 2.0 * go, 201),
+             "linear-2001": np.linspace(0.0, 2.0 * go, 2001),
+             "log-2001": np.geomspace(1.0, 1e19, 2001)}[grid]
+    sweep = _assert_sweep_is_scalar(reference, pumps)
+    assert set(sweep.regime.tolist()) == {"i", "ii", "iii"}
+
+
+def test_sweep_rows_equal_scalar_at_the_thresholds(reference, moderate, rng):
+    # The thresholds, their float neighbours and zero pump, where the
+    # branches hand over.
+    for p in [reference, moderate] + [sample_reachable_params(rng) for _ in range(20)]:
+        edges = [0.0]
+        for g0 in (laser_threshold(p), orth_threshold_pump(p)):
+            edges += [math.nextafter(g0, 0.0), g0, math.nextafter(g0, math.inf)]
+        _assert_sweep_is_scalar(p, np.array(edges))
+
+
+def test_sweep_reports_root_find_failures_on_the_scalar_rows(reference, monkeypatch):
+    # A tolerance below the residual's rounding floor fails some region-iii
+    # rows; both paths must fail the same ones.
+    monkeypatch.setattr(steadystate, "_RESIDUAL_TOL", 1e-16)
+    go = orth_threshold_pump(reference)
+    sweep = _assert_sweep_is_scalar(reference, np.linspace(0.0, 4.0 * go, 401))
+    status = sweep.status.tolist()
+    assert "error:RootFindFailure" in status
+    assert any(s == "ok" and r == "iii" for s, r in zip(status, sweep.regime.tolist()))
+    assert np.isnan(sweep.a_par[sweep.status != "ok"]).all()
+
+
+def test_sweep_reports_wrong_regime_on_the_scalar_rows(moderate):
+    # Thresholds given as (0, 0) put every pump in region iii, so the
+    # pumps below the instability take the lasing-branch fallback, which
+    # raises WrongRegime below the laser threshold.
+    gl, go = laser_threshold(moderate), orth_threshold_pump(moderate)
+    pumps = np.array([0.0, 0.5 * gl, 2.0 * gl, 0.5 * go, 2.0 * go])
+    sweep = _assert_sweep_is_scalar(moderate, pumps, thresholds=(0.0, 0.0))
+    assert sweep.status.tolist() == ["error:WrongRegime"] * 2 + ["ok"] * 3
+    assert sweep.regime.tolist() == ["", "", "ii", "ii", "iii"]
+
+
+def test_sweep_keeps_the_state_invariants(moderate, monkeypatch):
+    # A negative slack makes every population bound fail: the sweep raises
+    # ValueError as SteadyState does.
+    monkeypatch.setattr(steadystate, "_BOUND_SLACK", -0.5)
+    pumps = np.array([0.5 * laser_threshold(moderate)])
+    with pytest.raises(ValueError, match="outside"):
+        steady_state(moderate, pumps[0])
+    with pytest.raises(ValueError, match="outside"):
+        steady_state_sweep(moderate, pumps)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_sweep_rejects_invalid_pumps(moderate, bad):
+    with pytest.raises(InvalidParams):
+        steady_state_sweep(moderate, [1.0, bad])
+
+
+def test_rate_scales_on_arrays_equal_the_float_scales(reference, rng):
+    # rate_scales_at on arrays is the float expression elementwise: same
+    # bits, NaN kept and the floor applied per pump.
+    n = 200
+    pumps = 10.0 ** rng.uniform(-3, 19, n)
+    y = [rng.uniform(0, 3, n), rng.uniform(0, 3, n), *rng.uniform(0, 1, (3, n))]
+    y[0][:20] = 0.0  # floored scales
+    y[1][20:30] = math.nan
+    got = model.rate_scales_at(reference, pumps, *y)
+    for k in range(n):
+        want = model.rate_scales_at(reference, float(pumps[k]),
+                                    *(float(v[k]) for v in y))
+        assert [float(s[k]).hex() for s in got] == [w.hex() for w in want]
