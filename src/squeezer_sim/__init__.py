@@ -35,7 +35,6 @@ from .spectra import (
     orth_phase_variance,
     orth_phase_variance_reduced,
     pump_sweep_curve,
-    reduced_variances,
     regime3_phase_pair_spectrum,
     threshold_variance,
     to_decibel,

@@ -50,7 +50,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BandMismatch, DomainError, TooShort
 from .params import ModelParams
-from .spectra import reduced_variances
+from .spectra import orth_phase_variance_reduced
 from .steadystate import orth_threshold_intensity
 
 __all__ = ["SdeRun", "PsdEstimate", "run_length", "simulate_decoupled",
@@ -328,7 +328,7 @@ def compare_to_analytic(estimate: PsdEstimate, params: ModelParams, i_par,
         raise BandMismatch(
             f"no PSD bins inside the trusted band [{lo!r}, {hi!r}]")
     om = estimate.freqs[mask]
-    analytic = reduced_variances(params, i_par, om)
+    analytic = orth_phase_variance_reduced(params, i_par, om)
     sigma = analytic * estimate.rel_std_err
     dev = np.abs(estimate.psd[mask] - analytic) / sigma
     worst = int(np.argmax(dev))

@@ -60,7 +60,6 @@ __all__ = [
     "output_phase_variances",
     "orth_phase_variance",
     "orth_phase_variance_reduced",
-    "reduced_variances",
     "threshold_variance",
     "to_decibel",
     "pump_sweep_curve",
@@ -123,13 +122,26 @@ def orth_phase_variance(params: ModelParams, pump, omega) -> float:
     return 1.0 - num / den
 
 
-def orth_phase_variance_reduced(params: ModelParams, i_par, omega) -> float:
+def orth_phase_variance_reduced(params: ModelParams, i_par, omega) -> float | np.ndarray:
     """Same spectrum in terms of the operating intensity alone.
 
     V = 1 - 4*gc*mu*i / ((gorth + mu*i)^2 + omega^2).  Independent of G,
     k2 and k3, which is what makes the headline squeezing numbers
-    reproducible without the unspecified laser constants.
+    reproducible without the unspecified laser constants.  Given an
+    ndarray of i_par or of omega (the two broadcast together), it
+    returns the variances as an array, bit for bit the float values and
+    with the same DomainErrors.
     """
+    if isinstance(i_par, np.ndarray) or isinstance(omega, np.ndarray):
+        w = np.asarray(omega, float)
+        if not np.all(np.isfinite(w) & (w >= 0.0)):
+            raise DomainError("omega must be finite and >= 0")
+        i = np.asarray(i_par, float)
+        top = orth_threshold_intensity(params)
+        bad = ~(np.isfinite(i) & (i >= 0.0) & (i <= top * (1.0 + 1e-12)))
+        if bad.any():
+            raise DomainError(f"i_par must lie in [0, {top!r}], got {i[bad].flat[0]!r}")
+        return _reduced_form(params, np.minimum(i, top), w)
     w = _check_omega(omega)
     i = float(i_par)
     top = orth_threshold_intensity(params)
@@ -147,22 +159,6 @@ def _reduced_form(params: ModelParams, i, w):
     mu_i = params.nl_coupling_mu * i
     rate = params.gamma_orth + mu_i
     return 1.0 - 4.0 * params.gamma_orth_c * mu_i / (rate * rate + w * w)
-
-
-def reduced_variances(params: ModelParams, i_par, omega) -> np.ndarray:
-    """`orth_phase_variance_reduced` elementwise over arrays of i_par
-    and omega (broadcast together), with the same bits and the same
-    DomainErrors.
-    """
-    w = np.asarray(omega, float)
-    if not np.all(np.isfinite(w) & (w >= 0.0)):
-        raise DomainError("omega must be finite and >= 0")
-    i = np.asarray(i_par, float)
-    top = orth_threshold_intensity(params)
-    bad = ~(np.isfinite(i) & (i >= 0.0) & (i <= top * (1.0 + 1e-12)))
-    if bad.any():
-        raise DomainError(f"i_par must lie in [0, {top!r}], got {i[bad].flat[0]!r}")
-    return _reduced_form(params, np.minimum(i, top), w)
 
 
 def threshold_variance(params: ModelParams, omega) -> float:
@@ -187,7 +183,8 @@ def to_decibel(variance: float) -> float:
 def frequency_sweep_curve(params: ModelParams, i_par, omega_grid) -> SpectrumCurve:
     """Reduced-form variance across an increasing grid of frequencies."""
     om = np.asarray(omega_grid, float)
-    return SpectrumCurve(omegas=om, variances=reduced_variances(params, i_par, om))
+    return SpectrumCurve(omegas=om,
+                         variances=orth_phase_variance_reduced(params, i_par, om))
 
 
 def pump_sweep_curve(params: ModelParams, omega, pumps=None,
@@ -217,7 +214,7 @@ def pump_sweep_curve(params: ModelParams, omega, pumps=None,
     variance = np.ones(g.shape)
     i = np.minimum(laser_branch_intensity(params, g[lasing]),
                    orth_threshold_intensity(params))
-    variance[lasing] = reduced_variances(params, i, w)
+    variance[lasing] = orth_phase_variance_reduced(params, i, w)
     status = np.where(below, "below_laser", np.where(lasing, "ok", "above_orth"))
     return [PumpSweepPoint(p, pn, None if s == "above_orth" else v, s)
             for p, pn, v, s in zip(g.tolist(), gn.tolist(), variance.tolist(),
