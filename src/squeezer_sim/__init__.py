@@ -30,6 +30,7 @@ from .montecarlo import PsdEstimate, SdeRun, compare_to_analytic, estimate_psd, 
 from .params import ModelParams, reference_params, validate
 from .spectra import (
     PhasePairVariance,
+    PumpSweep,
     SpectrumCurve,
     frequency_sweep_curve,
     orth_phase_variance,

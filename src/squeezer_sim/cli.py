@@ -15,6 +15,7 @@ that reproduces the CSV byte for byte (given identical seeds).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -213,8 +214,7 @@ def cmd_steady_sweep(cfg: dict, out: str, plot: bool) -> int:
     sweep = steady_state_sweep(params, pumps, thresholds)
     columns = ["Gamma", "regime", "a_par", "a_orth",
                "sigma1", "sigma2", "sigma3", "sh_power", "status"]
-    values = [sweep.pumps, *(getattr(sweep, c) for c in columns[1:])]
-    write_csv(out, columns, list(zip(*(v.tolist() for v in values))),
+    write_csv(out, columns, [sweep.pumps, *(getattr(sweep, c) for c in columns[1:])],
               comments=snapshot_lines(snapshot))
     if plot:
         for name in ("a_par", "a_orth", "sh_power"):
@@ -234,7 +234,7 @@ def cmd_pump_sweep(cfg: dict, out: str, plot: bool) -> int:
     # grid, or the default grid normalized to the oscillation threshold.
     if "pump_min" in cfg or "pump_max" in cfg:
         pumps, grid_keys = _grid(cfg, "pump", 0.0, 0.0, 101)
-        points = pump_sweep_curve(params, omega, pumps=pumps)
+        sweep = pump_sweep_curve(params, omega, pumps=pumps)
     else:
         lo = cfg.get("pump_norm_min", 0.0)
         hi = cfg.get("pump_norm_max", 1.0)
@@ -242,24 +242,23 @@ def cmd_pump_sweep(cfg: dict, out: str, plot: bool) -> int:
         if steps < 2 or not (hi > lo):
             raise ConfigError("normalized pump grid needs min < max and "
                               "steps >= 2")
-        points = pump_sweep_curve(
+        sweep = pump_sweep_curve(
             params, omega, normalized_pumps=np.linspace(lo, hi, steps))
-        grid_keys = {"pump_norm_min": points[0].pump_normalized,
-                     "pump_norm_max": points[-1].pump_normalized,
-                     "pump_steps": len(points)}
-    above = [pt for pt in points if pt.status == "above_orth"]
+        grid_keys = {"pump_norm_min": float(sweep.pumps_normalized[0]),
+                     "pump_norm_max": float(sweep.pumps_normalized[-1]),
+                     "pump_steps": len(sweep.pumps)}
+    above = int(np.count_nonzero(sweep.status == "above_orth"))
     if above:
-        raise WrongRegime(f"{len(above)} grid points lie above the oscillation "
+        raise WrongRegime(f"{above} grid points lie above the oscillation "
                           "threshold; restrict the grid to the lasing-only "
                           "region")
     snapshot = {**params.as_dict(), "omega": float(omega), **grid_keys}
-    rows = [[pt.pump, pt.pump_normalized, pt.variance,
-             to_decibel(pt.variance)] for pt in points]
+    db = to_decibel(sweep.variances)
     write_csv(out, ["Gamma", "Gamma_normalized", "variance", "variance_db"],
-              rows, comments=snapshot_lines(snapshot))
+              [sweep.pumps, sweep.pumps_normalized, sweep.variances, db],
+              comments=snapshot_lines(snapshot))
     if plot:
-        line_plot_svg(_plot_path(out, "variance_db"),
-                      [r[1] for r in rows], [r[3] for r in rows],
+        line_plot_svg(_plot_path(out, "variance_db"), sweep.pumps_normalized, db,
                       title="phase-quadrature noise vs pump",
                       xlabel="pump / oscillation-threshold pump",
                       ylabel="variance (dB)")
@@ -281,13 +280,11 @@ def cmd_spectrum(cfg: dict, out: str, plot: bool) -> int:
         i_par = orth_threshold_intensity(params)
     curve = frequency_sweep_curve(params, i_par, omegas)
     snapshot = {**params.as_dict(), "i_par": float(i_par), **grid_keys}
-    rows = [[w, v, to_decibel(v)]
-            for w, v in zip(curve.omegas.tolist(), curve.variances.tolist())]
-    write_csv(out, ["omega_rad_s", "variance", "variance_db"], rows,
-              comments=snapshot_lines(snapshot))
+    db = to_decibel(curve.variances)
+    write_csv(out, ["omega_rad_s", "variance", "variance_db"],
+              [curve.omegas, curve.variances, db], comments=snapshot_lines(snapshot))
     if plot:
-        line_plot_svg(_plot_path(out, "variance_db"),
-                      [r[0] for r in rows], [r[2] for r in rows],
+        line_plot_svg(_plot_path(out, "variance_db"), curve.omegas, db,
                       title="phase-quadrature spectrum",
                       xlabel="analysis frequency (rad/s)",
                       ylabel="variance (dB)")
@@ -360,9 +357,6 @@ def cmd_mc_verify(cfg: dict, out: str, negative_control: bool) -> int:
     _, res_qnl = _mc_leg(params, 0.0, seed, qnl_dt, qnl_duration, segments,
                          analytic_params, 0.0)
 
-    rows = [[w, p, a, d] for w, p, a, d in zip(
-        res_thr["omegas"], res_thr["psd"], res_thr["analytic"],
-        res_thr["deviations"])]
     snapshot = {**params.as_dict(), "seed": int(seed), "dt": float(dt),
                 "duration": float(duration), "segments": int(segments),
                 "i_par": float(i_star)}
@@ -373,7 +367,8 @@ def cmd_mc_verify(cfg: dict, out: str, negative_control: bool) -> int:
         comments.append("# negative_control_gamma_orth_c = "
                         + format_exact(analytic_params.gamma_orth_c))
     write_csv(out, ["omega_rad_s", "psd", "analytic", "deviation_sigma"],
-              rows, comments=comments)
+              [res_thr[k] for k in ("omegas", "psd", "analytic", "deviations")],
+              comments=comments)
 
     ok = res_thr["pass"] and res_qnl["max_sigma_deviation"] <= 4.0
     lines = [
@@ -535,6 +530,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="squeezer-sim",
                      description="Intracavity type-II doubler noise simulator")
@@ -547,15 +543,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "action": "store_true",
         "help": "perturb gamma_orth_c by +20%% in the analytic reference "
                 "(must fail)"})
-    # Each subcommand, its handler, the default --out (the CSV writers
-    # write <command>.csv) and the flags it reads besides --config/--out.
+    # Each subcommand, its handler's name, the default --out (the CSV
+    # writers write <command>.csv) and the flags it reads besides
+    # --config/--out.  The parser is built once, so it holds names:
+    # `main` looks each handler up when it runs, and a wrapped or
+    # replaced handler is the one called.
     for name, handler, default_out, flags in (
-            ("thresholds", cmd_thresholds, None, ()),
-            ("steady-sweep", cmd_steady_sweep, "steady_sweep.csv", (plot,)),
-            ("pump-sweep", cmd_pump_sweep, "pump_sweep.csv", (plot,)),
-            ("spectrum", cmd_spectrum, "spectrum.csv", (plot,)),
-            ("mc-verify", cmd_mc_verify, "mc_verify.csv", (seed, negative)),
-            ("check", cmd_check, None, (seed,))):
+            ("thresholds", "cmd_thresholds", None, ()),
+            ("steady-sweep", "cmd_steady_sweep", "steady_sweep.csv", (plot,)),
+            ("pump-sweep", "cmd_pump_sweep", "pump_sweep.csv", (plot,)),
+            ("spectrum", "cmd_spectrum", "spectrum.csv", (plot,)),
+            ("mc-verify", "cmd_mc_verify", "mc_verify.csv", (seed, negative)),
+            ("check", "cmd_check", None, (seed,))):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key = value file")
         p.add_argument("--out", default=default_out, help="output path")
@@ -569,7 +568,7 @@ def main(argv=None) -> int:
     try:
         args = vars(_build_parser().parse_args(argv))
         del args["command"]
-        handler = args.pop("handler")
+        handler = globals()[args.pop("handler")]
         cfg = load_config(args.pop("config"))
         seed = args.pop("seed", None)
         if seed is not None:

@@ -39,33 +39,33 @@ def snapshot_lines(snapshot: dict) -> list[str]:
     return [f"{k} = {format_exact(v)}" for k, v in snapshot.items()]
 
 
-def write_csv(path, columns: list[str], rows: list[list],
+# The format of a float or str ndarray column; `"%.12e" %` equals
+# `format_value` on every float, nan, inf and -0.0 included, and `"%s" %`
+# on every str.
+_DTYPE_FORMATS = {"f": "%.12e", "U": "%s"}
+
+
+def write_csv(path, header: list[str], columns: list,
               comments: list[str] | None = None):
-    """Write a list of rows (str/int/float cells) under a comment header.
+    """Write equal-length columns under a comment header, one row per index.
 
-    `"%.12e" %` equals `format_value` on every float, nan, inf and -0.0
-    included, and `"%s" %` on every str.  When each column is all-float
-    or all-str, every row is rendered by one format string made of
-    those; otherwise cell by cell.
+    When every column is a float or str ndarray, each row is rendered by
+    one format string made of their dtypes' formats; otherwise (a list
+    or an ndarray of another dtype among them) cell by cell with
+    `format_value`, to the same bytes.
     """
-    if any(len(row) != len(columns) for row in rows):
-        raise ValueError(f"every row needs {len(columns)} cells")
+    if len(columns) != len(header):
+        raise ValueError(f"need {len(header)} columns, got {len(columns)}")
+    n = len(columns[0]) if columns else 0
+    if any(len(col) != n for col in columns):
+        raise ValueError(f"every column needs {n} cells")
+    formats = [_DTYPE_FORMATS.get(col.dtype.kind) if isinstance(col, np.ndarray)
+               else None for col in columns]
+    cols = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns]
     lines = [f"# {c}" for c in comments or []]
-    lines.append(",".join(columns))
-    formats = [_column_format(col) for col in zip(*rows)]
+    lines.append(",".join(header))
     if None in formats:
-        lines.extend(",".join(map(format_value, row)) for row in rows)
+        lines.extend(",".join(map(format_value, row)) for row in zip(*cols))
     else:
-        fmt = ",".join(formats)
-        lines.extend(fmt % tuple(row) for row in rows)
+        lines.extend(map(",".join(formats).__mod__, zip(*cols)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _column_format(col) -> str | None:
-    """"%.12e" for an all-float column, "%s" for an all-str one, else None."""
-    kinds = set(map(type, col))
-    if all(issubclass(k, (float, np.floating)) for k in kinds):
-        return "%.12e"
-    if all(issubclass(k, str) for k in kinds):
-        return "%s"
-    return None

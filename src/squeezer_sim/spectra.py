@@ -55,7 +55,7 @@ from .steadystate import (
 
 __all__ = [
     "SpectrumCurve",
-    "PumpSweepPoint",
+    "PumpSweep",
     "PhasePairVariance",
     "output_phase_variances",
     "orth_phase_variance",
@@ -89,11 +89,18 @@ class SpectrumCurve:
 
 
 @dataclass(frozen=True)
-class PumpSweepPoint:
-    pump: float
-    pump_normalized: float
-    variance: float | None
-    status: str  # "ok", "below_laser" (reported at QNL) or "above_orth"
+class PumpSweep:
+    """Variance at one omega across a pump grid, one row per pump.
+
+    `status` is "ok", "below_laser" (reported at the QNL, variance 1) or
+    "above_orth", where the orthogonal mode oscillates and the variance
+    is NaN.
+    """
+
+    pumps: np.ndarray
+    pumps_normalized: np.ndarray
+    variances: np.ndarray
+    status: np.ndarray
 
 
 def _check_omega(omega: float) -> float:
@@ -172,8 +179,22 @@ def threshold_variance(params: ModelParams, omega) -> float:
     return 1.0 - 4.0 * params.gamma_orth_c * gorth / (4.0 * gorth * gorth + w * w)
 
 
-def to_decibel(variance: float) -> float:
-    """Variance as a power ratio in dB; negative means squeezing."""
+def to_decibel(variance):
+    """Variance as a power ratio in dB; negative means squeezing.
+
+    Given an ndarray it returns an array of the float results, bit for
+    bit: it checks the whole array once, raising the float path's
+    DomainError on the first bad value, and then maps `math.log10`,
+    since numpy's log10 differs from libm's in the last bit for about
+    one value in five.
+    """
+    if isinstance(variance, np.ndarray):
+        v = np.asarray(variance, float)
+        bad = ~(np.isfinite(v) & (v > 0.0))
+        if bad.any():
+            to_decibel(float(v[bad].flat[0]))  # raises the float path's error
+        logs = np.fromiter(map(math.log10, v.ravel().tolist()), float, v.size)
+        return 10.0 * logs.reshape(v.shape)
     v = float(variance)
     if not math.isfinite(v) or v <= 0:
         raise DomainError(f"variance must be > 0 for dB conversion, got {v!r}")
@@ -188,15 +209,15 @@ def frequency_sweep_curve(params: ModelParams, i_par, omega_grid) -> SpectrumCur
 
 
 def pump_sweep_curve(params: ModelParams, omega, pumps=None,
-                     normalized_pumps=None) -> list[PumpSweepPoint]:
+                     normalized_pumps=None) -> PumpSweep:
     """Variance at fixed omega versus pump across region ii.
 
     The pump axis may be given directly or normalized to the
-    orthogonal-mode threshold pump.  Returns one `PumpSweepPoint` per
-    grid pump, in grid order.  Points below laser threshold are reported
-    at the QNL (V = 1); points beyond the instability are flagged per
-    point rather than failing the sweep.  A grid pump that is negative
-    or not finite raises InvalidParams.
+    orthogonal-mode threshold pump.  Returns a `PumpSweep` with one row
+    per grid pump, in grid order.  Points below laser threshold are
+    reported at the QNL (V = 1); points beyond the instability are
+    flagged per row rather than failing the sweep.  A grid pump that is
+    negative or not finite raises InvalidParams.
     """
     w = _check_omega(omega)
     g_orth = orth_threshold_pump(params)  # may raise Unreachable
@@ -211,14 +232,12 @@ def pump_sweep_curve(params: ModelParams, omega, pumps=None,
         gn = g / g_orth
     below = g < g_laser
     lasing = ~below & (g <= g_orth * (1.0 + 1e-12))
-    variance = np.ones(g.shape)
+    variance = np.where(below, 1.0, np.nan)
     i = np.minimum(laser_branch_intensity(params, g[lasing]),
                    orth_threshold_intensity(params))
     variance[lasing] = orth_phase_variance_reduced(params, i, w)
     status = np.where(below, "below_laser", np.where(lasing, "ok", "above_orth"))
-    return [PumpSweepPoint(p, pn, None if s == "above_orth" else v, s)
-            for p, pn, v, s in zip(g.tolist(), gn.tolist(), variance.tolist(),
-                                   status.tolist())]
+    return PumpSweep(g, gn, variance, status)
 
 
 # ---------------------------------------------------------------------------

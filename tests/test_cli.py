@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import squeezer_sim
-from squeezer_sim import model
+from squeezer_sim import cli, model
 from squeezer_sim.cli import main
 
 OMEGA_2MHZ = 4.0 * math.pi * 1e6
@@ -302,6 +302,24 @@ def test_subcommand_rejects_flag_it_does_not_read(tmp_path, argv):
     assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 1
 
 
+def test_parser_is_built_once_and_finds_handlers_when_called(tmp_path, monkeypatch):
+    # The cached parser holds handler names, so a handler replaced after
+    # it was built (a monkeypatch, or a tracer's wrapper) is the one run.
+    out = str(tmp_path / "x.csv")
+    assert main(["spectrum", "--out", out]) == 0
+    parser = cli._build_parser()
+    calls = []
+
+    def spy(cfg, out, plot):
+        calls.append((out, plot))
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_spectrum", spy)
+    assert main(["spectrum", "--out", out, "--plot"]) == 0
+    assert calls == [(out, True)]
+    assert cli._build_parser() is parser
+
+
 def test_unknown_config_key_is_hard_error(tmp_path):
     cfg = _write_cfg(tmp_path / "c.cfg", {"nl_coupling_moo": 1.0})
     assert main(["thresholds", "--config", cfg]) == 1
@@ -377,6 +395,27 @@ def test_log_grid_steady_sweep_is_pinned(tmp_path):
     assert [regimes.count(r) for r in ("i", "ii", "iii")] == [216, 1682, 103]
     assert (hashlib.sha256(out.read_bytes()).hexdigest()
             == "39dab9fb1ff239a4bf2b025d1861a1f26beb961c94899b46718df88b76d2aca1")
+
+
+# SHA-256 of the pump-sweep and spectrum CSVs on the benchmark's
+# 2001-point grids, measured with numpy 2.4.6 on the code from before
+# the sweeps wrote their CSVs by column.
+GRID_2001_SHA256 = {
+    ("pump-sweep", "pump_steps"):
+        "0f9d01f2aee5aa127cec7b31b5532444ac650f2301aa7a446c2b8fcccba38c40",
+    ("spectrum", "omega_steps"):
+        "5e8bf8e928e85b6c69305ff8255f367bd1d0ea195616bae8e964e088bf30618b",
+}
+
+
+@pytest.mark.parametrize("command, key", sorted(GRID_2001_SHA256))
+def test_2001_point_grids_are_pinned(tmp_path, command, key):
+    out = tmp_path / "x.csv"
+    cfg = _write_cfg(tmp_path / "c.cfg", {key: 2001})
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert len(_read_csv(out)[2]) == 2001
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == GRID_2001_SHA256[command, key])
 
 
 def test_log_spaced_grid(tmp_path):

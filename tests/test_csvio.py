@@ -5,9 +5,9 @@ import pytest
 
 from squeezer_sim.csvio import format_value, write_csv
 
-_COLUMNS = ["x", "y", "z"]
-# All-float columns take write_csv's column path; the mixed ones take
-# format_value cell by cell.
+_HEADER = ["x", "y", "z"]
+# As lists, every column takes format_value cell by cell; the first two
+# as float ndarrays take their format from the dtype.
 _ROWS = [
     [math.nan, 1.5, True],
     [math.inf, np.float64(-2.25), 7],
@@ -18,8 +18,12 @@ _ROWS = [
 ]
 
 
-def _cellwise(columns, rows, comments):
-    lines = [f"# {c}" for c in comments] + [",".join(columns)]
+def _columns(rows):
+    return [[row[j] for row in rows] for j in range(len(_HEADER))]
+
+
+def _cellwise(header, rows, comments):
+    lines = [f"# {c}" for c in comments] + [",".join(header)]
     lines += [",".join(format_value(v) for v in row) for row in rows]
     return ("\n".join(lines) + "\n").encode()
 
@@ -27,20 +31,29 @@ def _cellwise(columns, rows, comments):
 @pytest.mark.parametrize("rows", [_ROWS, []], ids=["mixed", "empty"])
 def test_write_csv_matches_cellwise_format_value(tmp_path, rows):
     out = tmp_path / "t.csv"
-    write_csv(out, _COLUMNS, rows, comments=["a = 1"])
-    assert out.read_bytes() == _cellwise(_COLUMNS, rows, ["a = 1"])
+    write_csv(out, _HEADER, _columns(rows), comments=["a = 1"])
+    assert out.read_bytes() == _cellwise(_HEADER, rows, ["a = 1"])
 
 
 def test_write_csv_rejects_ragged_rows(tmp_path):
-    for row in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0]):
+    # A column shorter or longer than the others, or a missing column,
+    # would leave rows ragged.
+    for col in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0]):
         with pytest.raises(ValueError):
-            write_csv(tmp_path / "t.csv", _COLUMNS, [[0.0, 0.0, 0.0], row])
+            write_csv(tmp_path / "t.csv", _HEADER, [[0.0, 0.0, 0.0], col, [0.0] * 3])
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "t.csv", _HEADER, [[0.0], [0.0]])
 
 
 def test_write_csv_row_format_matches_cellwise_format_value(tmp_path):
-    # Every column all-float or all-str: one format string per row.
-    rows = [[r[0], r[1], s] for r, s in zip(_ROWS, ["ok", "error:X", "", "ii",
-                                                    np.str_("iii"), "%s,%d"])]
+    # Float and str ndarray columns: one format string per row, from the
+    # dtypes.  An int ndarray among them sends the rows cell by cell.
+    columns = [np.array([r[0] for r in _ROWS], np.float32),
+               np.array([r[1] for r in _ROWS]),
+               np.array(["ok", "error:X", "", "ii", np.str_("iii"), "%s,%d"])]
     out = tmp_path / "t.csv"
-    write_csv(out, _COLUMNS, rows, comments=["a = 1"])
-    assert out.read_bytes() == _cellwise(_COLUMNS, rows, ["a = 1"])
+    write_csv(out, _HEADER, columns, comments=["a = 1"])
+    assert out.read_bytes() == _cellwise(_HEADER, list(zip(*columns)), ["a = 1"])
+    columns[2] = np.arange(6)
+    write_csv(out, _HEADER, columns)
+    assert out.read_bytes() == _cellwise(_HEADER, list(zip(*columns)), [])

@@ -65,12 +65,12 @@ def test_sweeps_equal_scalar_calls_bitwise(seed):
             assert [float(v).hex() for v in got] == [v.hex() for v in want]
     omega = params.gamma_orth * 10.0 ** rng.uniform(-2, 2)
     top = orth_threshold_intensity(params)
-    for pt in pump_sweep_curve(params, omega,
-                               normalized_pumps=np.linspace(0.0, 1.0, 97)):
-        if pt.status == "ok":
-            i = min(laser_branch_intensity(params, pt.pump), top)
-            assert pt.variance.hex() == orth_phase_variance_reduced(
-                params, i, omega).hex()
+    curve = pump_sweep_curve(params, omega, normalized_pumps=np.linspace(0.0, 1.0, 97))
+    for g, status, v in zip(curve.pumps.tolist(), curve.status.tolist(),
+                            curve.variances.tolist()):
+        if status == "ok":
+            i = min(laser_branch_intensity(params, g), top)
+            assert v.hex() == orth_phase_variance_reduced(params, i, omega).hex()
     i_par = rng.uniform(0.0, top)
     omegas = params.gamma_orth * np.geomspace(1e-3, 1e3, 97)
     curve = frequency_sweep_curve(params, i_par, omegas)
