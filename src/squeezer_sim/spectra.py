@@ -147,7 +147,8 @@ def orth_phase_variance_reduced(params: ModelParams, i_par, omega) -> float | np
         top = orth_threshold_intensity(params)
         bad = ~(np.isfinite(i) & (i >= 0.0) & (i <= top * (1.0 + 1e-12)))
         if bad.any():
-            raise DomainError(f"i_par must lie in [0, {top!r}], got {i[bad].flat[0]!r}")
+            raise DomainError(f"i_par must lie in [0, {top!r}], "
+                              f"got {float(i[bad].flat[0])!r}")
         return _reduced_form(params, np.minimum(i, top), w)
     w = _check_omega(omega)
     i = float(i_par)

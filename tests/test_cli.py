@@ -399,8 +399,12 @@ def test_log_grid_steady_sweep_is_pinned(tmp_path):
 
 # SHA-256 of the pump-sweep and spectrum CSVs on the benchmark's
 # 2001-point grids, measured with numpy 2.4.6 on the code from before
-# the sweeps wrote their CSVs by column.
+# the sweeps wrote their CSVs by column; the steady-sweep digest (the
+# default linear grid at 2001 steps) on the code from before the CSV body
+# was rendered in numpy.
 GRID_2001_SHA256 = {
+    ("steady-sweep", "pump_steps"):
+        "77720b1d47fc6f5a698472e8fdfdd872ac6a13e2593e4f3ca76562496b24a752",
     ("pump-sweep", "pump_steps"):
         "0f9d01f2aee5aa127cec7b31b5532444ac650f2301aa7a446c2b8fcccba38c40",
     ("spectrum", "omega_steps"):
@@ -487,6 +491,21 @@ def test_import_loads_no_scipy(tmp_path):
     proc = _run_child("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_import_and_steady_sweep_load_no_fractions_or_decimal(tmp_path):
+    # csvio's power-of-ten table comes from Python ints.  A table of
+    # Fractions or Decimals would add their import to every process's
+    # start-up, and so to every benchmark workload's setup time.
+    loaded = ("sorted(m for m in sys.modules "
+              "if m in ('fractions', 'decimal', '_decimal', '_pydecimal'))")
+    code = (f"import sys, squeezer_sim; print({loaded}); "
+            "from squeezer_sim import cli; "
+            f"code = cli.main(['steady-sweep', '--out', {str(tmp_path / 's.csv')!r}]); "
+            f"print(code, {loaded})")
+    proc = _run_child("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["[]", "0 []"]
 
 
 def test_unwritable_output_rejected(tmp_path):

@@ -246,6 +246,32 @@ def test_phase_drift_annihilates_global_phase_in_region_iii(reference, rng):
             assert np.all(np.abs(P @ [a, b]) <= 1e-12 * terms)
 
 
+def test_orth_mode_sees_no_laser_medium_in_region_ii(reference, moderate):
+    # The paper's mechanism: below its threshold the orthogonal mode is
+    # driven by the doubler alone.  Its J4 row has no population entries
+    # and no coupling 2*mu*a*b to a_par, and the phase block is diagonal.
+    # Past the threshold the doubler couples the two modes.
+    def blocks(params, g):
+        ss = steady_state(params, g)
+        J = model.rate_equations(params, g)[1](
+            ss.a_par, ss.a_orth, ss.sigma1, ss.sigma2, ss.sigma3)
+        P = model.phase_drift(params, ss.a_par, ss.a_orth, ss.sigma2, ss.sigma3)
+        return ss.regime, J, P
+
+    for params in (reference, moderate):
+        g_laser, g_orth = laser_threshold(params), orth_threshold_pump(params)
+        for frac in (0.01, 0.3, 0.7, 0.99):
+            regime, J, P = blocks(params, g_laser + frac * (g_orth - g_laser))
+            assert regime is Regime.LaserOnly
+            assert J[1][2:] == (0.0, 0.0)
+            assert J[0][1] == J[1][0] == 0.0
+            assert P[0][1] == P[1][0] == 0.0
+        for m in (1.2, 2.0, 10.0):
+            regime, J, P = blocks(params, m * g_orth)
+            assert regime is Regime.OrthExcited
+            assert J[0][1] != 0.0 and P[0][1] != 0.0
+
+
 def test_orth_eigenvalue_crosses_zero_at_threshold(moderate):
     from squeezer_sim.steadystate import laser_only_branch
 

@@ -408,6 +408,14 @@ def test_array_reduced_form_gates_the_intensity(reference):
         orth_phase_variance_reduced(reference, edge, 1e6)
 
 
+def test_array_reduced_form_names_the_bad_intensity_as_the_float_call_does(reference):
+    with pytest.raises(DomainError) as array_error:
+        orth_phase_variance_reduced(reference, np.array([1.0, -1.0]), 1e6)
+    with pytest.raises(DomainError) as float_error:
+        orth_phase_variance_reduced(reference, -1.0, 1e6)
+    assert str(array_error.value) == str(float_error.value)
+
+
 def test_array_callers_resolve_the_reduced_form_at_call_time(reference, monkeypatch):
     # perfbench/selfcheck.py plants a wrong reduced form by replacing the
     # module attribute; the curves and the mc-verify comparison must
