@@ -218,8 +218,10 @@ def cmd_steady_sweep(cfg: dict, out: str, plot: bool) -> int:
               comments=snapshot_lines(snapshot))
     if plot:
         for name in ("a_par", "a_orth", "sh_power"):
-            line_plot_svg(_plot_path(out, name), sweep.pumps, getattr(sweep, name),
-                          title=name, xlabel="pump rate (1/s)", ylabel=name)
+            values = getattr(sweep, name)
+            if np.isfinite(values).any():  # else no row resolved: no plot
+                line_plot_svg(_plot_path(out, name), sweep.pumps, values,
+                              title=name, xlabel="pump rate (1/s)", ylabel=name)
     bad = int(np.count_nonzero(sweep.status != "ok"))
     if bad:
         print(f"{bad} of {len(pumps)} rows failed to resolve", file=sys.stderr)

@@ -3,10 +3,30 @@
 CSV stays the canonical output; these plots exist so a sweep can be
 eyeballed without any plotting stack installed.  One file per curve,
 plain polyline on a framed axis box with a handful of ticks.
+
+The axis range covers the finite points only; a curve with none raises
+ValueError.  The polyline's points are rendered in numpy, to the bytes
+`"%.2f,%.2f"` gives point by point:
+
+- Digits.  Each mapped coordinate v becomes n = round(v·100), taken as
+  rint of v·100 rounded to a double.  Rounding is monotone and every
+  n + 1/2 below 10^6 is a double, so this is the n of the exact product
+  wherever the double is not itself a half.
+- Bytes.  n // 100 goes through a 4-digit ASCII table whose leading
+  zeros are NUL, n % 100 through a ".dd" table, into one 8-byte cell
+  per coordinate with "," or " " in its last byte; the NULs are dropped
+  on output.  The tables are built on first use.
+- Fallbacks.  `"%.2f"` renders, one coordinate at a time, the values
+  whose v·100 rounds onto a half: true binary ties (0.125 prints "0.12")
+  and those within rounding of one (0.005 prints "0.01").  It also
+  renders NaN, ±inf, every value with its sign bit set (-0.0 prints
+  "-0.00") and every n >= 10^6 (9999.996 prints "10000.00").  Their
+  text is spliced in between the cells.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from pathlib import Path
 
@@ -16,6 +36,9 @@ __all__ = ["line_plot_svg"]
 
 _W, _H = 800, 500
 _ML, _MR, _MT, _MB = 80, 20, 40, 60
+# A cell holds up to 4 integer digits, ".dd" and the separator.
+_CELL = 8
+_LIMIT = 10**6  # n from here on has a fifth integer digit
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -36,22 +59,75 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return out or [lo]
 
 
+@functools.cache
+def _ascii_tables():
+    """The integer part (0-9999, leading zeros NUL) and ".dd" as uint32
+    words, built on first use."""
+    k = np.arange(10000, dtype=np.uint16)
+    digits = np.empty((10000, 4), np.uint8)
+    for j, d in enumerate((1000, 100, 10, 1)):
+        digits[:, j] = k // d % 10 + ord("0")
+    for j, d in enumerate((1000, 100, 10)):
+        digits[k < d, j] = 0
+    hundredths = np.zeros((100, 4), np.uint8)
+    hundredths[:, 0] = ord(".")
+    hundredths[:, 1] = k[:100] // 10 + ord("0")
+    hundredths[:, 2] = k[:100] % 10 + ord("0")
+    return digits.view(np.uint32).ravel(), hundredths.view(np.uint32).ravel()
+
+
+def _points(xs, ys) -> str:
+    """`" ".join("%.2f,%.2f" % p for p in zip(xs, ys))` of equal-length
+    float64 arrays."""
+    ints, hundredths = _ascii_tables()
+    v = np.stack([xs, ys], axis=1)
+    fast = (v < _LIMIT / 100) & ~np.signbit(v)  # False on NaN
+    # v·100 rounded to a double.  Rounding is monotone and every n + 1/2
+    # below 10^6 is a double, so where v·100 rounds onto no half, rint
+    # gives the n of the exact v·100.  A true tie, or a value within
+    # rounding of one, rounds onto the half and goes to "%.2f".
+    p = np.where(fast, v, 0.0) * 100.0
+    n = np.rint(p)
+    ok = fast & (np.abs(p - n) != 0.5) & (n < _LIMIT)
+    n = np.where(ok, n, 0.0).astype(np.intp)
+    slow = np.flatnonzero(~ok)
+    seps = np.frombuffer(b"\0\0\0,\0\0\0 ", np.uint32)
+    words = np.empty(v.shape + (2,), np.uint32)
+    whole, cents = np.divmod(n, 100)
+    words[..., 0] = ints[whole]
+    words[..., 1] = hundredths[cents] | seps
+    text = words.tobytes()
+    if slow.size:
+        pieces, start = [], 0
+        for k, value in zip(slow.tolist(), v.ravel()[slow].tolist()):
+            pieces += [text[start:k * _CELL], b"%.2f" % value]
+            start = (k + 1) * _CELL - 1  # from the cell's separator on
+        pieces.append(text[start:])
+        text = b"".join(pieces)
+    return text.translate(None, b"\0")[:-1].decode("ascii")
+
+
+def _finite_range(v, name):
+    finite = v[np.isfinite(v)]
+    if not finite.size:
+        raise ValueError(f"{name} has no finite point to plot")
+    lo, hi = float(finite.min()), float(finite.max())
+    return lo, hi if hi > lo else lo + 1.0
+
+
 def line_plot_svg(path, x, y, title: str = "", xlabel: str = "",
                   ylabel: str = ""):
     """Write a single-polyline plot of y against x.
 
-    NaN points (unresolved sweep rows) are left out of the axis range.
+    NaN and ±inf points (unresolved sweep rows) are left out of the
+    axis range; x or y with no finite point raises ValueError.
     """
     xs = np.asarray(x, float)
     ys = np.asarray(y, float)
     if xs.shape != ys.shape or xs.ndim != 1 or not len(xs):
         raise ValueError("x and y must be equal-length and nonempty")
-    x0, x1 = float(np.nanmin(xs)), float(np.nanmax(xs))
-    y0, y1 = float(np.nanmin(ys)), float(np.nanmax(ys))
-    if x1 == x0:
-        x1 = x0 + 1.0
-    if y1 == y0:
-        y1 = y0 + 1.0
+    x0, x1 = _finite_range(xs, "x")
+    y0, y1 = _finite_range(ys, "y")
     pad = 0.05 * (y1 - y0)
     y0, y1 = y0 - pad, y1 + pad
     pw, ph = _W - _ML - _MR, _H - _MT - _MB
@@ -62,7 +138,7 @@ def line_plot_svg(path, x, y, title: str = "", xlabel: str = "",
     def py(v):
         return _MT + ph * (1.0 - (v - y0) / (y1 - y0))
 
-    pts = " ".join(map("%.2f,%.2f".__mod__, zip(px(xs).tolist(), py(ys).tolist())))
+    pts = _points(px(xs), py(ys))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',

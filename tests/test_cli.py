@@ -6,11 +6,13 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import squeezer_sim
 from squeezer_sim import cli, model
 from squeezer_sim.cli import main
+from squeezer_sim.steadystate import SteadySweep, steady_state_sweep
 
 OMEGA_2MHZ = 4.0 * math.pi * 1e6
 
@@ -464,6 +466,53 @@ def test_default_plots_are_pinned(tmp_path, command):
             assert hashlib.sha256(data).hexdigest() == digest, curve
 
 
+# SHA-256 of the benchmark-sized `steady-sweep --plot` SVGs (pump_steps =
+# 2001, on the default linear grid and on a log grid from 1 to 1e19),
+# measured with numpy 2.4.6 on the code from before `svg` rendered the
+# polyline in numpy.
+GRID_2001_SVG_SHA256 = {
+    ("lin", "a_par"): "d598ee617be9ea52881caedfdc0dd5c752ada1a5635f2b52946137e73ad7e81a",
+    ("lin", "a_orth"): "cf10abe8e136698e6960659c07087452b706746d3e63bf9943331d8d17fddad5",
+    ("lin", "sh_power"): "091f94a7f2f4cdb5c230e1326dcee1a5bf1a95921efa9b84d1a3267487bddaaa",
+    ("log", "a_par"): "c2d3e975021899a79900df1ffa74b3978ea7109058b6947811ac9b40ab8f933a",
+    ("log", "a_orth"): "7766f0e4dd2ce608b8e2346aacd6b47da05264af211b0e77e32445f48d4a2e6c",
+    ("log", "sh_power"): "aa2bd38407b17dc48ec1d36a1e5bdd9334308dd53b0896c6bc6691c6e42b253f",
+}
+GRID_2001_CONFIGS = {
+    "lin": {"pump_steps": 2001},
+    "log": {"pump_min": 1, "pump_max": 1e19, "pump_steps": 2001, "pump_log": "true"},
+}
+
+
+@pytest.mark.parametrize("grid", sorted(GRID_2001_CONFIGS))
+def test_2001_point_steady_sweep_plots_are_pinned(tmp_path, grid):
+    cfg = _write_cfg(tmp_path / "c.cfg", GRID_2001_CONFIGS[grid])
+    assert main(["steady-sweep", "--config", cfg,
+                 "--out", str(tmp_path / "x.csv"), "--plot"]) == 0
+    for (g, curve), digest in GRID_2001_SVG_SHA256.items():
+        if g == grid:
+            data = (tmp_path / f"x.{curve}.svg").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, curve
+
+
+def test_steady_sweep_with_no_row_resolved_plots_nothing(tmp_path, monkeypatch,
+                                                         capsys):
+    # Every row unresolved leaves every curve NaN: no axis range, so no
+    # plot, and the sweep fails as a numerical failure with its count.
+    def unresolved(params, pumps, thresholds=None):
+        sweep = steady_state_sweep(params, pumps, thresholds)
+        nan = np.full(len(sweep.pumps), np.nan)
+        return SteadySweep(sweep.pumps, np.full(len(nan), ""), nan, nan, nan,
+                           nan, nan, nan, np.full(len(nan), "error:WrongRegime"))
+
+    monkeypatch.setattr(cli, "steady_state_sweep", unresolved)
+    out = tmp_path / "x.csv"
+    assert main(["steady-sweep", "--out", str(out), "--plot"]) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err == "201 of 201 rows failed to resolve\n"
+    assert len(_read_csv(out)[2]) == 201
+    assert not list(tmp_path.glob("*.svg"))
+
+
 def _run_child(*args):
     # The child imports the same package as this process, installed or not.
     src = str(Path(squeezer_sim.__file__).parents[1])
@@ -494,18 +543,24 @@ def test_import_loads_no_scipy(tmp_path):
 
 
 def test_import_and_steady_sweep_load_no_fractions_or_decimal(tmp_path):
-    # csvio's power-of-ten table comes from Python ints.  A table of
-    # Fractions or Decimals would add their import to every process's
+    # csvio's power-of-ten table and the ASCII tables of csvio and svg
+    # come from Python ints and numpy, on first use.  A table of Fractions
+    # or Decimals, or one built at import, would add to every process's
     # start-up, and so to every benchmark workload's setup time.
     loaded = ("sorted(m for m in sys.modules "
               "if m in ('fractions', 'decimal', '_decimal', '_pydecimal'))")
+    built = ("[f.cache_info().currsize for f in (csvio._powers_of_ten, "
+             "csvio._ascii_tables, svg._ascii_tables)]")
     code = (f"import sys, squeezer_sim; print({loaded}); "
-            "from squeezer_sim import cli; "
-            f"code = cli.main(['steady-sweep', '--out', {str(tmp_path / 's.csv')!r}]); "
-            f"print(code, {loaded})")
+            "from squeezer_sim import cli, csvio, svg; "
+            f"print({built}); "
+            f"code = cli.main(['steady-sweep', '--out', {str(tmp_path / 's.csv')!r}, "
+            "'--plot']); "
+            f"print(code, {loaded}, {built})")
     proc = _run_child("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["[]", "0 []"]
+    assert proc.stdout.splitlines()[-3:] == ["[]", "[0, 0, 0]", "0 [] [1, 1, 1]"]
+    assert (tmp_path / "s.sh_power.svg").exists()
 
 
 def test_unwritable_output_rejected(tmp_path):
