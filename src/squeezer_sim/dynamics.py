@@ -13,12 +13,13 @@ population sum drops the structural zero eigenvalue, which would leave
 W = I - h*d*J singular to rounding once h*k2 exceeds 1/eps.
 
 On a four-component state numpy's per-call overhead would cost several
-times the arithmetic, so a step works on Python floats: it calls the
-rate equations and J4 of `model.rate_equations`, bound once per (params,
-pump), with sigma3 = 1 - sigma1 - sigma2.  Each step solves W by its
-block structure instead of inverting it: the population block has
-determinant >= 1, so all of W's singularity sits in a 2x2 block on the
-amplitudes (`_w_solver`).
+times the arithmetic, so a step is straight-line code on Python floats.
+Its only calls are to the rate equations and J4 of
+`model.rate_equations`, bound once per (params, pump), with sigma3 = 1 -
+sigma1 - sigma2.  Each step factors W by its block structure into local
+floats instead of inverting it, and applies the factors inline to the
+three stages: the population block has determinant >= 1, so all of W's
+singularity sits in a 2x2 block on the amplitudes (`_rosenbrock23`).
 """
 
 from __future__ import annotations
@@ -67,44 +68,6 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
 
 
-def _w_solver(J, hd: float):
-    """v -> W^-1 v for W = I - hd*J with J = J4, or None if W is singular.
-
-    W is solved by its blocks, not inverted.  Split it into the
-    amplitude block A, the population block D and the couplings B (rows
-    0-1, columns 2-3) and C (rows 2-3, columns 0-1); J4's zeros leave B
-    with one nonzero row and C with the single entry W[3][0].  The
-    Schur complement S = A - B D^-1 C then differs from A only in
-    S[0][0], and det W = det D * det S.  With Gamma the pump,
-    det D = (1 + hd*Gamma)(1 + hd*(2G a^2 + k2 + k3))
-    + (hd)^2 k2 (G a^2 + k3) >= 1 is a sum of non-negative terms: it is
-    formed without cancellation and never vanishes, so all of W's
-    singularity sits in the 2x2 S.  A non-finite J gives a non-finite
-    solve.
-    """
-    (j00, j01, j02, j03), (j10, j11, _, _), (_, _, j22, j23), (j30, _, j32, j33) = J
-    d00, d01, d10, d11 = 1.0 - hd * j22, -hd * j23, -hd * j32, 1.0 - hd * j33
-    det_d = d00 * d11 - d01 * d10
-    w02, w03, w30 = -hd * j02, -hd * j03, -hd * j30
-    s00 = 1.0 - hd * j00 - w30 * (w03 * d00 - w02 * d01) / det_d
-    s01, s10, s11 = -hd * j01, -hd * j10, 1.0 - hd * j11
-    det_s = s00 * s11 - s01 * s10
-    if det_s == 0.0:
-        return None
-
-    def solve(v):
-        v0, v1, p0, p1 = v
-        # Amplitudes from S x_a = v_a - B D^-1 v_p, then populations
-        # from D x_p = v_p - C x_a.
-        r0 = v0 - (w02 * (d11 * p0 - d01 * p1) + w03 * (d00 * p1 - d10 * p0)) / det_d
-        x0 = (s11 * r0 - s01 * v1) / det_s
-        p1 -= w30 * x0
-        return (x0, (s00 * v1 - s10 * r0) / det_s,
-                (d11 * p0 - d01 * p1) / det_d, (d00 * p1 - d10 * p0) / det_d)
-
-    return solve
-
-
 # ode23s coefficients: d makes the pair L-stable, e32 weights the
 # third-order stage that only serves the error estimate.
 _D = 1.0 / (2.0 + math.sqrt(2.0))
@@ -121,92 +84,146 @@ def _rosenbrock23(f, jac, init, t_end: float, rtol: float, atol: float,
     (a_par, a_orth, sigma1, sigma2).
 
     f and jac are the pair of `model.rate_equations`; every call passes
-    them sigma3 = 1 - sigma1 - sigma2.  Each step builds the solver of
-    W = I - h*d*J (`_w_solver`) once, with J = jac at the start of the
-    step, applies it to three stage right-hand sides and advances the
-    second-order solution; the third stage only estimates the error.  f
-    at the new state is the next step's first stage (FSAL).  A singular
-    W is a rejected step, and so is a non-finite error estimate (from a
-    non-finite W or state): every divisor is tested nonzero or bounded
-    below (det D >= 1, atol > 0) and the one power taken is of a finite,
-    positive error norm, so float arithmetic raises nothing.  More than
-    60 rejections in a row raise NonFiniteState if the last one was
-    non-finite and StepUnderflow otherwise; a step below the resolution
-    of t raises StepUnderflow.  Returns the final (t, y), the recorded
-    path when `record`, and step counts.
+    them sigma3 = 1 - sigma1 - sigma2.  Each step factors W = I - h*d*J,
+    with J = jac at the start of the step, into a handful of local
+    floats, applies them to three stage right-hand sides and advances
+    the second-order solution; the third stage only estimates the error.
+    f at the new state is the next step's first stage (FSAL).  The step
+    is straight-line code on floats: no call or tuple between the stages
+    but the two calls of f.  A singular W is a rejected step, and so is
+    a non-finite error estimate (from a non-finite W or state): every
+    divisor is tested nonzero or bounded below (det D >= 1, atol > 0)
+    and the one power taken is of a finite, positive error norm, so
+    float arithmetic raises nothing.  More than 60 rejections in a row
+    raise NonFiniteState if the last one was non-finite and
+    StepUnderflow otherwise; a step below the resolution of t raises
+    StepUnderflow.  Returns the final (t, y), the recorded path when
+    `record`, and step counts.
     """
-    y = y0, y1, y2, y3 = tuple(map(float, init))
+    d, e32, hypot, isfinite = _D, _E32, math.hypot, math.isfinite
+    safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
+    y0, y1, y2, y3 = y = tuple(map(float, init))
     t = 0.0
-    f0 = f(y0, y1, y2, y3, 1.0 - y2 - y3)
+    f00, f01, f02, f03 = f0 = f(y0, y1, y2, y3, 1.0 - y2 - y3)
     nfev = 1
     naccept = nreject = rejects = 0
     ts, ys = [0.0], [y]
 
-    fnorm = math.hypot(*f0)
+    fnorm = hypot(*f0)
     h = t_end if fnorm == 0.0 else min(
-        t_end, 0.01 * (atol + rtol * math.hypot(*y)) / fnorm)
-    J = None
+        t_end, 0.01 * (atol + rtol * hypot(*y)) / fnorm)
+    stale = True
     while t < t_end:
-        h = min(h, t_end - t)
+        rest = t_end - t
+        if rest < h:
+            h = rest
         if t + h <= t:
             raise StepUnderflow(f"step {h!r} underflowed at t = {t!r}")
-        if J is None:
-            J = jac(y0, y1, y2, y3, 1.0 - y2 - y3)
-        solve = _w_solver(J, h * _D)
-        if solve is None:
+        if stale:
+            ((j00, j01, j02, j03), (j10, j11, _, _), (_, _, j22, j23),
+             (j30, _, j32, j33)) = jac(y0, y1, y2, y3, 1.0 - y2 - y3)
+            stale = False
+        # W is solved by its blocks, not inverted.  Split it into the
+        # amplitude block A, the population block D and the couplings B
+        # (rows 0-1, columns 2-3) and C (rows 2-3, columns 0-1); J4's
+        # zeros leave B with one nonzero row and C with the single entry
+        # W[3][0] = w30.  The Schur complement S = A - B D^-1 C then
+        # differs from A only in S[0][0], and det W = det D * det S.  With
+        # Gamma the pump, det D = (1 + hd*Gamma)(1 + hd*(2G a^2 + k2 +
+        # k3)) + (hd)^2 k2 (G a^2 + k3) >= 1 is a sum of non-negative
+        # terms: it is formed without cancellation and never vanishes, so
+        # all of W's singularity sits in the 2x2 S.  A non-finite J gives
+        # non-finite stages.
+        hd = h * d
+        d00, d11 = 1.0 - hd * j22, 1.0 - hd * j33
+        d01, d10 = -hd * j23, -hd * j32
+        det_d = d00 * d11 - d01 * d10
+        w02, w03, w30 = -hd * j02, -hd * j03, -hd * j30
+        s00 = 1.0 - hd * j00 - w30 * (w03 * d00 - w02 * d01) / det_d
+        s01, s10, s11 = -hd * j01, -hd * j10, 1.0 - hd * j11
+        det_s = s00 * s11 - s01 * s10
+        if det_s == 0.0:
             err_norm = math.inf
         else:
-            # Unrolled over the four components: the stages k1, k2, k3
-            # are (a*, b*, c*), f at the three stage points (f0*, f1*,
-            # f2*), the midpoint m* and the new state n*.
-            f00, f01, f02, f03 = f0
-            a0, a1, a2, a3 = solve(f0)
+            # Each stage x = W^-1 v, unrolled over the four components:
+            # the amplitudes from S x_a = v_a - B D^-1 v_p (r0 is the
+            # first component of the right side), then the populations
+            # from D x_p = v_p - C x_a (q1 is the second).  The stages
+            # k1, k2, k3 are (a*, b*, c*), f at the three stage points
+            # (f0*, f1*, f2*), the midpoint m* and the new state n*.
+            r0 = f00 - (w02 * (d11 * f02 - d01 * f03) + w03 * (d00 * f03 - d10 * f02)) / det_d
+            a0 = (s11 * r0 - s01 * f01) / det_s
+            q1 = f03 - w30 * a0
+            a1 = (s00 * f01 - s10 * r0) / det_s
+            a2 = (d11 * f02 - d01 * q1) / det_d
+            a3 = (d00 * q1 - d10 * f02) / det_d
             hh = 0.5 * h
-            m0, m1, m2, m3 = (y0 + hh * a0, y1 + hh * a1,
-                              y2 + hh * a2, y3 + hh * a3)
+            m0, m1 = y0 + hh * a0, y1 + hh * a1
+            m2, m3 = y2 + hh * a2, y3 + hh * a3
             f10, f11, f12, f13 = f(m0, m1, m2, m3, 1.0 - m2 - m3)
-            u0, u1, u2, u3 = solve((f10 - a0, f11 - a1, f12 - a2, f13 - a3))
-            b0, b1, b2, b3 = u0 + a0, u1 + a1, u2 + a2, u3 + a3
-            y_new = n0, n1, n2, n3 = (y0 + h * b0, y1 + h * b1,
-                                      y2 + h * b2, y3 + h * b3)
-            f2 = f20, f21, f22, f23 = f(n0, n1, n2, n3, 1.0 - n2 - n3)
-            c0, c1, c2, c3 = solve((f20 - _E32 * (b0 - f10) - 2.0 * (a0 - f00),
-                                    f21 - _E32 * (b1 - f11) - 2.0 * (a1 - f01),
-                                    f22 - _E32 * (b2 - f12) - 2.0 * (a2 - f02),
-                                    f23 - _E32 * (b3 - f13) - 2.0 * (a3 - f03)))
+            v0, v1 = f10 - a0, f11 - a1
+            v2, v3 = f12 - a2, f13 - a3
+            r0 = v0 - (w02 * (d11 * v2 - d01 * v3) + w03 * (d00 * v3 - d10 * v2)) / det_d
+            u0 = (s11 * r0 - s01 * v1) / det_s
+            q1 = v3 - w30 * u0
+            b0 = u0 + a0
+            b1 = (s00 * v1 - s10 * r0) / det_s + a1
+            b2 = (d11 * v2 - d01 * q1) / det_d + a2
+            b3 = (d00 * q1 - d10 * v2) / det_d + a3
+            n0, n1 = y0 + h * b0, y1 + h * b1
+            n2, n3 = y2 + h * b2, y3 + h * b3
+            f20, f21, f22, f23 = f(n0, n1, n2, n3, 1.0 - n2 - n3)
+            v0 = f20 - e32 * (b0 - f10) - 2.0 * (a0 - f00)
+            v1 = f21 - e32 * (b1 - f11) - 2.0 * (a1 - f01)
+            v2 = f22 - e32 * (b2 - f12) - 2.0 * (a2 - f02)
+            v3 = f23 - e32 * (b3 - f13) - 2.0 * (a3 - f03)
+            r0 = v0 - (w02 * (d11 * v2 - d01 * v3) + w03 * (d00 * v3 - d10 * v2)) / det_d
+            c0 = (s11 * r0 - s01 * v1) / det_s
+            q1 = v3 - w30 * c0
+            c1 = (s00 * v1 - s10 * r0) / det_s
+            c2 = (d11 * v2 - d01 * q1) / det_d
+            c3 = (d00 * q1 - d10 * v2) / det_d
             nfev += 2
             h6 = h / 6.0
-            err_norm = 0.5 * math.hypot(
+            err_norm = 0.5 * hypot(
                 h6 * (a0 - 2.0 * b0 + c0) / (atol + rtol * abs(n0)),
                 h6 * (a1 - 2.0 * b1 + c1) / (atol + rtol * abs(n1)),
                 h6 * (a2 - 2.0 * b2 + c2) / (atol + rtol * abs(n2)),
                 h6 * (a3 - 2.0 * b3 + c3) / (atol + rtol * abs(n3)))
-        if not math.isfinite(err_norm):
+        if not isfinite(err_norm):
             rejects += 1
             nreject += 1
             if rejects > _MAX_CONSECUTIVE_REJECTS:
                 raise NonFiniteState(f"state diverged near t = {t!r}")
-            h *= _MIN_FACTOR
+            h *= min_factor
             continue
         if err_norm <= 1.0:
             t += h
-            y, f0, J = y_new, f2, None
-            y0, y1, y2, y3 = y
+            y0, y1 = n0, n1
+            y2, y3 = n2, n3
+            f00, f01 = f20, f21
+            f02, f03 = f22, f23
+            stale = True
             naccept += 1
             rejects = 0
             if record:
                 ts.append(t)
-                ys.append(y)
-            h *= _MAX_FACTOR if err_norm == 0.0 else min(
-                _MAX_FACTOR, _SAFETY * err_norm ** (-1.0 / 3.0))
+                ys.append((y0, y1, y2, y3))
+            if err_norm == 0.0:
+                h *= max_factor
+            else:
+                factor = safety * err_norm ** (-1.0 / 3.0)
+                h *= factor if factor < max_factor else max_factor
         else:
             rejects += 1
             nreject += 1
             if rejects > _MAX_CONSECUTIVE_REJECTS:
                 raise StepUnderflow(f"repeated step rejections at t = {t!r}")
-            h *= max(_MIN_FACTOR, _SAFETY * err_norm ** (-1.0 / 3.0))
+            factor = safety * err_norm ** (-1.0 / 3.0)
+            h *= factor if factor > min_factor else min_factor
 
-    if not all(map(math.isfinite, y)):
+    y = (y0, y1, y2, y3)
+    if not all(map(isfinite, y)):
         raise NonFiniteState("integration produced non-finite state values")
     return {
         "t": t,

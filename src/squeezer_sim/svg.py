@@ -4,9 +4,9 @@ CSV stays the canonical output; these plots exist so a sweep can be
 eyeballed without any plotting stack installed.  One file per curve,
 plain polyline on a framed axis box with a handful of ticks.
 
-The axis range covers the finite points only; a curve with none raises
-ValueError.  The polyline's points are rendered in numpy, to the bytes
-`"%.2f,%.2f"` gives point by point:
+The axis range covers the finite points only; a curve with none, or
+with a span that overflows, raises ValueError.  The polyline's points
+are rendered in numpy, to the bytes `"%.2f,%.2f"` gives point by point:
 
 - Digits.  Each mapped coordinate v becomes n = round(v·100), taken as
   rint of v·100 rounded to a double.  Rounding is monotone and every
@@ -55,6 +55,8 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     t = start
     while t <= hi + 1e-9 * step:
         out.append(t)
+        if t + step == t:  # step below the resolution of t
+            break
         t += step
     return out or [lo]
 
@@ -107,12 +109,33 @@ def _points(xs, ys) -> str:
     return text.translate(None, b"\0")[:-1].decode("ascii")
 
 
-def _finite_range(v, name):
+def _axis_range(v, name, pad):
+    """(lo, hi) over the finite values of v, each end moved out by `pad`
+    times the span.
+
+    A flat range is widened by 1, or where 1 is below its resolution by
+    half its size towards zero, which cannot overflow.  A range whose
+    span times the plot's width is not finite raises ValueError.
+    """
     finite = v[np.isfinite(v)]
     if not finite.size:
         raise ValueError(f"{name} has no finite point to plot")
-    lo, hi = float(finite.min()), float(finite.max())
-    return lo, hi if hi > lo else lo + 1.0
+    first, last = lo, hi = float(finite.min()), float(finite.max())
+    if hi <= lo:
+        if lo + 1.0 > lo:
+            hi = lo + 1.0
+        elif lo > 0.0:
+            lo = 0.5 * lo
+        else:
+            hi = 0.5 * hi
+    if pad:
+        pad *= hi - lo
+        lo, hi = lo - pad, hi + pad
+    # Mapping to pixels multiplies a span by up to the plot's width.
+    if not math.isfinite(_W * (hi - lo)):
+        raise ValueError(f"{name} values from {first!r} to {last!r} overflow "
+                         f"the axis range")
+    return lo, hi
 
 
 def line_plot_svg(path, x, y, title: str = "", xlabel: str = "",
@@ -120,16 +143,15 @@ def line_plot_svg(path, x, y, title: str = "", xlabel: str = "",
     """Write a single-polyline plot of y against x.
 
     NaN and ±inf points (unresolved sweep rows) are left out of the
-    axis range; x or y with no finite point raises ValueError.
+    axis range; x or y with no finite point, or whose axis range is too
+    wide to map to pixels in doubles, raises ValueError.
     """
     xs = np.asarray(x, float)
     ys = np.asarray(y, float)
     if xs.shape != ys.shape or xs.ndim != 1 or not len(xs):
         raise ValueError("x and y must be equal-length and nonempty")
-    x0, x1 = _finite_range(xs, "x")
-    y0, y1 = _finite_range(ys, "y")
-    pad = 0.05 * (y1 - y0)
-    y0, y1 = y0 - pad, y1 + pad
+    x0, x1 = _axis_range(xs, "x", 0.0)
+    y0, y1 = _axis_range(ys, "y", 0.05)
     pw, ph = _W - _ML - _MR, _H - _MT - _MB
 
     def px(v):

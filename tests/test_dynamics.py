@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -318,6 +319,83 @@ def test_stability_at_reference_rates(reference):
         assert np.max(res["eigen_real_parts"]) > 0.0
 
 
+def _block_solver(J, hd):
+    """v -> W^-1 v for W = I - hd*J with J = J4, or None if W is singular.
+
+    The block solve `_rosenbrock23` does inline, with the same operations
+    in the same order, as a function that can be checked against a dense
+    W; `test_block_solver_makes_the_kernels_step` ties the two together.
+    """
+    (j00, j01, j02, j03), (j10, j11, _, _), (_, _, j22, j23), (j30, _, j32, j33) = J
+    d00, d01, d10, d11 = 1.0 - hd * j22, -hd * j23, -hd * j32, 1.0 - hd * j33
+    det_d = d00 * d11 - d01 * d10
+    w02, w03, w30 = -hd * j02, -hd * j03, -hd * j30
+    s00 = 1.0 - hd * j00 - w30 * (w03 * d00 - w02 * d01) / det_d
+    s01, s10, s11 = -hd * j01, -hd * j10, 1.0 - hd * j11
+    det_s = s00 * s11 - s01 * s10
+    if det_s == 0.0:
+        return None
+
+    def solve(v):
+        v0, v1, p0, p1 = v
+        r0 = v0 - (w02 * (d11 * p0 - d01 * p1) + w03 * (d00 * p1 - d10 * p0)) / det_d
+        x0 = (s11 * r0 - s01 * v1) / det_s
+        p1 -= w30 * x0
+        return (x0, (s00 * v1 - s10 * r0) / det_s,
+                (d11 * p0 - d01 * p1) / det_d, (d00 * p1 - d10 * p0) / det_d)
+
+    return solve
+
+
+def _reference_step(f, jac, z, h, rtol, atol):
+    """(new state, error norm) of one ode23s step of size h from z, with
+    the stages solved by `_block_solver`."""
+    y0, y1, y2, y3 = z
+    f0 = f(y0, y1, y2, y3, 1.0 - y2 - y3)
+    solve = _block_solver(jac(y0, y1, y2, y3, 1.0 - y2 - y3), h * dynamics._D)
+    if solve is None:
+        return None, math.inf
+    a = solve(f0)
+    hh = 0.5 * h
+    m = [yi + hh * ai for yi, ai in zip(z, a)]
+    f1 = f(*m, 1.0 - m[2] - m[3])
+    b = [ui + ai for ui, ai in zip(solve([fi - ai for fi, ai in zip(f1, a)]), a)]
+    n = tuple(yi + h * bi for yi, bi in zip(z, b))
+    f2 = f(*n, 1.0 - n[2] - n[3])
+    c = solve([f2i - dynamics._E32 * (bi - f1i) - 2.0 * (ai - f0i)
+               for f2i, bi, f1i, ai, f0i in zip(f2, b, f1, a, f0)])
+    h6 = h / 6.0
+    return n, 0.5 * math.hypot(*(h6 * (ai - 2.0 * bi + ci) / (atol + rtol * abs(ni))
+                                 for ai, bi, ci, ni in zip(a, b, c, n)))
+
+
+def test_block_solver_makes_the_kernels_step(reference, moderate, rng):
+    # With t_end set to the kernel's own first step, the kernel takes one
+    # step of exactly that size; tolerances from 1e-12 to 1e6 spread it
+    # over the non-stiff and stiff ranges of h*d*k2.  The tie means
+    # little unless most of the 140 steps are accepted and compared.
+    compared = 0
+    for params in (reference, moderate):
+        amp = 2.0 * math.sqrt(orth_threshold_intensity(params))
+        for _ in range(10):
+            s1, s2 = sorted(rng.uniform(0.0, 1.0, 2))
+            z = (*rng.uniform(0.0, amp, 2).tolist(), s1, s2 - s1)
+            f, jac = model.rate_equations(
+                params, float(10.0 ** rng.uniform(-1, 1)) * laser_threshold(params))
+            fnorm = math.hypot(*f(*z, 1.0 - z[2] - z[3]))
+            for tol in np.geomspace(1e-12, 1e6, 7).tolist():
+                h = 0.01 * (tol + tol * math.hypot(*z)) / fnorm
+                n, err_norm = _reference_step(f, jac, z, h, tol, tol)
+                out = dynamics._rosenbrock23(f, jac, z, h, rtol=tol, atol=tol)
+                if err_norm <= 1.0:
+                    assert out["y"] == n
+                    assert (out["nfev"], out["n_accepted"], out["n_rejected"]) == (3, 1, 0)
+                    compared += 1
+                else:
+                    assert out["n_rejected"] >= 1
+    assert compared >= 70
+
+
 def test_block_solve_matches_dense_w(reference, rng):
     gl, go = laser_threshold(reference), orth_threshold_pump(reference)
     s1, s2, _ = zero_field_populations(reference, 1.5 * gl)
@@ -330,7 +408,7 @@ def test_block_solve_matches_dense_w(reference, rng):
         y = (*z, 1.0 - z[2] - z[3])
         J = jac(*y)
         for hd in np.geomspace(1e-25, 1.0, 51):
-            solve = dynamics._w_solver(J, float(hd))
+            solve = _block_solver(J, float(hd))
             W = np.eye(4) - hd * np.array(J)
             for v in (np.array(f(*y)), *rng.standard_normal((3, 4))):
                 x = np.array(solve(v.tolist()))
@@ -360,7 +438,7 @@ def _singular_step(params):
 def test_singular_w_is_a_rejected_step(reference):
     g, z, h = _singular_step(reference)
     _, jac = model.rate_equations(reference, g)
-    assert dynamics._w_solver(jac(*z, 1.0 - z[2] - z[3]), h * dynamics._D) is None
+    assert _block_solver(jac(*z, 1.0 - z[2] - z[3]), h * dynamics._D) is None
 
     # With f = 0 the first step is the whole span h, so it meets the
     # singular W, is rejected and retried at a fifth of the step.
@@ -383,3 +461,70 @@ def test_integrate_step_counts_are_pinned(moderate):
     traj = integrate(moderate, 1.1 * laser_threshold(moderate),
                      (1e-3, 1e-3, 1.0, 0.0, 0.0), t_end=10.0)
     assert traj.diagnostics == {"nfev": 1613, "n_accepted": 806, "n_rejected": 0}
+    digest = hashlib.sha256(traj.times.astype("<f8").tobytes()
+                            + traj.states.astype("<f8").tobytes()).hexdigest()
+    assert digest == "92a8a5bbaef8534a6b141d7f982fb76d87a89b7193f42a1a044fb461bdd9ebc2"
+
+
+# The sampled family and its region pumps that perfbench's oracle-settle
+# workload draws at seed 1, as float.hex.
+_FAMILY = {
+    "stim_rate_G": "0x1.2f3963b8c877ap+4", "nl_coupling_mu": "0x1.6767333f011b6p-4",
+    "decay_k2": "0x1.2e18a1231a616p+8", "decay_k3": "0x1.ee8d53d1b5a5ap-1",
+    "gamma_par_c": "0x1.8537289507efbp-1", "gamma_par_l": "0x1.b8ff5ef669eabp-4",
+    "gamma_orth_c": "0x1.e484534f5d3a5p-1", "gamma_orth_l": "0x1.625d9022a54dap-2",
+}
+_FAMILY_PUMPS = {"i": "0x1.4735981d36635p-5", "ii": "0x1.9fafb9824c535p+1",
+                 "iii": "0x1.424a1772a4617p+8"}
+
+# Per `_rosenbrock23` call of one settle: the end state as float.hex and
+# (nfev, n_accepted, n_rejected).
+_SETTLE_PINS = {
+    "moderate 0.9 laser": [
+        (("0x1.9b0bb35352a20p-51", "0x1.f204bab90c800p-244",
+          "0x1.d1441f081445fp-1", "0x1.7e1478553265ep-13"), (371, 185, 0))],
+    "moderate 1.1 laser": [
+        (("0x1.20ae03086e05cp-4", "0x1.42ddcc1ce6000p-378",
+          "0x1.cc8c8204ae85dp-1", "0x1.ce407ed96a207p-13"), (899, 449, 0))],
+    "family i": [
+        (("0x1.515f9e7cbce00p-61", "0x1.89c84afd5c600p-93",
+          "0x1.eb9b31fb93218p-1", "0x1.0a3c942917680p-13"), (283, 141, 0))],
+    "family ii": [
+        (("0x1.2d1e3e2a9e718p+0", "-0x1.e5ed09dd3a500p-53",
+          "0x1.c0e596e300d7dp-1", "0x1.34d7b0926831cp-7"), (2549, 1271, 3))],
+    "family iii": [
+        (("0x1.118aec58a5478p+2", "0x1.e199bfdc012a3p+0",
+          "0x1.f88d4189d558dp-3", "0x1.0d2390f3ce4c2p-2"), (4903, 2451, 0))],
+    # Lands on the dark state first and reseeds; 57 rejected steps.
+    "reference 1.01 laser": [
+        (("0x1.fd8712ce18000p-147", "-0x1.e203bc8800000p-456",
+          "0x1.fa4ff343498dbp-1", "0x1.99d7712e2b3ccp-57"), (377, 188, 0)),
+        (("0x1.4b96be9c2d9e5p-12", "0x0.0p+0",
+          "0x1.fa5e353f7ced7p-1", "0x1.99e2fbb63af4bp-57"), (1025, 455, 57))],
+}
+
+
+@pytest.mark.parametrize("case", list(_SETTLE_PINS))
+def test_settle_end_states_and_step_counts_are_pinned(case, moderate, reference,
+                                                      monkeypatch):
+    # The kernel may get cheaper per step; its arithmetic may not move.
+    name, point = case.split(" ", 1)
+    if name == "family":
+        params = dataclasses.replace(
+            moderate, **{k: float.fromhex(v) for k, v in _FAMILY.items()})
+        g = float.fromhex(_FAMILY_PUMPS[point])
+    else:
+        params = {"moderate": moderate, "reference": reference}[name]
+        g = float(point.split()[0]) * laser_threshold(params)
+    calls = []
+    kernel = dynamics._rosenbrock23
+
+    def recorded(*args, **kwargs):
+        out = kernel(*args, **kwargs)
+        calls.append((tuple(v.hex() for v in out["y"]),
+                      (out["nfev"], out["n_accepted"], out["n_rejected"])))
+        return out
+
+    monkeypatch.setattr(dynamics, "_rosenbrock23", recorded)
+    settle(params, g)
+    assert calls == _SETTLE_PINS[case]

@@ -82,3 +82,26 @@ def test_numpy_is_the_only_runtime_dependency():
     deps = tomllib.loads(manifest.read_text(encoding="utf-8"))["project"][
         "dependencies"]
     assert [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in deps] == ["numpy"]
+
+
+def test_every_private_module_helper_is_read():
+    # A module-level private function or class must be read somewhere in
+    # the package: called or named in its own module or imported by
+    # another.  A helper whose last caller went away fails here.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in _SOURCES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = [f"{name}:{node.lineno}: {node.name}"
+              for name, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and node.name.startswith("_") and not node.name.startswith("__")
+              and node.name not in read]
+    assert unread == []

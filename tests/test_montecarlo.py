@@ -11,13 +11,16 @@ from squeezer_sim import (
     TooShort,
     compare_to_analytic,
     estimate_psd,
+    laser_threshold,
     orth_phase_variance_reduced,
     orth_threshold_intensity,
+    orth_threshold_pump,
     reference_params,
     simulate_decoupled,
+    steady_state,
     validate,
 )
-from squeezer_sim import montecarlo
+from squeezer_sim import model, montecarlo
 
 OMEGA_2MHZ = 4.0 * math.pi * 1e6
 
@@ -326,3 +329,24 @@ def test_psd_respects_analytic_floor(reference):
     floor = 1.0 - reference.gamma_orth_c / reference.gamma_orth
     sigma = res["analytic"] * est.rel_std_err
     assert np.all(res["psd"] >= floor - 4.0 * sigma)
+
+
+def test_relaxation_rate_is_models_phase_drift_in_region_ii(reference, moderate, rng):
+    # montecarlo writes the region-ii phase rate gorth + mu*i by hand;
+    # model's block gives -(gorth + mu*(a*a + 0*0)) at a = sqrt(i), b = 0.
+    # The two differ only by rounding: sqrt(i) and its square carry 3u
+    # relative (u = 2**-53), the two products mu*(.) one u each and the
+    # two sums with gorth one u each of the result, so 7u times the
+    # result to first order, and u times a double is below one of its
+    # ulps.  One more ulp covers the second-order terms.
+    worst = 0.0
+    for params in (reference, moderate):
+        g_laser, g_orth = laser_threshold(params), orth_threshold_pump(params)
+        intensities = [steady_state(params, g_laser + frac * (g_orth - g_laser)).i_par
+                       for frac in (1e-6, 0.01, 0.3, 0.7, 0.99)]
+        intensities += rng.uniform(0.0, orth_threshold_intensity(params), 50).tolist()
+        for i in intensities:
+            hand = montecarlo._relaxation_rate(params, i)
+            tied = -model.phase_drift(params, math.sqrt(i), 0.0, 0.2, 0.3)[1][1]
+            worst = max(worst, abs(hand - tied) / math.ulp(max(hand, tied)))
+    assert worst <= 8.0

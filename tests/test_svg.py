@@ -1,10 +1,16 @@
+import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import squeezer_sim
 from squeezer_sim.svg import _points, line_plot_svg
 
 
@@ -91,3 +97,53 @@ def test_plot_with_no_finite_point_raises(tmp_path, y):
 def test_plot_rejects_mismatched_or_empty_input(tmp_path, x, y):
     with pytest.raises(ValueError, match="equal-length and nonempty"):
         line_plot_svg(tmp_path / "p.svg", x, y)
+
+
+@pytest.mark.parametrize("level", [1e300, -1e300, 2.0**53, -(2.0**60)])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_plot_widens_a_flat_range_beyond_the_resolution_of_one(tmp_path, level, axis):
+    # level + 1.0 == level here, so widening by 1 would leave a zero span.
+    flat, ramp = np.full(3, level), np.arange(3.0)
+    x, y = (flat, ramp) if axis == "x" else (ramp, flat)
+    line_plot_svg(tmp_path / "f.svg", x, y)
+    points = [p.split(",") for p in _polyline(tmp_path / "f.svg").split()]
+    coords = {float(p[0 if axis == "x" else 1]) for p in points}
+    assert len(coords) == 1 and 40.0 <= coords.pop() <= 780.0
+    ticks = re.findall(r'text-anchor="(?:middle|end)">([^<]*)</text>',
+                       (tmp_path / "f.svg").read_text())
+    assert ticks and all(math.isfinite(float(t)) for t in ticks)
+
+
+def test_plot_keeps_widening_an_ordinary_flat_range_by_one(tmp_path):
+    line_plot_svg(tmp_path / "f.svg", [0.0, 1.0], [2.0, 2.0])
+    # y spans [2, 3] padded by 5%: 2.0 maps to 440 - 400*0.05/1.1.
+    assert _polyline(tmp_path / "f.svg") == "80.00,421.82 780.00,421.82"
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("values", [[-1e308, 1e308], [0.0, 1.7976931348623157e308]])
+def test_plot_refuses_a_range_that_overflows(tmp_path, axis, values):
+    x, y = (values, [0.0, 1.0]) if axis == "x" else ([0.0, 1.0], values)
+    with pytest.raises(ValueError, match=f"^{axis} values from .* overflow"):
+        line_plot_svg(tmp_path / "o.svg", x, y)
+    assert not list(tmp_path.iterdir())
+
+
+def test_plot_of_a_range_finer_than_its_tick_resolution_finishes(tmp_path):
+    # Doubles near 1e16 are 2 apart, so a tick step of 1 cannot advance
+    # the tick; the tick loop must stop rather than grow its list without
+    # bound.  It runs in a child whose heap is capped at 512 MiB, so a
+    # loop that does not stop fails with MemoryError within seconds.
+    code = ("import resource, sys; from squeezer_sim.svg import line_plot_svg; "
+            "resource.setrlimit(resource.RLIMIT_DATA, (2**29, 2**29)); "
+            "a, b = [1e16, 1e16 + 4.0], [0.0, 1.0]; "
+            "line_plot_svg(sys.argv[1], a, b); line_plot_svg(sys.argv[2], b, a)")
+    src = str(Path(squeezer_sim.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "x.svg"),
+                           str(tmp_path / "y.svg")],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("x.svg", "y.svg"):
+        assert ">1e+16</text>" in (tmp_path / name).read_text()
