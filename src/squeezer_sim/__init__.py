@@ -6,12 +6,7 @@ orthogonally polarized fundamental mode, and stochastic (Monte Carlo)
 verification of those spectra.
 """
 
-from .dynamics import (
-    Trajectory,
-    integrate,
-    settle,
-    stability,
-)
+from .dynamics import settle, stability
 from .errors import (
     BandMismatch,
     DomainError,

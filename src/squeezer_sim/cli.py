@@ -211,7 +211,7 @@ def cmd_steady_sweep(cfg: dict, out: str, plot: bool) -> int:
                           "threshold unreachable; give pump_min/max/steps")
     pumps, grid_keys = _grid(cfg, "pump", 0.0, 2.0 * thresholds[1], 201)
     snapshot = {**params.as_dict(), **grid_keys}
-    sweep = steady_state_sweep(params, pumps, thresholds)
+    sweep = steady_state_sweep(params, pumps)
     columns = ["Gamma", "regime", "a_par", "a_orth",
                "sigma1", "sigma2", "sigma3", "sh_power", "status"]
     write_csv(out, columns, [sweep.pumps, *(getattr(sweep, c) for c in columns[1:])],
@@ -230,11 +230,18 @@ def cmd_steady_sweep(cfg: dict, out: str, plot: bool) -> int:
 
 
 def cmd_pump_sweep(cfg: dict, out: str, plot: bool) -> int:
-    params = _model_params(cfg)
-    omega = cfg.get("omega", 4.0 * math.pi * 1e6)
     # The header records the grid keys the user gave: an explicit pump
     # grid, or the default grid normalized to the oscillation threshold.
-    if "pump_min" in cfg or "pump_max" in cfg:
+    # A key of the other grid would be dropped unused, so it is an error.
+    explicit = "pump_min" in cfg or "pump_max" in cfg
+    stray = [k for k in (("pump_norm_min", "pump_norm_max") if explicit
+                         else ("pump_log",)) if k in cfg]
+    if stray:
+        grid = "pump_min/pump_max" if explicit else "linear normalized"
+        raise ConfigError(f"{', '.join(stray)} does not apply to the {grid} pump grid")
+    params = _model_params(cfg)
+    omega = cfg.get("omega", 4.0 * math.pi * 1e6)
+    if explicit:
         pumps, grid_keys = _grid(cfg, "pump", 0.0, 0.0, 101)
         sweep = pump_sweep_curve(params, omega, pumps=pumps)
     else:
@@ -396,12 +403,12 @@ def _regime2_pumps(params, thresholds, n, rng) -> np.ndarray:
     return np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
 
 
-def _check_route_equivalence(params, thresholds, pumps):
+def _check_route_equivalence(params, pumps):
     # The input-output solve on the model's orthogonal phase rate against
     # the closed form; in region ii a_orth = 0, so the modes decouple.
     worst = 0.0
     for g in pumps:
-        ss = steady_state(params, g, thresholds=thresholds)
+        ss = steady_state(params, g)
         a, b = ss.a_par, ss.a_orth
         drift = [[model.phase_drift(params, a, b, ss.sigma2, ss.sigma3)[1][1]]]
         for w in (0.0, 0.3 * params.gamma_orth, 3.0 * params.gamma_orth):
@@ -411,11 +418,11 @@ def _check_route_equivalence(params, thresholds, pumps):
     return worst <= 1e-12, f"max relative split {worst:.2e} (tol 1e-12)"
 
 
-def _check_fixed_point(params, thresholds, pumps):
+def _check_fixed_point(params, pumps):
     # The closed forms derive the populations from i_par; this asks the
     # rate equations themselves, at the configured rates.
-    worst = max(fixed_point_residual(
-        params, g, steady_state(params, g, thresholds=thresholds)) for g in pumps)
+    worst = max(fixed_point_residual(params, g, steady_state(params, g))
+                for g in pumps)
     return worst <= 1e-10, f"max scaled residual {worst:.2e} (tol 1e-10)"
 
 
@@ -433,8 +440,8 @@ def _check_continuity(params, thresholds):
     worst = 0.0
     i_star = orth_threshold_intensity(params)
     for g0 in thresholds:
-        lo = steady_state(params, g0 * (1.0 - 1e-8), thresholds=thresholds)
-        hi = steady_state(params, g0 * (1.0 + 1e-8), thresholds=thresholds)
+        lo = steady_state(params, g0 * (1.0 - 1e-8))
+        hi = steady_state(params, g0 * (1.0 + 1e-8))
         for a, b, scale in (
                 (lo.sigma1, hi.sigma1, 1.0), (lo.sigma2, hi.sigma2, 1.0),
                 (lo.sigma3, hi.sigma3, 1.0),
@@ -471,11 +478,11 @@ def _check_jacobian_fd(params, rng):
     return worst <= 1e-5, f"max relative element error {worst:.2e} (tol 1e-5)"
 
 
-def _check_oracle(params, thresholds, rng):
+def _check_oracle(params, rng):
     worst = 0.0
     for region in ("i", "ii", "iii"):
         g = sample_regime_pumps(rng, params, region)
-        ss = steady_state(params, g, thresholds=thresholds)
+        ss = steady_state(params, g)
         st = settle(params, g, t_max=4.0 * dynamics_t_max(params, g))
         ref, got = ss.state_vector(), st.state_vector()
         scale = np.maximum(np.abs(ref), 1e-9 * float(np.max(np.abs(ref))))
@@ -504,12 +511,10 @@ def cmd_check(cfg: dict, out: str | None) -> int:
     if has_window:
         regime2 = _regime2_pumps(params, thresholds, 140, rng)
         regime3 = [m * thresholds[1] for m in (1.2, 2.0, 3.5)]
-        run("route_equivalence", _check_route_equivalence, params, thresholds,
-            regime2[:100])
-        run("fixed_point_residual", _check_fixed_point, params, thresholds,
-            [*regime2, *regime3])
+        run("route_equivalence", _check_route_equivalence, params, regime2[:100])
+        run("fixed_point_residual", _check_fixed_point, params, [*regime2, *regime3])
         run("continuity_at_thresholds", _check_continuity, params, thresholds)
-        run("oracle_equivalence", _check_oracle, params, thresholds, rng)
+        run("oracle_equivalence", _check_oracle, params, rng)
     else:
         for name in ("route_equivalence", "fixed_point_residual",
                      "continuity_at_thresholds", "oracle_equivalence"):

@@ -1,8 +1,9 @@
 """Time integration of the semiclassical equations and local stability.
 
-This module is the brute-force oracle for the closed-form steady states:
-`settle` integrates from a seeded ground state to t_max and classifies
-the stable fixed point it lands on.  Integration uses the linearly
+This module is the brute-force oracle for the closed-form steady states.
+Its one entry point, `settle`, steps from a seeded ground state to
+t_max and classifies the stable fixed point it lands on; no path is
+kept, only the end state and step counts.  Integration uses the linearly
 implicit, L-stable Rosenbrock 2(3) pair of `ode23s` (Shampine &
 Reichelt, SIAM J. Sci. Comput. 18, 1997) with the analytic Jacobian, on
 the reduced state (a_par, a_orth, sigma1, sigma2), sigma3 = 1 - sigma1 -
@@ -25,7 +26,6 @@ singularity sits in a 2x2 block on the amplitudes (`_rosenbrock23`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,8 +42,6 @@ from .steadystate import (
 )
 
 __all__ = [
-    "Trajectory",
-    "integrate",
     "settle",
     "stability",
 ]
@@ -51,21 +49,6 @@ __all__ = [
 _MAX_RESEEDS = 3
 # Amplitude `settle` seeds both fields with, and reseeds a dark field to.
 _SEED_AMPLITUDE = 1e-3
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Accepted integration steps plus step-acceptance diagnostics."""
-
-    times: np.ndarray
-    states: np.ndarray  # shape (n, 5), rows aligned with times
-    diagnostics: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if len(self.times) != len(self.states):
-            raise ValueError("times and states must have equal length")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
 
 
 # ode23s coefficients: d makes the pair L-stable, e32 weights the
@@ -78,8 +61,7 @@ _MAX_FACTOR = 5.0
 _MAX_CONSECUTIVE_REJECTS = 60
 
 
-def _rosenbrock23(f, jac, init, t_end: float, rtol: float, atol: float,
-                  record: bool = False) -> dict:
+def _rosenbrock23(f, jac, init, t_end: float, rtol: float, atol: float) -> dict:
     """Integrate dz/dt = f(z) from 0 to t_end on the reduced state z =
     (a_par, a_orth, sigma1, sigma2).
 
@@ -97,8 +79,9 @@ def _rosenbrock23(f, jac, init, t_end: float, rtol: float, atol: float,
     float arithmetic raises nothing.  More than 60 rejections in a row
     raise NonFiniteState if the last one was non-finite and
     StepUnderflow otherwise; a step below the resolution of t raises
-    StepUnderflow.  Returns the final (t, y), the recorded path when
-    `record`, and step counts.
+    StepUnderflow.  Returns the end state y and the counts nfev,
+    n_accepted and n_rejected; a caller that needs the path can pass an
+    f that keeps the states it is called at.
     """
     d, e32, hypot, isfinite = _D, _E32, math.hypot, math.isfinite
     safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
@@ -107,7 +90,6 @@ def _rosenbrock23(f, jac, init, t_end: float, rtol: float, atol: float,
     f00, f01, f02, f03 = f0 = f(y0, y1, y2, y3, 1.0 - y2 - y3)
     nfev = 1
     naccept = nreject = rejects = 0
-    ts, ys = [0.0], [y]
 
     fnorm = hypot(*f0)
     h = t_end if fnorm == 0.0 else min(
@@ -206,9 +188,6 @@ def _rosenbrock23(f, jac, init, t_end: float, rtol: float, atol: float,
             stale = True
             naccept += 1
             rejects = 0
-            if record:
-                ts.append(t)
-                ys.append((y0, y1, y2, y3))
             if err_norm == 0.0:
                 h *= max_factor
             else:
@@ -225,43 +204,7 @@ def _rosenbrock23(f, jac, init, t_end: float, rtol: float, atol: float,
     y = (y0, y1, y2, y3)
     if not all(map(isfinite, y)):
         raise NonFiniteState("integration produced non-finite state values")
-    return {
-        "t": t,
-        "y": y,
-        "ts": np.array(ts) if record else None,
-        "ys": np.array(ys) if record else None,
-        "nfev": nfev,
-        "n_accepted": naccept,
-        "n_rejected": nreject,
-    }
-
-
-def integrate(params: ModelParams, pump, init, t_end: float,
-              rel_tol: float = 1e-8, abs_tol: float = 1e-12) -> Trajectory:
-    """Adaptive Rosenbrock 2(3) trajectory from `init` over [0, t_end].
-
-    Every accepted step is recorded as a five-component state, with
-    sigma3 = 1 - sigma1 - sigma2, so the populations of `init` must sum
-    to 1 within 1e-12.  Deterministic for identical inputs; raises
-    StepUnderflow when the controller drives the step below the
-    resolution of t and NonFiniteState when the state blows up.
-    """
-    if t_end <= 0:
-        raise ValueError("t_end must be > 0")
-    if rel_tol <= 0 or abs_tol <= 0:
-        raise ValueError("tolerances must be > 0")
-    y0 = np.asarray(init, float)
-    total = float(y0[2:].sum())
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"init populations sum to {total!r}, not 1")
-    f, jac = model.rate_equations(params, as_pump(pump))
-    out = _rosenbrock23(f, jac, y0[:4], t_end, rtol=rel_tol, atol=abs_tol,
-                        record=True)
-    ys = out["ys"]
-    diags = {"nfev": out["nfev"], "n_accepted": out["n_accepted"],
-             "n_rejected": out["n_rejected"]}
-    return Trajectory(times=out["ts"], diagnostics=diags,
-                      states=np.column_stack([ys, 1.0 - ys[:, 2] - ys[:, 3]]))
+    return {"y": y, "nfev": nfev, "n_accepted": naccept, "n_rejected": nreject}
 
 
 def _settle_t_max(params: ModelParams, pump: float) -> float:

@@ -117,8 +117,9 @@ def run_length(params: ModelParams, i_par, dt: float, duration: float) -> int:
     """Steps n of the `simulate_decoupled` run with these arguments.
 
     Raises the run's DomainErrors (i_par outside [0, gamma_orth/mu], dt
-    above 0.1 over the relaxation rate, fewer than two steps) without
-    allocating anything, so a run can be sized before it is made.
+    above 0.1 over the relaxation rate, a duration / dt that is not
+    finite, fewer than two steps) without allocating anything, so a run
+    can be sized before it is made.
     """
     i = float(i_par)
     top = orth_threshold_intensity(params)
@@ -128,7 +129,10 @@ def run_length(params: ModelParams, i_par, dt: float, duration: float) -> int:
     if dt <= 0 or dt > 0.1 / lam:
         raise DomainError(
             f"dt must satisfy 0 < dt <= 0.1/relaxation rate = {0.1 / lam!r}")
-    n = int(duration / dt)
+    steps = duration / dt
+    if not math.isfinite(steps):
+        raise DomainError(f"duration / dt = {steps!r} is not a finite step count")
+    n = int(steps)
     if n < 2:
         raise DomainError("duration must cover at least two steps")
     return n

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 from .errors import InvalidParams
 
@@ -102,7 +103,19 @@ def validate(raw: dict[str, float] | None = None, /, **kwargs) -> ModelParams:
     errors += [f"missing field '{k}'" for k in missing]
     if errors:
         raise InvalidParams(errors)
-    return ModelParams(**{k: float(v) for k, v in data.items()})
+    values = {k: _number(v) for k, v in data.items()}
+    if None in values.values():
+        # Report every violation, the other fields' included.
+        raise InvalidParams(_violations(SimpleNamespace(**values)))
+    return ModelParams(**values)
+
+
+def _number(v) -> float | None:
+    """float(v), or None where v is not a number."""
+    try:
+        return float(v)
+    except (TypeError, ValueError, OverflowError):
+        return None
 
 
 def reference_params() -> ModelParams:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import Unreachable
 from .params import ModelParams
 from .steadystate import laser_threshold, orth_threshold_pump
 
@@ -46,7 +47,7 @@ def sample_reachable_params(rng: np.random.Generator) -> ModelParams:
         try:
             g_laser = laser_threshold(params)
             g_orth = orth_threshold_pump(params)
-        except Exception:
+        except Unreachable:
             continue
         if g_laser < g_orth:
             return params

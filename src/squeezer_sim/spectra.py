@@ -44,12 +44,10 @@ from .params import ModelParams, as_pump
 from .steadystate import (
     Regime,
     as_pumps,
-    classify_regime,
     laser_branch_intensity,
     laser_threshold,
     orth_threshold_intensity,
     orth_threshold_pump,
-    regime_thresholds,
     steady_state,
 )
 
@@ -114,14 +112,14 @@ def orth_phase_variance(params: ModelParams, pump, omega) -> float:
     """Output phase-quadrature variance of the dark orthogonal mode.
 
     Full form in terms of the region-ii populations; only valid while
-    the orthogonal mode is actually dark (region ii).
+    the orthogonal mode is actually dark, so it raises WrongRegime
+    unless `steady_state` settles in region ii at this pump.
     """
     w = _check_omega(omega)
     g = as_pump(pump)
-    thresholds = regime_thresholds(params)
-    if classify_regime(params, g, thresholds) is not Regime.LaserOnly:
+    ss = steady_state(params, g)
+    if ss.regime is not Regime.LaserOnly:
         raise WrongRegime(f"pump {g!r} is not in the lasing-only region")
-    ss = steady_state(params, g, thresholds=thresholds)
     G = params.stim_rate_G
     inv = ss.sigma3 - ss.sigma2
     num = 2.0 * params.gamma_orth_c * (G * inv - 2.0 * params.gamma_par)
@@ -305,14 +303,14 @@ def regime3_phase_pair_spectrum(params: ModelParams, pump, omega) -> PhasePairVa
     """Coupled phase-quadrature output variances in region iii.
 
     `output_phase_variances` of both modes, with the model's phase block
-    at the region-iii steady state.
+    at the region-iii steady state; WrongRegime unless `steady_state`
+    settles in region iii at this pump.
     """
     w = _check_omega(omega)
     g = as_pump(pump)
-    thresholds = regime_thresholds(params)
-    if classify_regime(params, g, thresholds) is not Regime.OrthExcited:
+    ss = steady_state(params, g)
+    if ss.regime is not Regime.OrthExcited:
         raise WrongRegime(f"pump {g!r} is not in the orth-excited region")
-    ss = steady_state(params, g, thresholds=thresholds)
     a, b = ss.a_par, ss.a_orth
     drift = model.phase_drift(params, a, b, ss.sigma2, ss.sigma3)
     v_par, v_orth = output_phase_variances(params, drift, a, b, (0, 1), w)

@@ -288,16 +288,16 @@ def regime_thresholds(params: ModelParams) -> tuple[float, float]:
     return g_laser, g_orth
 
 
-def classify_regime(params: ModelParams, pump,
-                    thresholds: tuple[float, float] | None = None) -> Regime:
-    """Region of the pump axis; unreachable thresholds count as infinite.
+def classify_regime(params: ModelParams, pump) -> Regime:
+    """Region of the pump axis between the threshold pumps, with
+    unreachable thresholds counted as infinite.
 
-    `thresholds` takes precomputed (laser, orth) threshold pumps so that
-    sweeps do not re-solve them per grid point.
+    This is the region before the closed forms are solved: at the float
+    neighbours of a threshold `steady_state` can settle on the region
+    below it, and its `regime` is the one the spectra go by.
     """
     g = as_pump(pump)
-    g_laser, g_orth = thresholds if thresholds is not None \
-        else regime_thresholds(params)
+    g_laser, g_orth = regime_thresholds(params)
     if g < g_laser:
         return Regime.BelowLaser
     return Regime.LaserOnly if g < g_orth else Regime.OrthExcited
@@ -339,15 +339,14 @@ def _regime3_state(params: ModelParams, pump: float) -> SteadyState:
     return ss
 
 
-def steady_state(params: ModelParams, pump,
-                 thresholds: tuple[float, float] | None = None) -> SteadyState:
+def steady_state(params: ModelParams, pump) -> SteadyState:
     """Realized steady state at this pump, tagged with its regime.
 
     At the laser threshold itself the lasing intensity is 0, so the
     dark zero-field state is returned there.
     """
     g = as_pump(pump)
-    regime = classify_regime(params, g, thresholds)
+    regime = classify_regime(params, g)
     if regime is Regime.OrthExcited:
         return _regime3_state(params, g)
     if regime is Regime.LaserOnly:
@@ -397,8 +396,7 @@ def _check_rows(s1, s2, s3, i_par, i_orth):
         raise ValueError("intensities must be >= 0")
 
 
-def steady_state_sweep(params: ModelParams, pumps,
-                       thresholds: tuple[float, float] | None = None) -> SteadySweep:
+def steady_state_sweep(params: ModelParams, pumps) -> SteadySweep:
     """`steady_state` at every pump of a grid, evaluated on the whole grid.
 
     Every row has bitwise the values `steady_state` gives at its pump:
@@ -410,8 +408,7 @@ def steady_state_sweep(params: ModelParams, pumps,
     scalar call does.
     """
     g = as_pumps(pumps)
-    g_laser, g_orth = thresholds if thresholds is not None \
-        else regime_thresholds(params)
+    g_laser, g_orth = regime_thresholds(params)
     below = g < g_laser
     lasing = ~below & (g < g_orth)
     above = ~below & ~lasing

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from squeezer_sim import ModelParams, reference_params
+from squeezer_sim import ModelParams, dynamics, model, reference_params
 
 
 @pytest.fixture(scope="session")
@@ -32,3 +32,24 @@ def reference():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture(scope="session")
+def kernel_path():
+    """Run the oracle's kernel `_rosenbrock23` from `init` = (a_par,
+    a_orth, s1, s2) to t_end through a spy f that records every state it
+    is called at.  Returns the kernel's result and those states, one
+    five-component row (s3 = 1 - s1 - s2) per evaluation.
+    """
+    def run(params, pump, init, t_end, rtol=1e-8, atol=1e-12):
+        f, jac = model.rate_equations(params, pump)
+        seen = []
+
+        def spy(*y):
+            seen.append(y)
+            return f(*y)
+
+        out = dynamics._rosenbrock23(spy, jac, init, t_end, rtol=rtol, atol=atol)
+        return out, np.array(seen)
+
+    return run

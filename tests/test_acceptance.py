@@ -13,7 +13,6 @@ import pytest
 from squeezer_sim import (
     compare_to_analytic,
     estimate_psd,
-    integrate,
     orth_phase_variance,
     orth_phase_variance_reduced,
     orth_threshold_intensity,
@@ -164,7 +163,7 @@ def test_criterion_6_stochastic_verification():
              f"{est.n_segments} Welch segments")
 
 
-def test_criterion_7_numerical_hygiene(moderate):
+def test_criterion_7_numerical_hygiene(moderate, kernel_path):
     rng = np.random.default_rng(7)
     worst_fd = 0.0
     for _ in range(100):
@@ -189,11 +188,12 @@ def test_criterion_7_numerical_hygiene(moderate):
     fd_ok = worst_fd <= 1e-5
 
     g = 1.6 * orth_threshold_pump(moderate)
-    traj = integrate(moderate, g, np.array([1e-3, 1e-3, 1.0, 0.0, 0.0]),
-                     t_end=_settle_t_max(moderate, g))
-    # integrate builds s3 as 1 - s1 - s2, so their sum cannot drift; the
-    # Rosenbrock step does not keep each one inside [0, 1], so check that.
-    pops = traj.states[:, 2:]
+    _, seen = kernel_path(moderate, g, (1e-3, 1e-3, 1.0, 0.0),
+                          _settle_t_max(moderate, g))
+    # The kernel builds s3 as 1 - s1 - s2, so their sum cannot drift; the
+    # Rosenbrock step does not keep each one inside [0, 1], so check that
+    # at every state the right-hand side is evaluated at.
+    pops = seen[:, 2:]
     lo, hi = float(pops.min()), float(pops.max())
     pops_ok = 0.0 <= lo and hi <= 1.0
 
@@ -209,5 +209,6 @@ def test_criterion_7_numerical_hygiene(moderate):
     _verdict(7, fd_ok and pops_ok and seed_ok,
              f"Jacobian vs central differences {worst_fd:.2e} (tol 1e-5) on "
              f"100 random states; populations in [{lo!r}, {hi!r}] over "
-             f"{len(pops)} rows of a full trajectory (must lie in [0, 1]); "
+             f"{len(pops)} states evaluated on the way to t_max (must lie in "
+             f"[0, 1]); "
              f"same-seed reruns byte-identical: {seed_ok}")

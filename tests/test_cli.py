@@ -220,6 +220,17 @@ def test_mc_verify_oversize_duration_is_refused_before_allocating(tmp_path, caps
     assert not (tmp_path / "mc.csv").exists()
 
 
+@pytest.mark.parametrize("duration", ["1e300", "inf"])
+def test_mc_verify_unbounded_run_length_is_a_domain_error(tmp_path, capsys, duration):
+    # duration / dt overflows to inf, which has no step count: one error
+    # line and exit 2 before anything is allocated, not a traceback.
+    cfg = _write_cfg(tmp_path / "c.cfg", {"duration": duration})
+    assert main(["mc-verify", "--config", cfg, "--out", str(tmp_path / "mc.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: DomainError: duration / dt = inf is not a finite step count\n"
+    assert not (tmp_path / "mc.csv").exists()
+
+
 def test_check_reference_config_passes(capsys):
     assert main(["check"]) == 0
     out = capsys.readouterr().out
@@ -284,6 +295,24 @@ def test_out_of_range_values_are_input_errors(tmp_path, capsys, key, value, flag
         argv += ["--config", _write_cfg(tmp_path / "c.cfg", {key: value})]
     assert main(argv) == 1
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"pump_log": "true"}, "pump_log"),
+    ({"pump_log": "false", "pump_steps": 11}, "pump_log"),
+    ({"pump_min": 0.0, "pump_max": 1e18, "pump_norm_min": 0.5}, "pump_norm_min"),
+    ({"pump_max": 1e18, "pump_norm_max": 0.9}, "pump_norm_max"),
+], ids=["log-on-normalized", "log-false-on-normalized", "norm_min-on-pumps",
+        "norm_max-on-pumps"])
+def test_pump_sweep_refuses_keys_of_the_other_grid(tmp_path, capsys, config, key):
+    # The grid in use would drop the key from its run and its header.
+    cfg = _write_cfg(tmp_path / "c.cfg", config)
+    out = tmp_path / "x.csv"
+    assert main(["pump-sweep", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_i_par_past_threshold_is_a_domain_error(tmp_path, capsys):
@@ -499,8 +528,8 @@ def test_steady_sweep_with_no_row_resolved_plots_nothing(tmp_path, monkeypatch,
                                                          capsys):
     # Every row unresolved leaves every curve NaN: no axis range, so no
     # plot, and the sweep fails as a numerical failure with its count.
-    def unresolved(params, pumps, thresholds=None):
-        sweep = steady_state_sweep(params, pumps, thresholds)
+    def unresolved(params, pumps):
+        sweep = steady_state_sweep(params, pumps)
         nan = np.full(len(sweep.pumps), np.nan)
         return SteadySweep(sweep.pumps, np.full(len(nan), ""), nan, nan, nan,
                            nan, nan, nan, np.full(len(nan), "error:WrongRegime"))

@@ -8,7 +8,6 @@ import pytest
 from squeezer_sim import (
     NonFiniteState,
     Regime,
-    integrate,
     laser_threshold,
     orth_threshold_intensity,
     orth_threshold_pump,
@@ -21,6 +20,13 @@ from squeezer_sim.sampling import sample_reachable_params
 from squeezer_sim.steadystate import zero_field_populations
 
 GROUND = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
+# (a_par, a_orth, s1, s2) of the seeded ground state `settle` starts from.
+SEED = (1e-3, 1e-3, 1.0, 0.0)
+
+
+def _full(y):
+    """Five-component state of a reduced one, s3 = 1 - s1 - s2."""
+    return np.array([*y, 1.0 - y[2] - y[3]])
 
 
 def _random_states(rng, n):
@@ -40,43 +46,29 @@ def test_closed_form_steady_state_is_a_fixed_point(moderate):
     assert np.linalg.norm(rate) <= 1e-9 * np.linalg.norm(ss.state_vector())
 
 
-def test_integrate_preserves_fixed_point(moderate):
+def test_integrate_preserves_fixed_point(moderate, kernel_path):
     g = 2.0 * orth_threshold_pump(moderate)
     y0 = steady_state(moderate, g).state_vector()
     rel_tol = 1e-8
-    traj = integrate(moderate, g, y0, t_end=10.0, rel_tol=rel_tol)
-    drift = np.linalg.norm(traj.states[-1] - y0) / np.linalg.norm(y0)
+    out, _ = kernel_path(moderate, g, y0[:4].tolist(), 10.0, rtol=rel_tol)
+    drift = np.linalg.norm(_full(out["y"]) - y0) / np.linalg.norm(y0)
     assert drift <= 10 * rel_tol
 
 
-def test_integrate_converges_to_closed_form(moderate):
+def test_integrate_converges_to_closed_form(moderate, kernel_path):
     g = np.sqrt(laser_threshold(moderate) * orth_threshold_pump(moderate))
-    y0 = np.array([1e-3, 1e-3, 1.0, 0.0, 0.0])
-    traj = integrate(moderate, g, y0, t_end=80.0)
+    out, _ = kernel_path(moderate, g, SEED, 80.0)
     ss = steady_state(moderate, g).state_vector()
     scale = np.maximum(np.abs(ss), 1e-9 * np.max(np.abs(ss)))
-    assert np.max(np.abs(traj.states[-1] - ss) / scale) < 1e-5
+    assert np.max(np.abs(_full(out["y"]) - ss) / scale) < 1e-5
 
 
-def test_integrate_tolerance_halving_sanity(moderate):
+def test_integrate_tolerance_halving_sanity(moderate, kernel_path):
     g = np.sqrt(laser_threshold(moderate) * orth_threshold_pump(moderate))
-    y0 = np.array([1e-3, 1e-3, 1.0, 0.0, 0.0])
-    a = integrate(moderate, g, y0, t_end=5.0, rel_tol=1e-6, abs_tol=1e-10)
-    b = integrate(moderate, g, y0, t_end=5.0, rel_tol=5e-7, abs_tol=1e-10)
-    change = np.linalg.norm(a.states[-1] - b.states[-1])
-    assert change <= 1e-6 * np.linalg.norm(a.states[-1])
-
-
-def test_integrate_rejects_bad_arguments(moderate):
-    with pytest.raises(ValueError):
-        integrate(moderate, 1.0, GROUND, t_end=-1.0)
-    with pytest.raises(ValueError):
-        integrate(moderate, 1.0, GROUND, t_end=1.0, rel_tol=0.0)
-
-
-def test_integrate_rejects_populations_not_summing_to_one(moderate):
-    with pytest.raises(ValueError):
-        integrate(moderate, 1.0, np.array([0.0, 0.0, 1.0, 1e-9, 0.0]), t_end=1.0)
+    a, _ = kernel_path(moderate, g, SEED, 5.0, rtol=1e-6, atol=1e-10)
+    b, _ = kernel_path(moderate, g, SEED, 5.0, rtol=5e-7, atol=1e-10)
+    change = np.linalg.norm(_full(a["y"]) - _full(b["y"]))
+    assert change <= 1e-6 * np.linalg.norm(_full(a["y"]))
 
 
 def test_settle_zero_pump(moderate):
@@ -136,23 +128,23 @@ def test_settle_regime3_difference_clamp(moderate):
     assert st.i_par - st.i_orth == pytest.approx(target, rel=1e-6)
 
 
-def test_dark_orthogonal_mode_is_invariant(moderate):
+def test_dark_orthogonal_mode_is_invariant(moderate, kernel_path):
     # a_orth = 0 is preserved exactly: its rate and the off-diagonal
     # Jacobian entries of its row and column are all proportional to
     # a_orth, so every Rosenbrock stage leaves it at zero.
     g = 2.0 * orth_threshold_pump(moderate)
-    y0 = np.array([1e-3, 0.0, 1.0, 0.0, 0.0])
-    traj = integrate(moderate, g, y0, t_end=30.0)
-    assert np.all(traj.states[:, 1] == 0.0)
+    out, seen = kernel_path(moderate, g, (1e-3, 0.0, 1.0, 0.0), 30.0)
+    assert out["y"][1] == 0.0
+    assert np.all(seen[:, 1] == 0.0)
 
 
-def test_populations_stay_in_unit_interval_along_trajectory(moderate):
-    # integrate builds s3 as 1 - s1 - s2, so the sum is 1 whatever the
+def test_populations_stay_in_unit_interval_along_trajectory(moderate, kernel_path):
+    # The kernel builds s3 as 1 - s1 - s2, so the sum is 1 whatever the
     # stepper does; each population staying in [0, 1] is not enforced.
+    # Every state f is called at, stage points included, must keep it.
     g = 1.5 * orth_threshold_pump(moderate)
-    y0 = np.array([1e-3, 1e-3, 1.0, 0.0, 0.0])
-    traj = integrate(moderate, g, y0, t_end=50.0)
-    pops = traj.states[:, 2:]
+    _, seen = kernel_path(moderate, g, SEED, 50.0)
+    pops = seen[:, 2:]
     assert np.all((pops >= 0.0) & (pops <= 1.0))
 
 
@@ -456,14 +448,17 @@ def test_singular_w_is_a_rejected_step(reference):
         dynamics._rosenbrock23(still, nan_jac, z, 1.0, rtol=1e-7, atol=1e-9)
 
 
-def test_integrate_step_counts_are_pinned(moderate):
-    # The kernel's cost per step is what changes; the steps it takes stay.
-    traj = integrate(moderate, 1.1 * laser_threshold(moderate),
-                     (1e-3, 1e-3, 1.0, 0.0, 0.0), t_end=10.0)
-    assert traj.diagnostics == {"nfev": 1613, "n_accepted": 806, "n_rejected": 0}
-    digest = hashlib.sha256(traj.times.astype("<f8").tobytes()
-                            + traj.states.astype("<f8").tobytes()).hexdigest()
-    assert digest == "92a8a5bbaef8534a6b141d7f982fb76d87a89b7193f42a1a044fb461bdd9ebc2"
+def test_integrate_step_counts_are_pinned(moderate, kernel_path):
+    # The kernel's cost per step may change; the states it evaluates f at,
+    # the steps it takes and where it ends may not.
+    out, seen = kernel_path(moderate, 1.1 * laser_threshold(moderate), SEED, 10.0)
+    assert [v.hex() for v in out["y"]] == [
+        "0x1.e44812fc594a3p-11", "0x1.1edd4926c957fp-39",
+        "0x1.c8049010ac1f7p-1", "0x1.c9b2c8b94a9ccp-13"]
+    assert (out["nfev"], out["n_accepted"], out["n_rejected"]) == (1613, 806, 0)
+    assert seen.shape == (1613, 5)
+    digest = hashlib.sha256(seen.astype("<f8").tobytes()).hexdigest()
+    assert digest == "e1a6d21aca49e4433790777b4bea4b050a0a66043ddf30de34031c31a2a23d1f"
 
 
 # The sampled family and its region pumps that perfbench's oracle-settle

@@ -105,3 +105,21 @@ def test_every_private_module_helper_is_read():
               and node.name.startswith("_") and not node.name.startswith("__")
               and node.name not in read]
     assert unread == []
+
+
+def test_no_module_catches_every_exception():
+    # A bare `except:`, `except Exception` or `except BaseException`
+    # turns a bug into whatever the handler does; each handler must name
+    # the errors it expects.
+    broad = []
+    for path in _SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            types = (node.type.elts if isinstance(node.type, ast.Tuple)
+                     else [node.type])
+            if any(t is None or (isinstance(t, ast.Name)
+                                 and t.id in ("Exception", "BaseException"))
+                   for t in types):
+                broad.append(f"{path.name}:{node.lineno}")
+    assert broad == []

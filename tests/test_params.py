@@ -100,3 +100,18 @@ def test_pump_drive_validation():
         as_pump(-1.0)
     with pytest.raises(InvalidParams):
         as_pump(math.nan)
+
+
+@pytest.mark.parametrize("bad", ["abc", None])
+def test_non_numeric_field_reports_every_violation(bad):
+    # A field float() cannot read is one more violation in the list, not
+    # an error that hides the others.
+    fields = {**reference_params().as_dict(), "decay_k2": bad,
+              "nl_coupling_mu": -1.0, "gamma_orth_c": math.inf}
+    with pytest.raises(InvalidParams) as err:
+        validate(fields)
+    assert err.value.errors == [
+        "nl_coupling_mu must be > 0",
+        "decay_k2 must be a finite number",
+        "gamma_orth_c must be a finite number",
+    ]

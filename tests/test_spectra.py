@@ -6,9 +6,11 @@ import pytest
 from squeezer_sim import (
     DomainError,
     InvalidParams,
+    Regime,
     SingularMatrix,
     SpectrumCurve,
     WrongRegime,
+    classify_regime,
     frequency_sweep_curve,
     laser_threshold,
     orth_phase_variance,
@@ -137,6 +139,49 @@ def test_spectrum_point_solves_thresholds_once(moderate, monkeypatch):
         calls.clear()
         spectrum(moderate, pump, 1.0)
         assert len(calls) == 1, spectrum.__name__
+
+
+def _full_form(params, ss, w):
+    """The region-ii full form of the module docstring, at state ss."""
+    G = params.stim_rate_G
+    inv = ss.sigma3 - ss.sigma2
+    num = 2.0 * params.gamma_orth_c * (G * inv - 2.0 * params.gamma_par)
+    den = (params.gamma_orth - params.gamma_par + 0.5 * G * inv) ** 2 + w * w
+    return 1.0 - num / den
+
+
+def test_spectra_follow_steady_state_regime_at_threshold_neighbours(reference, rng):
+    # At the float neighbours of a threshold the closed forms can settle
+    # on the region below it: zero lasing intensity at the laser
+    # threshold, a dark orthogonal mode just above the instability.  The
+    # spectra go by the regime `steady_state` settles on, and return the
+    # value of their form at that state.
+    families = [reference] + [sample_reachable_params(rng) for _ in range(100)]
+    moved = 0
+    for p in families:
+        w = p.gamma_orth
+        for g0 in (laser_threshold(p), orth_threshold_pump(p)):
+            up1 = math.nextafter(g0, math.inf)
+            for g in (math.nextafter(g0, 0.0), g0, up1, math.nextafter(up1, math.inf)):
+                ss = steady_state(p, g)
+                moved += ss.regime is not classify_regime(p, g)
+                if ss.regime is Regime.LaserOnly:
+                    assert orth_phase_variance(p, g, w) == _full_form(p, ss, w)
+                else:
+                    with pytest.raises(WrongRegime):
+                        orth_phase_variance(p, g, w)
+                if ss.regime is Regime.OrthExcited:
+                    a, b = ss.a_par, ss.a_orth
+                    drift = model.phase_drift(p, a, b, ss.sigma2, ss.sigma3)
+                    v_par, v_orth = output_phase_variances(p, drift, a, b, (0, 1), w)
+                    pair = regime3_phase_pair_spectrum(p, g, w)
+                    assert (pair.v_par, pair.v_orth) == (v_par, v_orth)
+                else:
+                    with pytest.raises(WrongRegime):
+                        regime3_phase_pair_spectrum(p, g, w)
+    # The boundary cases occur: some of these pumps settle below the
+    # region their threshold pump puts them in.
+    assert moved >= 50
 
 
 def test_variance_bounded_by_qnl_floor_and_ceiling(rng):

@@ -174,6 +174,19 @@ def test_orth_threshold_unreachable_when_intensity_saturates(moderate):
         orth_threshold_pump(p)
 
 
+def test_family_sampler_retries_only_unreachable_thresholds(rng, monkeypatch):
+    # An unreachable threshold means a fresh draw; any other error is a
+    # bug and must surface, not turn into silent retries.
+    from squeezer_sim import sampling
+
+    def broken(params):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(sampling, "orth_threshold_pump", broken)
+    with pytest.raises(ZeroDivisionError):
+        sample_reachable_params(rng)
+
+
 def test_sh_power_dark_state_zero(moderate):
     assert sh_power(moderate, steady_state(moderate, 0.0)) == 0.0
 
@@ -314,13 +327,13 @@ def test_oracle_equivalence_random_sets(rng):
 # The batch entry point against the scalar one
 # ---------------------------------------------------------------------------
 
-def _scalar_rows(params, pumps, thresholds=None):
+def _scalar_rows(params, pumps):
     """(regime, a_par, a_orth, s1, s2, s3, sh_power, status) per pump,
     from `steady_state`, with NaN values where it raises."""
     rows = []
     for g in pumps.tolist():
         try:
-            ss = steady_state(params, g, thresholds=thresholds)
+            ss = steady_state(params, g)
         except SqueezerSimError as exc:
             rows.append(("", *[math.nan] * 6, f"error:{type(exc).__name__}"))
         else:
@@ -334,14 +347,14 @@ def _bits(rows):
             for row in rows]
 
 
-def _assert_sweep_is_scalar(params, pumps, thresholds=None):
+def _assert_sweep_is_scalar(params, pumps):
     """Every row of `steady_state_sweep` bitwise equal to `steady_state`."""
-    sweep = steady_state_sweep(params, pumps, thresholds)
+    sweep = steady_state_sweep(params, pumps)
     assert sweep.pumps.tolist() == np.asarray(pumps, float).tolist()
     got = zip(*(getattr(sweep, name).tolist() for name in (
         "regime", "a_par", "a_orth", "sigma1", "sigma2", "sigma3", "sh_power",
         "status")))
-    assert _bits(got) == _bits(_scalar_rows(params, pumps, thresholds))
+    assert _bits(got) == _bits(_scalar_rows(params, pumps))
     return sweep
 
 
@@ -379,13 +392,14 @@ def test_sweep_reports_root_find_failures_on_the_scalar_rows(reference, monkeypa
     assert np.isnan(sweep.a_par[sweep.status != "ok"]).all()
 
 
-def test_sweep_reports_wrong_regime_on_the_scalar_rows(moderate):
-    # Thresholds given as (0, 0) put every pump in region iii, so the
-    # pumps below the instability take the lasing-branch fallback, which
-    # raises WrongRegime below the laser threshold.
+def test_sweep_reports_wrong_regime_on_the_scalar_rows(moderate, monkeypatch):
+    # Thresholds of (0, 0) put every pump in region iii, so the pumps
+    # below the instability take the lasing-branch fallback, which raises
+    # WrongRegime below the laser threshold.
     gl, go = laser_threshold(moderate), orth_threshold_pump(moderate)
+    monkeypatch.setattr(steadystate, "regime_thresholds", lambda params: (0.0, 0.0))
     pumps = np.array([0.0, 0.5 * gl, 2.0 * gl, 0.5 * go, 2.0 * go])
-    sweep = _assert_sweep_is_scalar(moderate, pumps, thresholds=(0.0, 0.0))
+    sweep = _assert_sweep_is_scalar(moderate, pumps)
     assert sweep.status.tolist() == ["error:WrongRegime"] * 2 + ["ok"] * 3
     assert sweep.regime.tolist() == ["", "", "ii", "ii", "iii"]
 
