@@ -300,9 +300,10 @@ def cmd_spectrum(cfg: dict, out: str, plot: bool) -> int:
     return EXIT_OK
 
 
-# Peak doubles per step of one mc-verify run.  The trajectory, the in2
-# buffer and the Welch blocks measure about 2.5 series lengths under
-# tracemalloc; tests/test_cli.py holds a whole run to 2.75.
+# Peak doubles per step of one mc-verify run.  The states and the
+# output, then the output and its transposed copy, measure about 2.1
+# threshold series lengths under tracemalloc over a whole default run;
+# tests/test_cli.py holds a run to 2.75.
 _MC_DOUBLES_PER_STEP = 2.75
 
 
@@ -325,12 +326,11 @@ def _mc_leg(params, i_par, seed, dt, duration, segments, analytic_params,
             analytic_i_par):
     """Simulate, estimate and compare one mc-verify run.
 
-    Only the estimate and the comparison outlive the call, so the SDE
-    series of one run is freed before the next run allocates its own.
+    Only the estimate and the comparison outlive the call, so the series
+    of one run is freed before the next run allocates its own.
     """
-    run = simulate_decoupled(params, i_par, seed=seed, dt=dt,
-                             duration=duration)
-    est = estimate_psd(run, segments)
+    run = simulate_decoupled(params, i_par, seed, dt, duration, segments)
+    est = estimate_psd(run)
     return est, compare_to_analytic(est, analytic_params, analytic_i_par)
 
 
@@ -343,9 +343,8 @@ def cmd_mc_verify(cfg: dict, out: str, negative_control: bool) -> int:
     # comfortable margin below.
     segments = cfg.get("segments", 2048)
     lam = 2.0 * params.gamma_orth  # relaxation rate at threshold
-    dt = cfg.get("dt", 0.02 / lam)
-    default_samples = (segments + 1) * 4096 // 2 + 4096
-    duration = cfg.get("duration", default_samples * dt)
+    dt = cfg.get("dt", 0.16 / lam)
+    duration = cfg.get("duration", segments * 512 * dt)
 
     analytic_params = params
     if negative_control:
@@ -353,17 +352,18 @@ def cmd_mc_verify(cfg: dict, out: str, negative_control: bool) -> int:
         d["gamma_orth_c"] *= 1.2
         analytic_params = validate(d)
 
-    # Both legs are sized before either allocates: the threshold leg
-    # first, since its dt gate refuses an oversize dt, with which the QNL
-    # leg's length grows; then the longer leg against physical memory.
-    qnl_dt = 0.05 / params.gamma_orth
-    qnl_duration = duration * lam / params.gamma_orth
-    _check_fits_in_memory(max(run_length(params, i_star, dt, duration),
-                              run_length(params, 0.0, qnl_dt, qnl_duration)))
+    # The QNL leg relaxes at gamma_orth, half the threshold rate, so at
+    # the same lam*dt and duration it has the same segments and bins
+    # from half the samples.  Both legs are sized before either
+    # allocates, and each draws from its own child of the seed.
+    qnl_dt = dt * lam / params.gamma_orth
+    _check_fits_in_memory(max(run_length(params, i_star, dt, duration, segments),
+                              run_length(params, 0.0, qnl_dt, duration, segments)))
+    thr_seed, qnl_seed = np.random.SeedSequence(seed).spawn(2)
     est_thr, res_thr = _mc_leg(
-        params, i_star, seed + 1, dt, duration, segments, analytic_params,
+        params, i_star, thr_seed, dt, duration, segments, analytic_params,
         min(i_star, orth_threshold_intensity(analytic_params)))
-    _, res_qnl = _mc_leg(params, 0.0, seed, qnl_dt, qnl_duration, segments,
+    _, res_qnl = _mc_leg(params, 0.0, qnl_seed, qnl_dt, duration, segments,
                          analytic_params, 0.0)
 
     snapshot = {**params.as_dict(), "seed": int(seed), "dt": float(dt),

@@ -3,41 +3,49 @@
 The dark orthogonal mode's phase quadrature is an Ornstein-Uhlenbeck
 process,
 
-    dY = -(gorth + mu*i_par) Y dt + sqrt(2*gl) dW1 + sqrt(2*gc) dW2,
+    dY = -lam Y dt + sqrt(2*gl) dW1 + sqrt(2*gc) dW2,   lam = gorth + mu*i_par,
 
-with the measurable output Y_out = sqrt(2*gc) Y - Z_in2.  Discretizing
-needs two cares.  First, a continuous unit-spectral-density input is
-represented per Euler-Maruyama step by a Gaussian increment of variance
-dt, and the "instantaneous" reflected value entering the output
-relation is that same increment divided by dt: reusing the identical
-in2 increment in both the cavity update and the output sample preserves
-the cavity / reflection cross-correlation that pushes the output below
-the QNL (an independent draw would converge to an unsqueezed spectrum).
-Second, dW/dt is the boxcar average of the white input over step k, so
-the cavity term of the output must be boxcar-averaged over the same
-interval, i.e. sampled at the step midpoint (y_k + y_{k+1})/2; sampling
-the pre-update state instead leaves an O(1) spectral bias at fixed
-omega*dt that no refinement of dt removes.  With both in place the
-estimated spectrum converges to the continuous input-output result,
-which is exactly why this simulation is a genuine check of the analytic
-spectrum rather than a restatement of it.
+with the measurable output Y_out = sqrt(2*gc) Y - Z_in2.  A sample of
+the output over a step of length dt is the boxcar average of that
+relation over the step: sqrt(2*gc) times the mean of Y over the step,
+minus the in2 increment over dt.  Both halves of the sample share the
+one in2 increment, and that shared increment is the cavity /
+reflection cross-correlation that pushes the output below the QNL (an
+independent draw would converge to an unsqueezed spectrum).
 
-The update is a first-order recurrence, solved as a blocked scan
-(Blelloch, "Prefix sums and their applications", 1990) by `_ar1`.
-The output spectrum is a Hann-windowed, 50%-overlap Welch estimate
-(Welch, IEEE Trans. Audio Electroacoust. 15, 70, 1967) in the two-sided
-density convention.  It is computed one-sided, with one batched real FFT
-per block of segments read through a strided view of the series: for a
-real series the interior one-sided bins, left undoubled, are exactly the
-two-sided density at f >= 0.  Both halves of the data path work in
-place: a simulation of n steps holds two series-length buffers, the
-trajectory and the in2 draws that the output overwrites, and peaks at
-about 2.1n doubles; the estimate keeps only the bins the comparison
-trusts, up to a quarter of Nyquist, so its bin-by-segment matrix adds
-about n/4 on top of the run it reads.
+An OU process has an exact update at any step (Gillespie, PRE 54,
+2084, 1996), and so does this sample.  Given the state y_k at the start
+of step k, the next state and the sample are
 
-Seeding uses a counter-based generator (Philox), so every run is fully
-reproducible from (seed, dt, duration) alone.
+    y_{k+1} = a y_k + e_k,      out_k = c y_k + n_k,
+
+with a = exp(-lam dt), c = sqrt(2*gc) (1 - a)/(lam dt), and (e_k, n_k)
+jointly Gaussian, independent of y_k and of every other step, with a
+closed-form 2x2 covariance.  `_exact_step` writes its Cholesky factor
+out in floats, so each sample costs two standard normals and there is
+no discretization error at any lam*dt: no step-size gate, no transient
+and no band limit below Nyquist.
+
+A run is `segments` independent segments of `nperseg` samples each,
+every one started from the stationary law N(0, (gl + gc)/lam).  They
+are stepped together as the columns of one (nperseg, segments) array,
+one elementwise multiply-add of a row per step, with no BLAS call, so
+the bytes of a seeded run do not depend on the CPU.  One transpose then
+lays the segments end to end in `series_out`.
+
+The output spectrum is a Hann-windowed Welch estimate (Welch, IEEE
+Trans. Audio Electroacoust. 15, 70, 1967) over those segments, without
+overlap, in the two-sided density convention: for a real series the
+one-sided bins, left undoubled, are the two-sided density at f >= 0.
+The segments are independent, so each bin's relative standard error is
+1/sqrt(segments) with no overlap correction.
+
+Draws come from numpy's default generator (PCG64), seeded by an int or
+a `np.random.SeedSequence`, so a run is reproducible from (seed, dt,
+duration, segments) alone.  PCG64 is chosen over Philox by speed: the
+normals are most of a run's time, and with PCG64 a whole default
+mc-verify run took 67 ms against 77 ms (medians of 16 runs on one CPU of
+a 2-CPU x86-64 VM).
 """
 
 from __future__ import annotations
@@ -46,7 +54,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BandMismatch, DomainError, TooShort
 from .params import ModelParams
@@ -56,47 +63,32 @@ from .steadystate import orth_threshold_intensity
 __all__ = ["SdeRun", "PsdEstimate", "run_length", "simulate_decoupled",
            "estimate_psd", "compare_to_analytic"]
 
-# Squared overlap correlation of Hann-windowed periodograms at 50% hop.
-_HANN_OVERLAP_RHO = 1.0 / 9.0
-_MIN_SEGMENT = 64
-# Segments per batched rfft in estimate_psd: bounds the windowed block
-# and its complex spectrum to about 1 MB each at nperseg 4096, whatever
-# the series length.
-_SEGMENT_BLOCK = 32
-# Samples per block of the AR(1) scan, and blocks per cache-sized matmul.
-_AR1_BLOCK = 32
-_AR1_ROWS = 512
-# Samples per chunk of simulate_decoupled's elementwise passes, which
-# keeps their temporaries at 256 KB instead of one series length.
-_CHUNK = 32768
-# The comparison trusts the Euler-Maruyama spectrum up to this fraction
-# of Nyquist, so estimate_psd keeps no bins above it.
-_TRUSTED_NYQUIST = 0.25
+_MIN_SEGMENTS = 8
+# Samples per block of rows in the transpose of simulate_decoupled and
+# per batched rfft in estimate_psd: 512 KB of doubles, which keeps both
+# passes in cache.  A whole-array transpose copy took five times longer.
+_BLOCK_SAMPLES = 1 << 16
 
 
 @dataclass(frozen=True)
 class SdeRun:
-    """One Euler-Maruyama realization of the decoupled phase quadrature.
-
-    `relaxation_rate` is the drift rate gamma_orth + mu*i_par of the run,
-    which sets the transient `estimate_psd` discards.
-    """
+    """One exact realization of the output, `segments` independent
+    stationary segments laid end to end in `series_out`."""
 
     dt: float
-    relaxation_rate: float
+    segments: int
     series_out: np.ndarray
-    series_cavity: np.ndarray
 
     def __post_init__(self):
-        if len(self.series_out) != len(self.series_cavity):
-            raise ValueError("output and cavity series must have equal length")
+        if self.series_out.ndim != 1 or len(self.series_out) % self.segments:
+            raise ValueError("series_out must hold `segments` equal segments")
 
 
 @dataclass(frozen=True)
 class PsdEstimate:
     """Welch estimate of the two-sided output PSD, QNL-normalized."""
 
-    freqs: np.ndarray  # angular, rad/s, ascending, 0 to Nyquist/4
+    freqs: np.ndarray  # angular, rad/s, ascending, 0 to Nyquist
     psd: np.ndarray
     n_segments: int
     rel_std_err: float
@@ -113,129 +105,99 @@ def _relaxation_rate(params: ModelParams, i_par) -> float:
     return params.gamma_orth + params.nl_coupling_mu * float(i_par)
 
 
-def run_length(params: ModelParams, i_par, dt: float, duration: float) -> int:
-    """Steps n of the `simulate_decoupled` run with these arguments.
+def _exact_step(gl: float, gc: float, lam: float, dt: float):
+    """(a, c, l11, l21, l22) of one exact step of length dt.
 
-    Raises the run's DomainErrors (i_par outside [0, gamma_orth/mu], dt
-    above 0.1 over the relaxation rate, a duration / dt that is not
-    finite, fewer than two steps) without allocating anything, so a run
-    can be sized before it is made.
+    y_{k+1} = a y_k + l11 z1 and out_k = c y_k + l21 z1 + l22 z2 for
+    independent standard normals z1, z2.  With D = 2 (gl + gc), x = lam dt
+    and m = 1 - a, the innovation e and the sample's own noise n have
+
+        var e = D m (2 - m) / (2 lam)
+        cov   = -sqrt(2 gc) m (2 lam - D m) / (2 lam x)
+        det   = m / (2 x^2) [2 gl x (2 - m) + 2 gc (1 - D/lam)^2 p],
+
+    p = 2 (x - m) - m x, a sum of nonnegative terms.  m comes from expm1,
+    so a small x does not cancel.  p itself (about x^3/6) carries an
+    absolute error of a few u x; weighted against 2 gl, that is a few
+    u gc/gl relative in l22^2, which grows only as gl goes to 0.
+    """
+    d = 2.0 * (gl + gc)
+    x = lam * dt
+    m = -math.expm1(-x)
+    g2 = math.sqrt(2.0 * gc)
+    l11 = math.sqrt(-d * math.expm1(-2.0 * x) / (2.0 * lam))
+    l21 = (-g2 * (1.0 - d * m / (2.0 * lam))
+           * math.sqrt(2.0 * lam * m / (d * (2.0 - m))) / x)
+    p = 2.0 * (x - m) - m * x
+    r = 1.0 - d / lam
+    l22 = math.sqrt(lam / (d * x)
+                    * (2.0 * gl + 2.0 * gc * r * r * p / (x * (2.0 - m))))
+    return math.exp(-x), g2 * m / x, l11, l21, l22
+
+
+def run_length(params: ModelParams, i_par, dt: float, duration: float,
+               segments: int) -> int:
+    """Samples n of the `simulate_decoupled` run with these arguments.
+
+    `duration` is the run's total time, split into `segments` segments of
+    nperseg = duration / (dt * segments) steps, rounded to the nearest
+    integer; n = segments * nperseg.  Raises the run's errors (i_par
+    outside [0, gamma_orth/mu], a dt that is not positive and finite, a
+    duration / dt that is not finite: DomainError; fewer than 8
+    segments: ValueError; fewer than two steps a segment: TooShort)
+    without allocating anything, so a run can be sized before it is made.
     """
     i = float(i_par)
     top = orth_threshold_intensity(params)
     if not 0.0 <= i <= top * (1.0 + 1e-12):
         raise DomainError(f"i_par must lie in [0, {top!r}], got {i!r}")
-    lam = _relaxation_rate(params, i)
-    if dt <= 0 or dt > 0.1 / lam:
-        raise DomainError(
-            f"dt must satisfy 0 < dt <= 0.1/relaxation rate = {0.1 / lam!r}")
+    if not (0.0 < dt < math.inf):
+        raise DomainError(f"dt must be positive and finite, got {dt!r}")
     steps = duration / dt
     if not math.isfinite(steps):
         raise DomainError(f"duration / dt = {steps!r} is not a finite step count")
-    n = int(steps)
-    if n < 2:
-        raise DomainError("duration must cover at least two steps")
-    return n
+    if segments < _MIN_SEGMENTS:
+        raise ValueError(f"segments must be >= {_MIN_SEGMENTS}")
+    nperseg = round(steps / segments)
+    if nperseg < 2:
+        raise TooShort(f"duration must cover at least two steps in each of "
+                       f"{segments} segments")
+    return segments * nperseg
 
 
-def simulate_decoupled(params: ModelParams, i_par, seed: int, dt: float,
-                       duration: float, *, channel_gains=(1.0, 1.0),
-                       y0: float = 0.0, increments=None) -> SdeRun:
-    """Euler-Maruyama run of the decoupled equation plus output relation.
+def simulate_decoupled(params: ModelParams, i_par, seed, dt: float,
+                       duration: float, segments: int) -> SdeRun:
+    """Exact run of the decoupled equation plus output relation.
 
-    `channel_gains`, `y0` and `increments` are test hooks: they scale or
-    replace the two noise channels (e.g. to watch the noise-free decay,
-    or to couple runs at different dt through shared Brownian paths).
+    `seed` is an int or a `np.random.SeedSequence`.  The draws are the
+    segments' stationary starts, then the z1 and the z2 of every step.
     """
-    n = run_length(params, i_par, dt, duration)
+    nperseg = run_length(params, i_par, dt, duration, segments) // segments
     lam = _relaxation_rate(params, i_par)
-    g1 = channel_gains[0] * math.sqrt(2.0 * params.gamma_orth_l)
-    g2 = channel_gains[1] * math.sqrt(2.0 * params.gamma_orth_c)
-    a = 1.0 - lam * dt
-    # y[0] = y0 and y[k+1] = a*y[k] + drive[k] is the AR(1) recurrence
-    # `_ar1` solves on the input (y0, drive[0], ..., drive[n-1]), so the
-    # trajectory comes out as one n+1 buffer: series_cavity[k] = y[k] is
-    # the pre-update state and y[k+1] the post-update one.  The drive is
-    # built in place in that input buffer, starting from the in1 draws.
-    x = np.empty(n + 1)
-    x[0] = y0
-    drive = x[1:]
-    if increments is None:
-        rng = np.random.Generator(np.random.Philox(int(seed)))
-        root_dt = math.sqrt(dt)
-        rng.standard_normal(out=drive)
-        drive *= root_dt
-        dw2 = rng.standard_normal(n)
-        dw2 *= root_dt
-    else:
-        dw1, dw2 = (np.asarray(v, float) for v in increments)
-        if len(dw1) < n or len(dw2) < n:
-            raise ValueError("supplied increments shorter than the run")
-        # Copies: the in-place arithmetic below must not reach the
-        # caller's arrays.
-        drive[:] = dw1[:n]
-        dw2 = dw2[:n].copy()
-    drive *= g1
-    chunks = [slice(k, k + _CHUNK) for k in range(0, n, _CHUNK)]
-    for part in chunks:
-        drive[part] += g2 * dw2[part]
-    y = _ar1(x, a)
-    # Output over step k: boxcar average of the cavity field minus the
-    # boxcar-averaged reflected input, sharing the same in2 increment.
-    # It is built chunk by chunk over the in2 buffer, which it replaces.
-    dw2 /= dt
-    c = math.sqrt(2.0 * params.gamma_orth_c) * 0.5
-    pre, post = y[:-1], y[1:]
-    for part in chunks:
-        cav = pre[part] + post[part]
-        cav *= c
-        np.subtract(cav, dw2[part], out=dw2[part])
-    return SdeRun(dt=float(dt), relaxation_rate=lam,
-                  series_out=dw2, series_cavity=pre)
-
-
-def _ar1(x: np.ndarray, a: float) -> np.ndarray:
-    """y[k] = a*y[k-1] + x[k] from y[-1] = 0, for 0 <= a < 1, written
-    over the contiguous float input x, which is returned.
-
-    A blocked scan over rows of B = `_AR1_BLOCK` samples: a GEMV gives
-    each row's end from zero, the carries between rows follow the same
-    recurrence with a^B (solved by recursion), and each row is then
-    `[row, carry] @ mat`.  Short inputs and the tail run a plain loop.
-    Sums run in another order than in a sequential loop, so the two agree
-    to rounding, not bitwise; the rounding of a^B, which the carry memory
-    1/(1 - a^B) would amplify 3e4-fold at a = 1 - 1e-6, is corrected for.
-    """
-    b = _AR1_BLOCK
-    m = len(x) // b
-    start, prev = 0, 0.0
-    if m >= 2:
-        xb = x[:m * b].reshape(m, b)
-        p = a ** np.arange(b + 1.0)
-        # a^(i-j) for i >= j, over the carry-in weights a^(i+1).
-        lag = np.arange(b) - np.arange(b)[:, None]
-        mat = np.vstack((np.where(lag >= 0, p[abs(lag)], 0.0), p[1:]))
-        c = float(p[b])
-        # ends[r] is the end value of row r - 1: the carry into row r.
-        ends = np.concatenate(([0.0], _ar1(xb @ mat[:b, -1], c)))
-        if c > 0.5:
-            # Below 0.5 the carry memory is under 2 and c's rounding does
-            # not grow; above, the logs give a^B - c exactly enough.
-            c_err = c * (b * math.log1p(a - 1.0) - math.log1p(c - 1.0))
-            ends[1:] += _ar1(c_err * ends[:-1], c)
-        carry = ends[:-1, None]
-        for r in range(0, m, _AR1_ROWS):
-            rows = slice(r, r + _AR1_ROWS)
-            np.matmul(np.hstack((xb[rows], carry[rows])), mat, out=xb[rows])
-        start, prev = m * b, float(ends[-1])
-    for k, v in enumerate(x[start:].tolist(), start):
-        prev = a * prev + v
-        x[k] = prev
-    return x
-
-
-def _transient_samples(run: SdeRun) -> int:
-    return int(math.ceil(10.0 / run.relaxation_rate / run.dt))
+    gl, gc = params.gamma_orth_l, params.gamma_orth_c
+    a, c, l11, l21, l22 = _exact_step(gl, gc, lam, dt)
+    rng = np.random.default_rng(seed)
+    # Row k of y is the state at the start of step k in every segment:
+    # row 0 the stationary start, rows 1.. first the z1 of each step.
+    y = rng.standard_normal((nperseg + 1, segments))
+    y[0] *= math.sqrt((gl + gc) / lam)
+    out = rng.standard_normal((nperseg, segments))
+    out *= l22
+    z1 = y[1:]
+    row = np.empty(segments)
+    for k in range(nperseg):
+        out[k] += np.multiply(z1[k], l21, out=row)
+        out[k] += np.multiply(y[k], c, out=row)
+        z1[k] *= l11
+        z1[k] += np.multiply(y[k], a, out=row)
+    # The states go before the transposed copy is made, so a run never
+    # holds more than two series lengths.
+    del y, z1
+    series = np.empty((segments, nperseg))
+    rows = max(1, _BLOCK_SAMPLES // segments)
+    for k in range(0, nperseg, rows):
+        series[:, k:k + rows] = out[k:k + rows].T
+    return SdeRun(dt=float(dt), segments=segments, series_out=series.reshape(-1))
 
 
 def _welch_window(nperseg: int, dt: float):
@@ -249,55 +211,38 @@ def _welch_window(nperseg: int, dt: float):
     return win, np.fft.rfftfreq(nperseg, period)
 
 
-def estimate_psd(run: SdeRun, n_segments: int) -> PsdEstimate:
-    """Hann-windowed 50%-overlap Welch estimate of the output PSD.
+def estimate_psd(run: SdeRun) -> PsdEstimate:
+    """Hann-windowed Welch estimate of the output PSD over the run's
+    segments, without overlap.
 
     The scaling is the plain two-sided density in angular-frequency
     convention, under which a pure vacuum input (i_par = 0) comes out
     flat at 1; there is no post-hoc calibration factor.
 
-    The segments are rows of a strided view of the series, so none is
-    copied before windowing.  `_SEGMENT_BLOCK` of them at a time are
+    Blocks of whole segments, about `_BLOCK_SAMPLES` samples each, are
     multiplied by the psd-scaled Hann window into one reused buffer and
-    transformed by a single `rfft` along the rows; the squared
-    magnitudes of the bins up to `_TRUSTED_NYQUIST` of Nyquist (the
-    first nperseg//8 + 1) are written transposed into one (bins, k)
-    matrix, whose segment mean is the estimate.  For a real series the
-    interior one-sided bins are the two-sided density at +f before any
-    folding, so without the usual doubling they are exactly the
-    two-sided values.  The window, its scaling and the frequency grid
-    are computed as scipy's ShortTimeFFT does, and the transposed write
-    keeps each bin's row contiguous, so the mean sums in the same order
-    and the kept bins have the same bytes as
-    `scipy.signal.welch(..., return_onesided=False)` at f >= 0, with a
-    working set of about a quarter of a series length instead of about
-    eight.
+    transformed by a single `rfft` along the rows; their squared
+    magnitudes are written
+    transposed into one (bins, segments) matrix, whose segment mean is
+    the estimate.  The window, its scaling and the frequency grid are
+    computed as scipy's ShortTimeFFT does, and the transposed write keeps
+    each bin's row contiguous, so the mean sums in the same order and
+    the bins have the same bytes as `scipy.signal.welch(...,
+    noverlap=0, return_onesided=False)` at f >= 0.
     """
-    if n_segments < 8:
-        raise ValueError("n_segments must be >= 8")
-    x = run.series_out[_transient_samples(run):]
-    n = len(x)
-    # Largest power-of-two segment that still yields n_segments at 50% hop.
-    limit = 2 * n // (n_segments + 1)
-    if limit < _MIN_SEGMENT:
-        raise TooShort(
-            f"series of {n} samples cannot host {n_segments} segments of "
-            f"at least {_MIN_SEGMENT}")
-    nperseg = 2 ** int(math.floor(math.log2(limit)))
-    hop = nperseg // 2
-    k = (n - nperseg) // hop + 1
+    m = run.segments
+    x = run.series_out.reshape(m, -1)
+    nperseg = x.shape[1]
     win, freqs = _welch_window(nperseg, run.dt)
-    segments = sliding_window_view(x, nperseg)[::hop]
-    windowed = np.empty((_SEGMENT_BLOCK, nperseg))
-    bins = int(_TRUSTED_NYQUIST * hop) + 1
-    pxx = np.empty((bins, k))
-    for p0 in range(0, k, _SEGMENT_BLOCK):
-        p1 = min(p0 + _SEGMENT_BLOCK, k)
-        seg = np.multiply(segments[p0:p1], win, out=windowed[:p1 - p0])
+    block = max(1, _BLOCK_SAMPLES // nperseg)
+    windowed = np.empty((block, nperseg))
+    pxx = np.empty((len(freqs), m))
+    for p0 in range(0, m, block):
+        p1 = min(p0 + block, m)
+        seg = np.multiply(x[p0:p1], win, out=windowed[:p1 - p0])
         spec = np.fft.rfft(seg, axis=-1)
-        # |X|^2 of the kept bins in place in the spectrum's own real
-        # part: no other buffer.
-        re, im = spec.real[:, :bins], spec.imag[:, :bins]
+        # |X|^2 in place in the spectrum's own real part: no other buffer.
+        re, im = spec.real, spec.imag
         np.square(re, out=re)
         np.square(im, out=im)
         re += im
@@ -305,10 +250,8 @@ def estimate_psd(run: SdeRun, n_segments: int) -> PsdEstimate:
         # Freed before the next block's rfft allocates, so two spectra
         # are never alive at once.
         del spec, re, im
-    freqs = 2.0 * math.pi * freqs[:bins]
-    psd = pxx.mean(axis=-1)
-    rel = math.sqrt((1.0 + 2.0 * _HANN_OVERLAP_RHO * (k - 1) / k) / k)
-    return PsdEstimate(freqs=freqs, psd=psd, n_segments=k, rel_std_err=rel,
+    return PsdEstimate(freqs=2.0 * math.pi * freqs, psd=pxx.mean(axis=-1),
+                       n_segments=m, rel_std_err=1.0 / math.sqrt(m),
                        dt=run.dt)
 
 
@@ -318,19 +261,14 @@ def compare_to_analytic(estimate: PsdEstimate, params: ModelParams, i_par,
 
     Deviations are measured in units of each bin's standard error
     (analytic value times the Welch relative error); the comparison
-    passes when the maximum over the trusted band stays within 4.  The
-    default band is omega in [0.1, 10]*gamma_orth, clipped to a quarter
-    of the sampling bandwidth where the Euler-Maruyama discretization is
-    faithful.
+    passes when the maximum over the band stays within 4.  The default
+    band is omega in [0.1, 10]*gamma_orth.
     """
     gorth = params.gamma_orth
-    nyquist = math.pi / estimate.dt
     lo, hi = band if band is not None else (0.1 * gorth, 10.0 * gorth)
-    hi = min(hi, _TRUSTED_NYQUIST * nyquist)
     mask = (estimate.freqs >= lo) & (estimate.freqs <= hi) & (estimate.freqs > 0)
     if not np.any(mask):
-        raise BandMismatch(
-            f"no PSD bins inside the trusted band [{lo!r}, {hi!r}]")
+        raise BandMismatch(f"no PSD bins inside the band [{lo!r}, {hi!r}]")
     om = estimate.freqs[mask]
     analytic = orth_phase_variance_reduced(params, i_par, om)
     sigma = analytic * estimate.rel_std_err

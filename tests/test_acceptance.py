@@ -141,17 +141,17 @@ def test_criterion_6_stochastic_verification():
     i_star = orth_threshold_intensity(p)
     segments = 2048
 
-    lam0 = p.gamma_orth
-    dt0 = 0.02 / lam0
-    n = (segments + 1) * 4096 // 2 + 4096
-    run0 = simulate_decoupled(p, 0.0, seed=7, dt=dt0, duration=n * dt0)
-    res0 = compare_to_analytic(estimate_psd(run0, segments), p, 0.0)
+    # mc-verify's two legs: both at lam*dt = 0.16, the QNL leg (lam =
+    # gamma_orth) in segments of 256 samples, the threshold leg (lam =
+    # 2*gamma_orth) in segments of 512, so both resolve the same bins.
+    dt0 = 0.16 / p.gamma_orth
+    run0 = simulate_decoupled(p, 0.0, 7, dt0, segments * 256 * dt0, segments)
+    res0 = compare_to_analytic(estimate_psd(run0), p, 0.0)
     qnl_ok = res0["max_sigma_deviation"] <= 3.0
 
-    lam = 2.0 * p.gamma_orth
-    dt = 0.02 / lam
-    run = simulate_decoupled(p, i_star, seed=8, dt=dt, duration=n * dt)
-    est = estimate_psd(run, segments)
+    dt = 0.16 / (2.0 * p.gamma_orth)
+    run = simulate_decoupled(p, i_star, 8, dt, segments * 512 * dt, segments)
+    est = estimate_psd(run)
     res = compare_to_analytic(est, p, i_star)
     thr_ok = res["pass"] and est.n_segments >= 64
 
@@ -199,12 +199,9 @@ def test_criterion_7_numerical_hygiene(moderate, kernel_path):
 
     i_star = orth_threshold_intensity(reference_params())
     dt = 0.01 / reference_params().gamma_orth
-    a = simulate_decoupled(reference_params(), i_star, seed=99, dt=dt,
-                           duration=40000 * dt)
-    b = simulate_decoupled(reference_params(), i_star, seed=99, dt=dt,
-                           duration=40000 * dt)
-    seed_ok = (a.series_out.tobytes() == b.series_out.tobytes()
-               and a.series_cavity.tobytes() == b.series_cavity.tobytes())
+    a = simulate_decoupled(reference_params(), i_star, 99, dt, 40000 * dt, 8)
+    b = simulate_decoupled(reference_params(), i_star, 99, dt, 40000 * dt, 8)
+    seed_ok = a.series_out.tobytes() == b.series_out.tobytes()
 
     _verdict(7, fd_ok and pops_ok and seed_ok,
              f"Jacobian vs central differences {worst_fd:.2e} (tol 1e-5) on "

@@ -17,13 +17,13 @@ from squeezer_sim.steadystate import SteadySweep, steady_state_sweep
 OMEGA_2MHZ = 4.0 * math.pi * 1e6
 
 # SHA-256 of the default mc-verify CSV and stdout report at --seed 7,
-# measured with numpy 2.4.6 and OpenBLAS on x86-64.  Another build of
-# numpy's Philox stream, its FFT or the BLAS behind the AR(1) scan's
-# matmuls may move the last digits.
+# measured with numpy 2.4.6 on x86-64.  The run makes no BLAS call;
+# another build of numpy's PCG64 normals, its FFT or the libm behind
+# exp and expm1 may move the last digits.
 MC_VERIFY_SEED7_CSV_SHA256 = (
-    "a49d2b37cc12f0717a2cf31a7b30e492e88c98a62f242a5d9381d49fd06191ee")
+    "a6bc3e25532f2676de73cef0b99c8f27de0d63184eed91b328041a14ec9209d4")
 MC_VERIFY_SEED7_REPORT_SHA256 = (
-    "4b8dfef356b5a34395a9d67205d4ecb70d909ff5d5091dbb8bfc8ba877105cf1")
+    "7470d1408c7b24a5133ac08ff00f8a0edb81bb8f097d7ad60682fb7ee4f28563")
 
 # SHA-256 of the default closed-form outputs, measured with numpy 2.4.6
 # on the code from before `model.rate_equations` became the one copy of
@@ -171,13 +171,13 @@ def test_mc_verify_rerun_is_byte_identical(tmp_path):
 
 def test_mc_verify_legs_never_hold_two_series(tmp_path, capsys):
     # tracemalloc sees every numpy buffer.  One leg's simulation and
-    # estimate peak near 2.5 threshold series; had the two legs' series
-    # coexisted, the peak would pass 2.75.
+    # estimate peak near 2.1 threshold series; had the two legs' series
+    # coexisted, the peak would pass 2.75.  The default run (2048
+    # segments of 512 samples) is the smallest whose series passes 8 MB.
     out = tmp_path / "mc.csv"
-    cfg = _write_cfg(tmp_path / "c.cfg", {"segments": 512})
     tracemalloc.start()
     try:
-        assert main(["mc-verify", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["mc-verify", "--out", str(out)]) == 0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -188,20 +188,22 @@ def test_mc_verify_legs_never_hold_two_series(tmp_path, capsys):
     assert peak <= 2.75 * nbytes
 
 
-def test_mc_verify_oversize_dt_is_refused_before_allocating(tmp_path, capsys):
-    # The QNL leg's length grows with dt (1e-3 would ask for 19 TiB), so
-    # the threshold leg's dt gate must refuse it first.
+def test_mc_verify_coarse_dt_leaves_no_bins_in_band(tmp_path, capsys):
+    # The exact update takes any dt, and the QNL leg no longer grows with
+    # it; at dt = 1e-3 Nyquist lies far below 0.1*gamma_orth, so the
+    # comparison has no bins: one error line and exit 2, no CSV.
     cfg = _write_cfg(tmp_path / "c.cfg", {"dt": 1e-3})
     assert main(["mc-verify", "--config", cfg, "--out",
                  str(tmp_path / "mc.csv")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: DomainError: dt must satisfy")
+    assert err.startswith("error: BandMismatch: no PSD bins inside the band")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+    assert not (tmp_path / "mc.csv").exists()
 
 
 def test_mc_verify_oversize_duration_is_refused_before_allocating(tmp_path, capsys):
-    # duration = 1e6 asks for 1.6e15 steps, petabytes of buffers: the
+    # duration = 1e6 asks for 2e14 steps, petabytes of buffers: the
     # memory gate must refuse it with one error line before either leg
     # allocates.
     cfg = _write_cfg(tmp_path / "c.cfg", {"duration": 1e6})
@@ -213,11 +215,58 @@ def test_mc_verify_oversize_duration_is_refused_before_allocating(tmp_path, caps
         tracemalloc.stop()
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: DomainError: a run of 1575000000000000 steps")
+    assert err.startswith("error: DomainError: a run of 196875000000512 steps")
     assert "physical memory" in err
     assert err.count("\n") == 1
     assert peak < 1_000_000
     assert not (tmp_path / "mc.csv").exists()
+
+
+def test_mc_verify_seeds_draw_from_disjoint_streams(monkeypatch, tmp_path):
+    # Each leg of each run must draw its own stream: the benchmark runs
+    # --seed s and s + 1 back to back, and the QNL leg of one must not
+    # redraw the threshold leg of the other.
+    seeds = []
+
+    def spy(params, i_par, seed, *args, **kwargs):
+        seeds.append(seed)
+        return simulate(params, i_par, seed, *args, **kwargs)
+
+    simulate = cli.simulate_decoupled
+    monkeypatch.setattr(cli, "simulate_decoupled", spy)
+    cfg = _write_cfg(tmp_path / "c.cfg", {"segments": 16})
+    for seed in ("7", "8"):
+        assert main(["mc-verify", "--config", cfg, "--out", str(tmp_path / "mc.csv"),
+                     "--seed", seed]) == 0
+    firsts = {np.random.default_rng(seed).standard_normal(4).tobytes()
+              for seed in seeds}
+    assert len(seeds) == 4
+    assert len(firsts) == 4
+
+
+def _openblas_dynamic_arch():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # an older numpy has no mode="dicts"
+        return False
+    return ("openblas" in blas.get("name", "")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+@pytest.mark.skipif(not _openblas_dynamic_arch(),
+                    reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so "
+                           "OPENBLAS_CORETYPE selects no kernel")
+def test_mc_verify_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OpenBLAS picks its kernels from OPENBLAS_CORETYPE at load time, and
+    # kernels sum in different orders; the seed-7 run must not care.
+    outputs = []
+    for core in ("Haswell", "Sandybridge"):
+        csv = tmp_path / f"{core}.csv"
+        proc = _run_child("-m", "squeezer_sim.cli", "mc-verify", "--out", str(csv),
+                          "--seed", "7", env={"OPENBLAS_CORETYPE": core})
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((csv.read_bytes(), proc.stdout))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("duration", ["1e300", "inf"])
@@ -542,10 +591,10 @@ def test_steady_sweep_with_no_row_resolved_plots_nothing(tmp_path, monkeypatch,
     assert not list(tmp_path.glob("*.svg"))
 
 
-def _run_child(*args):
+def _run_child(*args, env=None):
     # The child imports the same package as this process, installed or not.
     src = str(Path(squeezer_sim.__file__).parents[1])
-    env = {**os.environ,
+    env = {**os.environ, **(env or {}),
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, timeout=120, env=env)

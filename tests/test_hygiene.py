@@ -123,3 +123,19 @@ def test_no_module_catches_every_exception():
                    for t in types):
                 broad.append(f"{path.name}:{node.lineno}")
     assert broad == []
+
+
+def test_montecarlo_makes_no_blas_call():
+    # OpenBLAS picks its kernels by CPU and they sum in different orders,
+    # so a seeded mc-verify run is only CPU-independent if montecarlo
+    # never reaches BLAS: no `@`, no matmul or dot, nothing from linalg.
+    path = Path(squeezer_sim.__file__).parent / "montecarlo.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"{node.lineno}: @")
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name in ("matmul", "dot", "linalg"):
+            found.append(f"{node.lineno}: {name}")
+    assert found == []

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.signal
 
 from squeezer_sim import (
@@ -23,22 +24,44 @@ from squeezer_sim import (
 from squeezer_sim import model, montecarlo
 
 OMEGA_2MHZ = 4.0 * math.pi * 1e6
+U = 2.0 ** -53  # unit roundoff of a double
 
 
-def _threshold_run(params, seed=7, segments=2048, dt_frac=0.02):
+def _threshold_run(params, seed=7, segments=2048, nperseg=512, dt_frac=0.16):
+    # mc-verify's threshold leg: lam*dt = 0.16 at lam = 2*gamma_orth.
     i_star = orth_threshold_intensity(params)
-    lam = 2.0 * params.gamma_orth
-    dt = dt_frac / lam
-    n = (segments + 1) * 4096 // 2 + 4096
-    return simulate_decoupled(params, i_star, seed=seed, dt=dt,
-                              duration=n * dt), i_star
+    dt = dt_frac / (2.0 * params.gamma_orth)
+    return simulate_decoupled(params, i_star, seed, dt,
+                              segments * nperseg * dt, segments), i_star
+
+
+def _qnl_run(params, seed=7, segments=2048):
+    # mc-verify's QNL leg: i_par = 0, lam*dt = 0.16 at lam = gamma_orth.
+    dt = 0.16 / params.gamma_orth
+    return simulate_decoupled(params, 0.0, seed, dt, segments * 256 * dt,
+                              segments)
+
+
+class _Draws:
+    """Stands in for np.random.default_rng: returns itself, and hands
+    out copies of the given arrays as standard normals, in call order."""
+
+    def __init__(self, *arrays):
+        self.arrays = list(arrays)
+
+    def __call__(self, seed):
+        return self
+
+    def standard_normal(self, size):
+        draws = self.arrays.pop(0)
+        assert draws.shape == size
+        return draws.copy()
 
 
 def test_same_seed_is_bit_identical(reference):
     a, _ = _threshold_run(reference, segments=64)
     b, _ = _threshold_run(reference, segments=64)
     assert a.series_out.tobytes() == b.series_out.tobytes()
-    assert a.series_cavity.tobytes() == b.series_cavity.tobytes()
 
 
 def test_different_seed_differs(reference):
@@ -47,121 +70,222 @@ def test_different_seed_differs(reference):
     assert not np.array_equal(a.series_out, b.series_out)
 
 
-def test_noise_free_decay_rate(reference):
+def test_supplied_seed_sequence_is_left_unchanged(reference):
+    # A SeedSequence is read, not spawned from, so the same object seeds
+    # the same run twice and can still hand out its own children after.
+    seq = np.random.SeedSequence(3)
+    state = (seq.entropy, seq.spawn_key, seq.n_children_spawned)
+    a, _ = _threshold_run(reference, seed=seq, segments=16)
+    b, _ = _threshold_run(reference, seed=seq, segments=16)
+    assert a.series_out.tobytes() == b.series_out.tobytes()
+    assert (seq.entropy, seq.spawn_key, seq.n_children_spawned) == state
+
+
+def test_noise_free_decay_rate(reference, monkeypatch):
+    # With every innovation and output noise drawn as 0 and each start at
+    # one stationary standard deviation, a segment is the noise-free
+    # decay c*s*a^k.  Over 1000 steps the sequential products round at
+    # most 1000u relative, so the log slope misses lam by at most about
+    # 1000u/(1000*lam*dt) = 6e-15 relative, plus u/(lam*dt) from a itself.
     i_star = orth_threshold_intensity(reference)
     lam = 2.0 * reference.gamma_orth
     dt = 0.02 / lam
-    run = simulate_decoupled(reference, i_star, seed=0, dt=dt,
-                             duration=2000 * dt, channel_gains=(0.0, 0.0),
-                             y0=1.0)
-    y = run.series_cavity
+    segments, nperseg = 8, 2000
+    start = np.zeros((nperseg + 1, segments))
+    start[0] = 1.0
+    monkeypatch.setattr(np.random, "default_rng",
+                        _Draws(start, np.zeros((nperseg, segments))))
+    run = simulate_decoupled(reference, i_star, 0, dt, segments * nperseg * dt,
+                             segments)
+    y = run.series_out.reshape(segments, nperseg)
     assert np.all(y > 0)
-    slope = (math.log(y[1500]) - math.log(y[500])) / (1000 * dt)
-    assert slope == pytest.approx(-lam, rel=0.02)
+    assert np.all(y == y[0])
+    slope = (math.log(y[0, 1500]) - math.log(y[0, 500])) / (1000 * dt)
+    assert slope == pytest.approx(-lam, rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [0.9, 0.98, 1.0 - 1e-6])
+def test_ar1_matches_lfilter_on_a_long_series(reference, monkeypatch, a):
+    # Fed known draws (1M samples), the states must follow the AR(1)
+    # recurrence y[k+1] = a*y[k] + l11*z1[k] from the stationary start in
+    # every segment, and each segment's output c*y[k] + l21*z1[k] +
+    # l22*z2[k] must come out end to end in series_out.  Both sides step
+    # sequentially and differ only in how the output's three terms are
+    # summed; the bound is the one the blocked scan was held to: 1e-14 of
+    # the output's scale, or eps*sqrt(1/(1 - a)), the rounding lfilter
+    # accumulates over its memory, if larger.
+    i_star = orth_threshold_intensity(reference)
+    lam = montecarlo._relaxation_rate(reference, i_star)
+    dt = -math.log(a) / lam
+    segments, nperseg = 64, 16384
+    rng = np.random.default_rng(17)
+    y_draws = rng.standard_normal((nperseg + 1, segments))
+    z2 = rng.standard_normal((nperseg, segments))
+    monkeypatch.setattr(np.random, "default_rng", _Draws(y_draws, z2))
+    run = simulate_decoupled(reference, i_star, 0, dt, segments * nperseg * dt,
+                             segments)
+    gl, gc = reference.gamma_orth_l, reference.gamma_orth_c
+    step_a, c, l11, l21, l22 = montecarlo._exact_step(gl, gc, lam, dt)
+    drive = np.vstack((y_draws[0] * math.sqrt((2 * gl + 2 * gc) / (2 * lam)),
+                       l11 * y_draws[1:]))
+    y = scipy.signal.lfilter([1.0], [1.0, -step_a], drive, axis=0)
+    ref = c * y[:-1] + l21 * y_draws[1:] + l22 * z2
+    got = run.series_out.reshape(segments, nperseg).T
+    tol = max(1e-14, 2 * U * math.sqrt(1.0 / (1.0 - a)))
+    assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
+
+
+def _van_loan(gl, gc, lam, dt):
+    """Decay, output state coefficient and (e, n) covariance of one step,
+    from Van Loan's block exponential (IEEE TAC 23, 395, 1978) of the
+    linear SDE in (y, int y dt, W2): dy = -lam y dt + g1 dW1 + g2 dW2."""
+    g1, g2 = math.sqrt(2 * gl), math.sqrt(2 * gc)
+    drift = np.array([[-lam, 0, 0], [1, 0, 0], [0, 0, 0.0]])
+    noise = np.array([[g1, g2], [0, 0], [0, 1.0]])
+    block = np.zeros((6, 6))
+    block[:3, :3] = -drift
+    block[:3, 3:] = noise @ noise.T
+    block[3:, 3:] = drift.T
+    e = scipy.linalg.expm(block * dt)
+    phi = e[3:, 3:].T
+    q = phi @ e[:3, 3:]
+    # e = y(dt) - a y0; n = (g2 int y dt - W2(dt)) / dt minus its mean.
+    t = np.array([[1, 0, 0], [0, g2 / dt, -1 / dt]])
+    return phi[0, 0], g2 * phi[1, 0] / dt, t @ q @ t.T
+
+
+@pytest.mark.parametrize("x", [1e-6, 1e-4, 1e-2, 0.16, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("leg", ["threshold", "qnl", "lossless"])
+def test_exact_step_matches_van_loan(reference, leg, x):
+    # In units of 1/lam.  Each closed form is a short chain of rounded
+    # operations on nonnegative terms, so it holds to a few u.  expm is
+    # accurate to a few u of the norm of its result, about e^x, while the
+    # entries compared scale with e^-x, so the reference carries about
+    # u*e^(2x) relative; the 2x2 products add a few u.  16u(1 + e^(2x))
+    # covers both.  The determinant is a difference, so its bound scales
+    # with the terms it subtracts.
+    gorth = reference.gamma_orth
+    lam = {"threshold": 2.0 * gorth, "qnl": gorth, "lossless": gorth}[leg]
+    gl = 0.0 if leg == "lossless" else reference.gamma_orth_l / lam
+    gc = gorth / lam if leg == "lossless" else reference.gamma_orth_c / lam
+    a, c, l11, l21, l22 = montecarlo._exact_step(gl, gc, 1.0, x)
+    ref_a, ref_c, ref_cov = _van_loan(gl, gc, 1.0, x)
+    cov = np.array([[l11 * l11, l11 * l21], [l11 * l21, l21 * l21 + l22 * l22]])
+    tol = 16 * U * (1.0 + math.exp(2.0 * x))
+    assert abs(a - ref_a) <= tol * ref_a
+    assert abs(c - ref_c) <= tol * ref_c
+    assert np.all(np.abs(cov - ref_cov) <= tol * np.abs(ref_cov))
+    det = (l11 * l22) ** 2
+    ref_det = ref_cov[0, 0] * ref_cov[1, 1] - ref_cov[0, 1] ** 2
+    terms = ref_cov[0, 0] * ref_cov[1, 1] + ref_cov[0, 1] ** 2
+    assert abs(det - ref_det) <= 3 * tol * terms
 
 
 def test_stationary_variance_matches_ou_prediction(reference):
-    i_star = orth_threshold_intensity(reference)
-    lam = 2.0 * reference.gamma_orth
-    dt = 0.02 / lam
-    T = 2000.0 / lam
-    run = simulate_decoupled(reference, i_star, seed=11, dt=dt, duration=T)
-    x = run.series_cavity[int(10.0 / lam / dt):]
-    analytic = reference.gamma_orth / lam
-    std_err = analytic * math.sqrt(2.0 / (lam * T))
-    assert abs(x.var() - analytic) <= 3.0 * std_err + 0.5 * lam * dt * analytic
+    # Each segment starts from N(0, D/2lam), D = 2(gl + gc), so its first
+    # sample c*y0 + n has variance c^2 D/2lam + var n.  At lam*dt = 2 and
+    # i_par = 0 the start carries 70% of it.  Over M segments a Gaussian
+    # sample variance has standard error sqrt(2/(M - 1)) of its value, so
+    # the start variance read back is held to five of those.
+    lam = reference.gamma_orth
+    dt = 2.0 / lam
+    segments = 1 << 16
+    run = simulate_decoupled(reference, 0.0, 11, dt, segments * 2 * dt, segments)
+    gl, gc = reference.gamma_orth_l, reference.gamma_orth_c
+    _, c, l11, l21, l22 = montecarlo._exact_step(gl, gc, lam, dt)
+    first = run.series_out[::2]
+    v0 = float(np.mean(first * first))
+    start_var = (v0 - (l21 * l21 + l22 * l22)) / (c * c)
+    analytic = (2 * gl + 2 * gc) / (2 * lam)
+    bound = 5.0 * math.sqrt(2.0 / (segments - 1)) * v0 / (c * c)
+    assert abs(start_var - analytic) <= bound
 
 
 def test_dt_gate_enforced(reference):
+    # The exact update has no step-size limit: lam*dt = 2 runs, and only
+    # a dt that is not positive and finite is refused.
+    i_star = orth_threshold_intensity(reference)
     lam = 2.0 * reference.gamma_orth
-    with pytest.raises(DomainError):
-        simulate_decoupled(reference, orth_threshold_intensity(reference),
-                           seed=0, dt=0.2 / lam, duration=1.0 / lam)
+    run = simulate_decoupled(reference, i_star, 0, 2.0 / lam, 16 * 4 * 2.0 / lam, 16)
+    assert len(run.series_out) == 64
+    for dt in (0.0, -1.0 / lam, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            simulate_decoupled(reference, i_star, 0, dt, 1.0 / lam, 16)
 
 
 def test_intensity_domain_gate(reference):
     i_star = orth_threshold_intensity(reference)
     with pytest.raises(DomainError):
-        simulate_decoupled(reference, 1.5 * i_star, seed=0,
-                           dt=0.01 / reference.gamma_orth,
-                           duration=1.0 / reference.gamma_orth)
+        simulate_decoupled(reference, 1.5 * i_star, 0,
+                           0.01 / reference.gamma_orth,
+                           1.0 / reference.gamma_orth, 16)
 
 
 def test_qnl_calibration_is_flat(reference):
-    lam = reference.gamma_orth
-    dt = 0.02 / lam
-    n = 2049 * 4096 // 2 + 4096
-    run = simulate_decoupled(reference, 0.0, seed=7, dt=dt, duration=n * dt)
-    est = estimate_psd(run, 2048)
-    nyq = math.pi / dt
-    mask = (est.freqs > 0) & (est.freqs <= nyq / 4.0)
+    # Every bin strictly between 0 and Nyquist averages M complex
+    # periodograms, so its relative standard error is 1/sqrt(M); DC and
+    # Nyquist average real ones, with sqrt(2) of that.
+    est = estimate_psd(_qnl_run(reference))
+    nyq = math.pi / est.dt
+    mask = (est.freqs > 0) & (est.freqs < nyq)
     dev = np.abs(est.psd[mask] - 1.0) / est.rel_std_err
     assert float(np.max(dev)) <= 3.0
 
 
 def test_threshold_psd_matches_headline_point(reference):
     run, i_star = _threshold_run(reference)
-    est = estimate_psd(run, 2048)
+    est = estimate_psd(run)
     idx = int(np.argmin(np.abs(est.freqs - OMEGA_2MHZ)))
     sigma = 0.1784 * est.rel_std_err
     assert abs(est.psd[idx] - 0.1784) <= 3.0 * sigma
 
 
 def test_doubling_segments_shrinks_error_scale(reference):
-    run, _ = _threshold_run(reference, segments=256)
-    est1 = estimate_psd(run, 128)
-    est2 = estimate_psd(run, 256)
+    run1, _ = _threshold_run(reference, segments=128)
+    run2, _ = _threshold_run(reference, segments=256)
+    est1, est2 = estimate_psd(run1), estimate_psd(run2)
+    assert (est1.n_segments, est2.n_segments) == (128, 256)
     ratio = est1.rel_std_err / est2.rel_std_err
     assert ratio == pytest.approx(math.sqrt(2.0), rel=0.08)
 
 
 def test_estimate_psd_requires_enough_data(reference):
-    lam = 2.0 * reference.gamma_orth
-    dt = 0.02 / lam
-    run = simulate_decoupled(reference, orth_threshold_intensity(reference),
-                             seed=0, dt=dt, duration=3000 * dt)
+    i_star = orth_threshold_intensity(reference)
+    dt = 0.16 / (2.0 * reference.gamma_orth)
     with pytest.raises(TooShort):
-        estimate_psd(run, 512)
+        simulate_decoupled(reference, i_star, 0, dt, 512 * 1.4 * dt, 512)
     with pytest.raises(ValueError):
-        estimate_psd(run, 4)
+        simulate_decoupled(reference, i_star, 0, dt, 4 * 512 * dt, 4)
 
 
-_BLOCK = montecarlo._SEGMENT_BLOCK
+_NPERSEG = 512
+_BLOCK = montecarlo._BLOCK_SAMPLES // _NPERSEG
 
 
-# A threshold run sized for s segments yields s + 1 of them.
-@pytest.mark.parametrize("qnl_leg, segments, expected", [
-    pytest.param(False, 16, 17, id="under-one-block"),
-    pytest.param(False, 2 * _BLOCK - 1, 2 * _BLOCK, id="whole-blocks"),
-    pytest.param(False, _BLOCK, _BLOCK + 1, id="block-plus-one"),
-    pytest.param(False, 64, 65, id="partial-last-block"),
-    pytest.param(True, 40, 41, id="qnl-leg"),
+@pytest.mark.parametrize("qnl_leg, segments", [
+    pytest.param(False, 16, id="under-one-block"),
+    pytest.param(False, 2 * _BLOCK, id="whole-blocks"),
+    pytest.param(False, _BLOCK + 1, id="block-plus-one"),
+    pytest.param(False, _BLOCK + _BLOCK // 2, id="partial-last-block"),
+    pytest.param(True, 40, id="qnl-leg"),
 ])
-def test_estimate_matches_two_sided_welch_exactly(reference, qnl_leg,
-                                                  segments, expected):
+def test_estimate_matches_two_sided_welch_exactly(reference, qnl_leg, segments):
     if qnl_leg:
-        # i_par = 0 at mc-verify's QNL-leg dt, sized for nperseg 1024.
-        dt = 0.05 / reference.gamma_orth
-        n = (segments + 1) * 1024 // 2 + 1024
-        run = simulate_decoupled(reference, 0.0, seed=5, dt=dt,
-                                 duration=n * dt)
+        run, nperseg = _qnl_run(reference, seed=5, segments=segments), 256
     else:
-        run, _ = _threshold_run(reference, seed=5, segments=segments)
-    est = estimate_psd(run, segments)
-    assert est.n_segments == expected
-    # Only the bins up to a quarter of Nyquist, which compare_to_analytic
-    # trusts, are kept; those hold scipy's bytes.
-    nperseg = 1024 if qnl_leg else 4096
-    bins = nperseg // 8 + 1
-    assert len(est.freqs) == bins
-    x = run.series_out[montecarlo._transient_samples(run):]
+        run, nperseg = _threshold_run(reference, seed=5, segments=segments)[0], _NPERSEG
+    est = estimate_psd(run)
+    assert est.n_segments == segments
+    assert est.rel_std_err == 1.0 / math.sqrt(segments)
     f, pxx = scipy.signal.welch(
-        x, fs=1.0 / run.dt, window="hann", nperseg=nperseg,
-        noverlap=nperseg // 2, detrend=False, return_onesided=False,
-        scaling="density")
-    # scipy orders the two-sided grid from 0 up, then the negatives.
-    assert np.array_equal(est.freqs, 2.0 * math.pi * f[:bins])
-    assert np.array_equal(est.psd, pxx[:bins])
+        run.series_out, fs=1.0 / run.dt, window="hann", nperseg=nperseg,
+        noverlap=0, detrend=False, return_onesided=False, scaling="density")
+    # scipy orders the two-sided grid from 0 up, then the negatives,
+    # starting at -Nyquist; the bins match bitwise.
+    half = nperseg // 2
+    assert len(est.freqs) == half + 1
+    assert np.array_equal(est.freqs, 2.0 * math.pi * np.abs(f[:half + 1]))
+    assert np.array_equal(est.psd, pxx[:half + 1])
 
 
 def test_memory_footprint_of_simulation_and_estimate(reference):
@@ -169,75 +293,27 @@ def test_memory_footprint_of_simulation_and_estimate(reference):
     # Neither call imports anything, so the windows hold only their data.
     tracemalloc.start()
     try:
-        run, _ = _threshold_run(reference, segments=512)
+        run, _ = _threshold_run(reference)
         _, sim_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         start, _ = tracemalloc.get_traced_memory()
-        estimate_psd(run, 512)
+        estimate_psd(run)
         _, psd_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     nbytes = run.series_out.nbytes
     assert len(run.series_out) > 1_000_000
-    # The run is two series-length buffers (trajectory and output) plus
-    # the scan's and the chunks' temporaries; the estimate is a
-    # quarter-length bin matrix plus about 2 MB of FFT blocks.
+    # The run holds the states and the output, then the output and its
+    # transposed copy; the estimate is a half-length bin matrix plus the
+    # FFT blocks.
     assert sim_peak <= 2.5 * nbytes
     assert psd_peak - start <= 0.75 * nbytes
-
-
-def _ar1_loop(x, a):
-    y, prev = np.empty(len(x)), 0.0
-    for k, v in enumerate(x.tolist()):
-        prev = a * prev + v
-        y[k] = prev
-    return y
-
-
-@pytest.mark.parametrize("a", [0.9, 0.98, 1.0 - 1e-6])
-def test_ar1_matches_lfilter_on_a_long_series(a):
-    # The scan sums in another order than lfilter's sequential loop, so
-    # the bound comes from the dtype: 1e-14 of the series' scale, or the
-    # rounding lfilter itself accumulates over its memory of 1/(1 - a)
-    # steps, eps*sqrt(1/(1 - a)) = 2.2e-13 at a = 1 - 1e-6, whichever is
-    # larger.  On white noise a long-double loop puts lfilter about
-    # 5e-14 from the exact recurrence there, and the scan about 5e-16.
-    x = np.random.default_rng(17).standard_normal(4_200_000)
-    ref = scipy.signal.lfilter([1.0], [1.0, -a], x)
-    y = montecarlo._ar1(x, a)
-    eps = np.finfo(float).eps
-    tol = max(1e-14, eps * math.sqrt(1.0 / (1.0 - a)))
-    assert np.max(np.abs(y - ref)) <= tol * np.max(np.abs(ref))
-
-
-def test_ar1_impulse_response_is_powers_of_a():
-    # Held against pow to 1e-14 where lfilter's own rounding cannot be:
-    # without its carry correction the scan misses by 2.5e-12 here.
-    a = 1.0 - 1e-6
-    x = np.zeros(4_200_000)
-    x[0] = 1.0
-    powers = a ** np.arange(len(x), dtype=float)
-    y = montecarlo._ar1(x, a)
-    assert np.max(np.abs(y - powers) / powers) <= 1e-14
-
-
-@pytest.mark.parametrize("n", [1, 31, 32, 33, 129, 100003])
-def test_ar1_matches_a_plain_loop(n):
-    # Below two whole blocks the scan is the loop itself; beyond, it
-    # agrees to rounding, with the first sample playing y0.
-    x = np.random.default_rng(n).standard_normal(n)
-    x[0] = 1.5
-    ref = _ar1_loop(x, 0.98)
-    y = montecarlo._ar1(x, 0.98)
-    if n < 2 * montecarlo._AR1_BLOCK:
-        assert np.array_equal(y, ref)
-    assert np.max(np.abs(y - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("nperseg", [64, 512, 4096])
 def test_welch_window_and_grid_match_short_time_fft_bitwise(reference,
                                                            nperseg):
-    # At the QNL leg's dt, 1/(1/dt) != dt, and the window at nperseg
+    # At dt = 0.05/gamma_orth, 1/(1/dt) != dt, and the window at nperseg
     # 4096 differs in its last bits if it is scaled over dt itself.
     dt = 0.05 / reference.gamma_orth
     win, f = montecarlo._welch_window(nperseg, dt)
@@ -248,23 +324,9 @@ def test_welch_window_and_grid_match_short_time_fft_bitwise(reference,
     assert np.array_equal(f, sft.f)
 
 
-def test_supplied_increments_are_left_unchanged(reference):
-    i_star = orth_threshold_intensity(reference)
-    dt = 0.02 / (2.0 * reference.gamma_orth)
-    n = 5000
-    rng = np.random.Generator(np.random.Philox(3))
-    dw1 = rng.standard_normal(n + 17) * math.sqrt(dt)
-    dw2 = rng.standard_normal(n + 5) * math.sqrt(dt)
-    before = (dw1.tobytes(), dw2.tobytes())
-    run = simulate_decoupled(reference, i_star, seed=0, dt=dt,
-                             duration=n * dt, y0=0.5, increments=(dw1, dw2))
-    assert len(run.series_out) == n
-    assert (dw1.tobytes(), dw2.tobytes()) == before
-
-
 def test_compare_passes_at_threshold(reference):
     run, i_star = _threshold_run(reference)
-    res = compare_to_analytic(estimate_psd(run, 2048), reference, i_star)
+    res = compare_to_analytic(estimate_psd(run), reference, i_star)
     assert res["pass"]
     assert res["max_sigma_deviation"] <= 4.0
     assert res["n_bins"] >= 30
@@ -272,7 +334,7 @@ def test_compare_passes_at_threshold(reference):
 
 def test_compare_detects_wrong_coupler_rate(reference):
     run, i_star = _threshold_run(reference)
-    est = estimate_psd(run, 2048)
+    est = estimate_psd(run)
     wrong = validate({**reference.as_dict(),
                       "gamma_orth_c": reference.gamma_orth_c * 1.2})
     res = compare_to_analytic(est, wrong, i_star)
@@ -280,18 +342,14 @@ def test_compare_detects_wrong_coupler_rate(reference):
 
 
 def test_compare_qnl_against_unit_curve(reference):
-    lam = reference.gamma_orth
-    dt = 0.02 / lam
-    n = 2049 * 4096 // 2 + 4096
-    run = simulate_decoupled(reference, 0.0, seed=7, dt=dt, duration=n * dt)
-    res = compare_to_analytic(estimate_psd(run, 2048), reference, 0.0)
+    res = compare_to_analytic(estimate_psd(_qnl_run(reference)), reference, 0.0)
     assert res["pass"]
     assert np.all(res["analytic"] == 1.0)
 
 
 def test_compare_band_mismatch(reference):
     run, i_star = _threshold_run(reference, segments=64)
-    est = estimate_psd(run, 64)
+    est = estimate_psd(run)
     with pytest.raises(BandMismatch):
         compare_to_analytic(est, reference, i_star,
                             band=(1e3 * reference.gamma_orth,
@@ -299,32 +357,31 @@ def test_compare_band_mismatch(reference):
 
 
 def test_halving_dt_changes_psd_less_than_one_sigma(reference):
-    # Couple the two runs through shared Brownian paths: each coarse
-    # increment is the sum of two fine ones, so the difference isolates
-    # the discretization effect from statistical scatter.
+    # The update is exact, so halving dt at fixed M and fixed segment
+    # length nperseg*dt (the same bins) leaves the expected estimate
+    # unchanged up to the boxcar's aliasing, about 0.1 sigma at 10
+    # gamma_orth.  The two runs are independent, so each bin's
+    # difference has sqrt(2) sigma, and their mean over the 65 Hann-
+    # correlated bins (adjacent correlation 4/9) has about
+    # sqrt(2 * (1 + 8/9) / 65) = 0.24 sigma: one sigma is four of those.
+    coarse_seed, fine_seed = np.random.SeedSequence(123).spawn(2)
+    est_c = estimate_psd(_threshold_run(reference, coarse_seed, 1024, 512, 0.16)[0])
+    est_f = estimate_psd(_threshold_run(reference, fine_seed, 1024, 1024, 0.08)[0])
     i_star = orth_threshold_intensity(reference)
-    lam = 2.0 * reference.gamma_orth
-    dt = 0.04 / lam
-    n = 1025 * 4096 // 2 + 4096
-    rng = np.random.Generator(np.random.Philox(123))
-    fine1 = rng.standard_normal(2 * n) * math.sqrt(dt / 2)
-    fine2 = rng.standard_normal(2 * n) * math.sqrt(dt / 2)
-    coarse = (fine1[0::2] + fine1[1::2], fine2[0::2] + fine2[1::2])
-    run_c = simulate_decoupled(reference, i_star, seed=0, dt=dt,
-                               duration=n * dt, increments=coarse)
-    run_f = simulate_decoupled(reference, i_star, seed=0, dt=dt / 2,
-                               duration=n * dt, increments=(fine1, fine2))
-    est_c = estimate_psd(run_c, 1024)
-    est_f = estimate_psd(run_f, 1024)
-    idx_c = int(np.argmin(np.abs(est_c.freqs - OMEGA_2MHZ)))
-    idx_f = int(np.argmin(np.abs(est_f.freqs - est_c.freqs[idx_c])))
-    v = orth_phase_variance_reduced(reference, i_star, est_c.freqs[idx_c])
-    assert abs(est_c.psd[idx_c] - est_f.psd[idx_f]) <= v * est_c.rel_std_err
+    gorth = reference.gamma_orth
+    band = (est_c.freqs >= 0.1 * gorth) & (est_c.freqs <= 10.0 * gorth)
+    om = est_c.freqs[band]
+    assert np.array_equal(om, est_f.freqs[:len(est_c.freqs)][band])
+    v = orth_phase_variance_reduced(reference, i_star, om)
+    diff = (est_c.psd[band] - est_f.psd[:len(est_c.freqs)][band]) / (
+        v * est_c.rel_std_err)
+    assert len(om) == 65
+    assert abs(float(np.mean(diff))) <= 1.0
 
 
 def test_psd_respects_analytic_floor(reference):
     run, i_star = _threshold_run(reference)
-    est = estimate_psd(run, 2048)
+    est = estimate_psd(run)
     res = compare_to_analytic(est, reference, i_star)
     floor = 1.0 - reference.gamma_orth_c / reference.gamma_orth
     sigma = res["analytic"] * est.rel_std_err
