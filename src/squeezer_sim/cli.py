@@ -30,6 +30,7 @@ from .dynamics import _settle_t_max as dynamics_t_max
 from .errors import (DomainError, InvalidParams, SqueezerSimError, Unreachable,
                      WrongRegime)
 from .montecarlo import compare_to_analytic, estimate_psd, run_length, simulate_decoupled
+from .montecarlo import _default_band
 from .params import ModelParams, reference_params, validate
 from .sampling import sample_regime_pumps
 from .spectra import (
@@ -300,11 +301,11 @@ def cmd_spectrum(cfg: dict, out: str, plot: bool) -> int:
     return EXIT_OK
 
 
-# Peak doubles per step of one mc-verify run.  The states and the
-# output, then the output and its transposed copy, measure about 2.1
-# threshold series lengths under tracemalloc over a whole default run;
-# tests/test_cli.py holds a run to 2.75.
-_MC_DOUBLES_PER_STEP = 2.75
+# Peak doubles per step of one mc-verify run.  The threshold leg's
+# series, its half-length bin matrix and the FFT blocks measure about
+# 1.67 threshold series lengths under tracemalloc over a whole default
+# run; tests/test_cli.py holds a run to 1.7.
+_MC_DOUBLES_PER_STEP = 2.4
 
 
 def _check_fits_in_memory(steps: int):
@@ -326,12 +327,15 @@ def _mc_leg(params, i_par, seed, dt, duration, segments, analytic_params,
             analytic_i_par):
     """Simulate, estimate and compare one mc-verify run.
 
-    Only the estimate and the comparison outlive the call, so the series
-    of one run is freed before the next run allocates its own.
+    The comparison goes over the default band of the simulated `params`,
+    so a perturbed analytic reference is checked on the same bins.  Only
+    the estimate and the comparison outlive the call, so the series of
+    one run is freed before the next run allocates its own.
     """
     run = simulate_decoupled(params, i_par, seed, dt, duration, segments)
     est = estimate_psd(run)
-    return est, compare_to_analytic(est, analytic_params, analytic_i_par)
+    return est, compare_to_analytic(est, analytic_params, analytic_i_par,
+                                    band=_default_band(params))
 
 
 def cmd_mc_verify(cfg: dict, out: str, negative_control: bool) -> int:

@@ -28,10 +28,12 @@ and no band limit below Nyquist.
 
 A run is `segments` independent segments of `nperseg` samples each,
 every one started from the stationary law N(0, (gl + gc)/lam).  They
-are stepped together as the columns of one (nperseg, segments) array,
-one elementwise multiply-add of a row per step, with no BLAS call, so
-the bytes of a seeded run do not depend on the CPU.  One transpose then
-lays the segments end to end in `series_out`.
+are stepped together as the columns of one (nperseg + 1, segments)
+state array, one elementwise multiply-add of a row per step, with no
+BLAS call, so the bytes of a seeded run do not depend on the CPU.  Each
+sample is written over the state it was formed from, so the array ends
+up holding the output itself, time-major: `series_out` is its first
+nperseg rows, sample k of segment j at index k*segments + j.
 
 The output spectrum is a Hann-windowed Welch estimate (Welch, IEEE
 Trans. Audio Electroacoust. 15, 70, 1967) over those segments, without
@@ -64,16 +66,18 @@ __all__ = ["SdeRun", "PsdEstimate", "run_length", "simulate_decoupled",
            "estimate_psd", "compare_to_analytic"]
 
 _MIN_SEGMENTS = 8
-# Samples per block of rows in the transpose of simulate_decoupled and
-# per batched rfft in estimate_psd: 512 KB of doubles, which keeps both
-# passes in cache.  A whole-array transpose copy took five times longer.
+# Samples per chunk of rows in simulate_decoupled (its z2 draws and
+# output noise) and per batched rfft in estimate_psd: 512 KB of doubles,
+# which keeps each pass over a chunk in cache.  The bytes do not depend
+# on it.
 _BLOCK_SAMPLES = 1 << 16
 
 
 @dataclass(frozen=True)
 class SdeRun:
     """One exact realization of the output, `segments` independent
-    stationary segments laid end to end in `series_out`."""
+    stationary segments interleaved time-major in `series_out`: sample k
+    of segment j is series_out[k * segments + j]."""
 
     dt: float
     segments: int
@@ -170,7 +174,12 @@ def simulate_decoupled(params: ModelParams, i_par, seed, dt: float,
     """Exact run of the decoupled equation plus output relation.
 
     `seed` is an int or a `np.random.SeedSequence`.  The draws are the
-    segments' stationary starts, then the z1 and the z2 of every step.
+    segments' stationary starts, then the z1 of every step, then the z2
+    of every step, each in time-major order.  The z2 are drawn a chunk
+    of rows at a time into one reused buffer, which consumes the stream
+    as one whole draw would, and each chunk's output is written over the
+    chunk's states once every step from them is taken, so the run holds
+    one series length plus two chunks.
     """
     nperseg = run_length(params, i_par, dt, duration, segments) // segments
     lam = _relaxation_rate(params, i_par)
@@ -179,25 +188,31 @@ def simulate_decoupled(params: ModelParams, i_par, seed, dt: float,
     rng = np.random.default_rng(seed)
     # Row k of y is the state at the start of step k in every segment:
     # row 0 the stationary start, rows 1.. first the z1 of each step.
+    # Rows 0..nperseg-1 end as the output samples of each step.
     y = rng.standard_normal((nperseg + 1, segments))
     y[0] *= math.sqrt((gl + gc) / lam)
-    out = rng.standard_normal((nperseg, segments))
-    out *= l22
-    z1 = y[1:]
-    row = np.empty(segments)
-    for k in range(nperseg):
-        out[k] += np.multiply(z1[k], l21, out=row)
-        out[k] += np.multiply(y[k], c, out=row)
-        z1[k] *= l11
-        z1[k] += np.multiply(y[k], a, out=row)
-    # The states go before the transposed copy is made, so a run never
-    # holds more than two series lengths.
-    del y, z1
-    series = np.empty((segments, nperseg))
     rows = max(1, _BLOCK_SAMPLES // segments)
-    for k in range(0, nperseg, rows):
-        series[:, k:k + rows] = out[k:k + rows].T
-    return SdeRun(dt=float(dt), segments=segments, series_out=series.reshape(-1))
+    noise = np.empty((rows, segments))
+    term = np.empty((rows, segments))
+    row = np.empty(segments)
+    for k0 in range(0, nperseg, rows):
+        k1 = min(k0 + rows, nperseg)
+        # The chunk's output noise l22 z2 + l21 z1, formed while rows
+        # k0+1..k1 still hold the raw z1.
+        n = rng.standard_normal(out=noise[:k1 - k0])
+        n *= l22
+        z1 = y[k0 + 1:k1 + 1]
+        n += np.multiply(z1, l21, out=term[:k1 - k0])
+        z1 *= l11
+        for k in range(k0, k1):
+            y[k + 1] += np.multiply(y[k], a, out=row)
+        # Every step from states k0..k1-1 is taken, so the chunk's output
+        # c y + noise is written over them.
+        done = y[k0:k1]
+        done *= c
+        done += n
+    return SdeRun(dt=float(dt), segments=segments,
+                  series_out=y[:nperseg].reshape(-1))
 
 
 def _welch_window(nperseg: int, dt: float):
@@ -220,39 +235,45 @@ def estimate_psd(run: SdeRun) -> PsdEstimate:
     flat at 1; there is no post-hoc calibration factor.
 
     Blocks of whole segments, about `_BLOCK_SAMPLES` samples each, are
-    multiplied by the psd-scaled Hann window into one reused buffer and
-    transformed by a single `rfft` along the rows; their squared
-    magnitudes are written
-    transposed into one (bins, segments) matrix, whose segment mean is
-    the estimate.  The window, its scaling and the frequency grid are
-    computed as scipy's ShortTimeFFT does, and the transposed write keeps
-    each bin's row contiguous, so the mean sums in the same order and
-    the bins have the same bytes as `scipy.signal.welch(...,
-    noverlap=0, return_onesided=False)` at f >= 0.
+    read as column blocks of the time-major series, multiplied by the
+    psd-scaled Hann window into one reused buffer and transformed by a
+    single `rfft` down the columns into another; their squared
+    magnitudes are copied into the block's columns of one (bins,
+    segments) matrix, whose segment mean is the estimate.  The window,
+    its scaling and the frequency grid are computed as scipy's
+    ShortTimeFFT does, and each bin's row of the matrix is contiguous,
+    so the mean sums in the same order and the bins have the same bytes
+    as `scipy.signal.welch(..., noverlap=0, return_onesided=False)` on
+    the segments laid end to end, at f >= 0.
     """
     m = run.segments
-    x = run.series_out.reshape(m, -1)
-    nperseg = x.shape[1]
+    x = run.series_out.reshape(-1, m)
+    nperseg = x.shape[0]
     win, freqs = _welch_window(nperseg, run.dt)
+    win = win[:, None]
     block = max(1, _BLOCK_SAMPLES // nperseg)
-    windowed = np.empty((block, nperseg))
+    windowed = np.empty((nperseg, block))
+    spectra = np.empty((block, len(freqs)), dtype=complex)
     pxx = np.empty((len(freqs), m))
     for p0 in range(0, m, block):
         p1 = min(p0 + block, m)
-        seg = np.multiply(x[p0:p1], win, out=windowed[:p1 - p0])
-        spec = np.fft.rfft(seg, axis=-1)
-        # |X|^2 in place in the spectrum's own real part: no other buffer.
+        seg = np.multiply(x[:, p0:p1], win, out=windowed[:, :p1 - p0])
+        spec = np.fft.rfft(seg, axis=0, out=spectra[:p1 - p0].T).T
+        # |X|^2 in place in the spectra's own real parts, each segment's
+        # row contiguous, then copied into the bins' columns.
         re, im = spec.real, spec.imag
         np.square(re, out=re)
         np.square(im, out=im)
         re += im
         pxx[:, p0:p1] = re.T
-        # Freed before the next block's rfft allocates, so two spectra
-        # are never alive at once.
-        del spec, re, im
     return PsdEstimate(freqs=2.0 * math.pi * freqs, psd=pxx.mean(axis=-1),
                        n_segments=m, rel_std_err=1.0 / math.sqrt(m),
                        dt=run.dt)
+
+
+def _default_band(params: ModelParams) -> tuple:
+    """compare_to_analytic's default band, omega in [0.1, 10]*gamma_orth."""
+    return 0.1 * params.gamma_orth, 10.0 * params.gamma_orth
 
 
 def compare_to_analytic(estimate: PsdEstimate, params: ModelParams, i_par,
@@ -264,8 +285,7 @@ def compare_to_analytic(estimate: PsdEstimate, params: ModelParams, i_par,
     passes when the maximum over the band stays within 4.  The default
     band is omega in [0.1, 10]*gamma_orth.
     """
-    gorth = params.gamma_orth
-    lo, hi = band if band is not None else (0.1 * gorth, 10.0 * gorth)
+    lo, hi = band if band is not None else _default_band(params)
     mask = (estimate.freqs >= lo) & (estimate.freqs <= hi) & (estimate.freqs > 0)
     if not np.any(mask):
         raise BandMismatch(f"no PSD bins inside the band [{lo!r}, {hi!r}]")

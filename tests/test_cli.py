@@ -162,6 +162,23 @@ def test_mc_verify_pass_and_negative_control(tmp_path, capsys):
                  "--negative-control"]) == 3
 
 
+def test_mc_verify_negative_control_checks_the_positive_bins(tmp_path, capsys):
+    # The control differs from the positive run in its analytic
+    # reference only: the same omegas and the same bin counts.
+    runs = []
+    for extra in ([], ["--negative-control"]):
+        out = tmp_path / f"mc{len(runs)}.csv"
+        main(["mc-verify", "--out", str(out), "--seed", "7", *extra])
+        report = dict(line.split(" = ")
+                      for line in capsys.readouterr().out.splitlines())
+        runs.append(([row[0] for row in _read_csv(out)[2]], report))
+    (pos_omegas, pos), (neg_omegas, neg) = runs
+    assert neg["negative_control"] == "true" and neg["verdict"] == "fail"
+    assert neg_omegas == pos_omegas
+    for key in ("threshold_bins", "qnl_calibration_bins"):
+        assert neg[key] == pos[key]
+
+
 def test_mc_verify_rerun_is_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["mc-verify", "--out", str(a), "--seed", "11"]) == 0
@@ -170,10 +187,12 @@ def test_mc_verify_rerun_is_byte_identical(tmp_path):
 
 
 def test_mc_verify_legs_never_hold_two_series(tmp_path, capsys):
-    # tracemalloc sees every numpy buffer.  One leg's simulation and
-    # estimate peak near 2.1 threshold series; had the two legs' series
-    # coexisted, the peak would pass 2.75.  The default run (2048
-    # segments of 512 samples) is the smallest whose series passes 8 MB.
+    # tracemalloc sees every numpy buffer.  The threshold leg's series,
+    # its half-length bin matrix and the FFT blocks peak at 1.67
+    # threshold series; had the QNL leg's series (half a threshold
+    # series) coexisted with it, the peak would reach 1.92.  The default
+    # run (2048 segments of 512 samples) is the smallest whose series
+    # passes 8 MB.
     out = tmp_path / "mc.csv"
     tracemalloc.start()
     try:
@@ -185,7 +204,7 @@ def test_mc_verify_legs_never_hold_two_series(tmp_path, capsys):
     meta = dict(line.split(" = ") for line in _read_csv(out)[0])
     nbytes = 8 * int(float(meta["duration"]) / float(meta["dt"]))
     assert nbytes > 8_000_000
-    assert peak <= 2.75 * nbytes
+    assert peak <= 1.7 * nbytes
 
 
 def test_mc_verify_coarse_dt_leaves_no_bins_in_band(tmp_path, capsys):

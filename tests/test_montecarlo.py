@@ -44,18 +44,24 @@ def _qnl_run(params, seed=7, segments=2048):
 
 class _Draws:
     """Stands in for np.random.default_rng: returns itself, and hands
-    out copies of the given arrays as standard normals, in call order."""
+    out consecutive rows of the given arrays as standard normals, into a
+    new array of the asked `size` or into `out`."""
 
     def __init__(self, *arrays):
-        self.arrays = list(arrays)
+        self.rows = np.vstack(arrays)
+        self.taken = 0
 
     def __call__(self, seed):
         return self
 
-    def standard_normal(self, size):
-        draws = self.arrays.pop(0)
-        assert draws.shape == size
-        return draws.copy()
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            out = np.empty(size)
+        draws = self.rows[self.taken:self.taken + len(out)]
+        assert draws.shape == out.shape
+        out[...] = draws
+        self.taken += len(out)
+        return out
 
 
 def test_same_seed_is_bit_identical(reference):
@@ -97,10 +103,10 @@ def test_noise_free_decay_rate(reference, monkeypatch):
                         _Draws(start, np.zeros((nperseg, segments))))
     run = simulate_decoupled(reference, i_star, 0, dt, segments * nperseg * dt,
                              segments)
-    y = run.series_out.reshape(segments, nperseg)
+    y = run.series_out.reshape(nperseg, segments)
     assert np.all(y > 0)
-    assert np.all(y == y[0])
-    slope = (math.log(y[0, 1500]) - math.log(y[0, 500])) / (1000 * dt)
+    assert np.all(y == y[:, :1])
+    slope = (math.log(y[1500, 0]) - math.log(y[500, 0])) / (1000 * dt)
     assert slope == pytest.approx(-lam, rel=1e-12)
 
 
@@ -109,7 +115,7 @@ def test_ar1_matches_lfilter_on_a_long_series(reference, monkeypatch, a):
     # Fed known draws (1M samples), the states must follow the AR(1)
     # recurrence y[k+1] = a*y[k] + l11*z1[k] from the stationary start in
     # every segment, and each segment's output c*y[k] + l21*z1[k] +
-    # l22*z2[k] must come out end to end in series_out.  Both sides step
+    # l22*z2[k] must come out time-major in series_out.  Both sides step
     # sequentially and differ only in how the output's three terms are
     # summed; the bound is the one the blocked scan was held to: 1e-14 of
     # the output's scale, or eps*sqrt(1/(1 - a)), the rounding lfilter
@@ -130,9 +136,66 @@ def test_ar1_matches_lfilter_on_a_long_series(reference, monkeypatch, a):
                        l11 * y_draws[1:]))
     y = scipy.signal.lfilter([1.0], [1.0, -step_a], drive, axis=0)
     ref = c * y[:-1] + l21 * y_draws[1:] + l22 * z2
-    got = run.series_out.reshape(segments, nperseg).T
+    got = run.series_out.reshape(nperseg, segments)
     tol = max(1e-14, 2 * U * math.sqrt(1.0 / (1.0 - a)))
     assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
+
+
+def _per_row_reference(params, i_par, seed, dt, segments, nperseg):
+    # Two whole-array draws, the z1 (after the starts) and then the z2,
+    # stepped one row at a time with the output's three products summed
+    # as l22 z2 + l21 z1, then + c y.
+    lam = montecarlo._relaxation_rate(params, i_par)
+    gl, gc = params.gamma_orth_l, params.gamma_orth_c
+    a, c, l11, l21, l22 = montecarlo._exact_step(gl, gc, lam, dt)
+    rng = np.random.default_rng(seed)
+    z1 = rng.standard_normal((nperseg + 1, segments))
+    z2 = rng.standard_normal((nperseg, segments))
+    y = z1[0] * math.sqrt((gl + gc) / lam)
+    out = np.empty((nperseg, segments))
+    for k in range(nperseg):
+        out[k] = (l22 * z2[k] + l21 * z1[k + 1]) + c * y
+        y = l11 * z1[k + 1] + a * y
+    return out
+
+
+@pytest.mark.parametrize("qnl_leg, segments, nperseg", [
+    pytest.param(False, 3000, 64, id="partial-last-chunk"),
+    pytest.param(False, montecarlo._BLOCK_SAMPLES + 3, 3, id="one-row-chunks"),
+    pytest.param(True, 40, 256, id="qnl-leg"),
+])
+def test_simulation_keeps_the_stream_order(reference, qnl_leg, segments, nperseg):
+    # Chunked z2 draws must consume the stream as one whole draw does,
+    # and the in-place update must give the per-row loop's bits.  Chunks
+    # are _BLOCK_SAMPLES // segments rows: 21 rows at 3000 segments, so
+    # the last of 64 holds 1; a single row past _BLOCK_SAMPLES segments;
+    # and one chunk, partly filled, on the QNL leg.
+    if qnl_leg:
+        i_par, dt = 0.0, 0.16 / reference.gamma_orth
+    else:
+        i_par = orth_threshold_intensity(reference)
+        dt = 0.16 / (2.0 * reference.gamma_orth)
+    run = simulate_decoupled(reference, i_par, 29, dt,
+                             segments * nperseg * dt, segments)
+    ref = _per_row_reference(reference, i_par, 29, dt, segments, nperseg)
+    assert run.series_out.shape == (segments * nperseg,)
+    assert run.series_out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("block", [1 << 10, 1 << 16, 1 << 20])
+def test_block_size_leaves_the_bytes_alone(reference, monkeypatch, block):
+    # 301 segments of 512 samples: at 1 << 10 the chunks are 3 rows and
+    # the FFT blocks 2 segments, at 1 << 16 217 rows and 128 segments,
+    # each with a partial last one; at 1 << 20 one chunk and one block
+    # hold the whole run.
+    def run_and_estimate():
+        run, _ = _threshold_run(reference, seed=13, segments=301)
+        est = estimate_psd(run)
+        return run.series_out.tobytes(), est.psd.tobytes(), est.freqs.tobytes()
+
+    expected = run_and_estimate()
+    monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", block)
+    assert run_and_estimate() == expected
 
 
 def _van_loan(gl, gc, lam, dt):
@@ -193,7 +256,7 @@ def test_stationary_variance_matches_ou_prediction(reference):
     run = simulate_decoupled(reference, 0.0, 11, dt, segments * 2 * dt, segments)
     gl, gc = reference.gamma_orth_l, reference.gamma_orth_c
     _, c, l11, l21, l22 = montecarlo._exact_step(gl, gc, lam, dt)
-    first = run.series_out[::2]
+    first = run.series_out[:segments]
     v0 = float(np.mean(first * first))
     start_var = (v0 - (l21 * l21 + l22 * l22)) / (c * c)
     analytic = (2 * gl + 2 * gc) / (2 * lam)
@@ -277,8 +340,10 @@ def test_estimate_matches_two_sided_welch_exactly(reference, qnl_leg, segments):
     est = estimate_psd(run)
     assert est.n_segments == segments
     assert est.rel_std_err == 1.0 / math.sqrt(segments)
+    # scipy reads the segments end to end: a segment-major copy.
+    end_to_end = run.series_out.reshape(nperseg, segments).T.reshape(-1)
     f, pxx = scipy.signal.welch(
-        run.series_out, fs=1.0 / run.dt, window="hann", nperseg=nperseg,
+        end_to_end, fs=1.0 / run.dt, window="hann", nperseg=nperseg,
         noverlap=0, detrend=False, return_onesided=False, scaling="density")
     # scipy orders the two-sided grid from 0 up, then the negatives,
     # starting at -Nyquist; the bins match bitwise.
@@ -303,10 +368,14 @@ def test_memory_footprint_of_simulation_and_estimate(reference):
         tracemalloc.stop()
     nbytes = run.series_out.nbytes
     assert len(run.series_out) > 1_000_000
-    # The run holds the states and the output, then the output and its
-    # transposed copy; the estimate is a half-length bin matrix plus the
-    # FFT blocks.
-    assert sim_peak <= 2.5 * nbytes
+    # The run holds one state array of nperseg + 1 rows, one row and two
+    # chunk buffers of _BLOCK_SAMPLES // segments rows, plus a few KB of
+    # Python objects (the generator, the run); the estimate is a
+    # half-length bin matrix plus the FFT blocks.
+    segments = run.segments
+    rows = montecarlo._BLOCK_SAMPLES // segments
+    state_rows = len(run.series_out) // segments + 1
+    assert sim_peak <= 8 * segments * (state_rows + 1 + 2 * rows) + 8192
     assert psd_peak - start <= 0.75 * nbytes
 
 
