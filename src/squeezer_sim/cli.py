@@ -44,7 +44,9 @@ from .spectra import (
 from .steadystate import (
     Regime,
     fixed_point_residual,
+    laser_threshold,
     orth_threshold_intensity,
+    orth_threshold_pump,
     regime_thresholds,
     steady_state,
     steady_state_sweep,
@@ -188,10 +190,8 @@ def _plot_path(out: str, curve: str) -> str:
 def cmd_thresholds(cfg: dict, out: str | None) -> int:
     params = _model_params(cfg)
     omega = cfg.get("omega", 4.0 * math.pi * 1e6)
-    g_laser, g_orth = regime_thresholds(params)
-    if not math.isfinite(g_laser) or not math.isfinite(g_orth):
-        raise Unreachable("threshold solve failed: threshold unreachable for "
-                          "these parameters")
+    g_laser = laser_threshold(params)  # each raises Unreachable with its reason
+    g_orth = orth_threshold_pump(params)
     v = threshold_variance(params, omega)
     lines = [
         f"laser_threshold = {format_exact(g_laser)}",

@@ -8,9 +8,8 @@ Snapshot and report values use the shortest form that round-trips;
 data cells write floats in scientific notation with 13 significant
 digits (`%.12e`).
 
-When every column is a float (half, single or double) or str ndarray,
-the body is rendered in numpy, to the bytes `format_value` gives cell
-by cell:
+Columns are 1-D float64 or ASCII str ndarrays, and the body is
+rendered in numpy, to the bytes `format_value` gives cell by cell:
 
 - Exponent.  The decimal exponent E of a float cell x comes from
   `log10(|x|)`, which may miss the decade by one next to a power of
@@ -29,15 +28,13 @@ by cell:
   (half to even).
 - Bytes.  N and E go through small ASCII tables (4-digit groups packed
   as uint32) into fixed 24-byte NUL-padded cells.  A str column is
-  copied as its code points when it is ASCII and otherwise encoded once
-  per distinct label.  Separators are written into the cells, and the
-  NULs are dropped on output.
+  copied as its code points, each an ASCII byte.  Separators are
+  written into the cells, and the NULs are dropped on output.
 - Fallbacks.  `format_value` renders, one cell at a time, NaN, ±inf,
   nonzero |x| outside [1e-280, 1e280] (where a part of the product
   could leave the normal range), and the cells near a tie or a decade
-  named above.  A str label holding a NUL, a list column, or an ndarray
-  of another dtype (longdouble included) sends the whole table cell by
-  cell through `format_value`.
+  named above.  A column outside float64 and ASCII str has no fallback:
+  it raises before the file is opened (see `write_csv`).
 - Memory.  Rows are rendered in blocks of about `_BLOCK_CELLS` cells,
   each written to the file as it is made, so the temporaries stay near
   0.6 MB whatever the table's length.  The tables are built on first
@@ -200,40 +197,28 @@ def _float_cells(x, seps):
 
 
 def _str_cells(col, sep):
-    """Each cell of a str column as a NUL-padded byte row ending in sep,
-    or None when a label holds a NUL, which dropping the NULs would lose.
+    """Each cell of a str column as a NUL-padded byte row ending in sep.
+
+    Raises ValueError on a label that is not ASCII, or that holds a NUL,
+    which dropping the NULs would lose.
     """
     col = np.ascontiguousarray(col, col.dtype.newbyteorder("="))
     codes = col.view(np.uint32).reshape(len(col), col.itemsize // 4)
+    if codes.max(initial=0) >= 0x80:
+        raise ValueError("str labels must be ASCII")
     if ((codes[:, :-1] == 0) & (codes[:, 1:] != 0)).any():
-        return None
-    if codes.max(initial=0) < 0x80:  # ASCII: each code point is its byte
-        table, index = codes, slice(None)
-    else:  # UTF-8, encoded once per distinct label
-        labels, index = np.unique(col, return_inverse=True)
-        encoded = [s.encode("utf-8") for s in labels.tolist()]
-        table = np.zeros((len(encoded), max(map(len, encoded))), np.uint8)
-        for row, b in zip(table, encoded):
-            row[:len(b)] = np.frombuffer(b, np.uint8)
-        index = index.reshape(-1)
-    cells = np.zeros((len(col), -(-(table.shape[1] + 1) // 8) * 8), np.uint8)
-    cells[:, :table.shape[1]] = table[index]
+        raise ValueError("str labels must not hold a NUL")
+    cells = np.zeros((len(col), -(-(codes.shape[1] + 1) // 8) * 8), np.uint8)
+    cells[:, :codes.shape[1]] = codes
     cells[:, -1] = sep
     return cells
 
 
-def _write_rows(f, columns, n):
-    """Render float and str ndarray columns in numpy and write the rows.
-
-    Returns False, writing nothing, when a str label holds a NUL.
-    """
-    seps = [b","] * (len(columns) - 1) + [b"\n"]
-    floats = [j for j, col in enumerate(columns) if col.dtype.kind == "f"]
-    strs = {j: _str_cells(col, ord(seps[j]))
-            for j, col in enumerate(columns) if col.dtype.kind == "U"}
-    if any(table is None for table in strs.values()):
-        return False
-    widths = [_FLOAT_CELL if j in floats else strs[j].shape[1]
+def _write_rows(f, columns, strs, seps, n):
+    """Render the float64 columns in numpy, a block of rows at a time,
+    and write the rows with the str cells strs (keyed by column index)."""
+    floats = [j for j in range(len(columns)) if j not in strs]
+    widths = [strs[j].shape[1] if j in strs else _FLOAT_CELL
               for j in range(len(columns))]
     offsets = np.cumsum([0] + widths) // 8
     float_seps = np.frombuffer(b"".join(b"\0" * 7 + seps[j] for j in floats),
@@ -251,33 +236,34 @@ def _write_rows(f, columns, n):
         for j, table in strs.items():
             rows[:, offsets[j]:offsets[j + 1]] = table[start:stop].view(np.uint64)
         f.write(rows.tobytes().translate(None, b"\0"))
-    return True
 
 
 def write_csv(path, header: list[str], columns: list,
               comments: list[str] | None = None):
     """Write equal-length columns under a comment header, one row per index.
 
-    When every column is a float (half, single or double) or str
-    ndarray, the rows are rendered in numpy; otherwise (a list or an
-    ndarray of another dtype among them) cell by cell with
-    `format_value`, to the same bytes.
+    Each column is a 1-D ndarray of float64 values or of ASCII str
+    labels without a NUL; the rows are rendered in numpy, to the bytes
+    `format_value` gives cell by cell.  Any other column raises before
+    the file is opened: TypeError for its type or dtype, ValueError for
+    its shape or a label outside that domain.
     """
     if len(columns) != len(header):
         raise ValueError(f"need {len(header)} columns, got {len(columns)}")
+    for col in columns:
+        if not (isinstance(col, np.ndarray)
+                and (col.dtype == np.float64 or col.dtype.kind == "U")):
+            raise TypeError(f"columns must be float64 or str ndarrays, not "
+                            f"{getattr(col, 'dtype', type(col).__name__)}")
+        if col.ndim != 1:
+            raise ValueError(f"columns must be 1-D, not {col.ndim}-D")
     n = len(columns[0]) if columns else 0
     if any(len(col) != n for col in columns):
         raise ValueError(f"every column needs {n} cells")
+    seps = [b","] * (len(columns) - 1) + [b"\n"]
+    strs = {j: _str_cells(col, ord(seps[j]))
+            for j, col in enumerate(columns) if col.dtype.kind == "U"}
     head = [f"# {c}\n" for c in comments or []] + [",".join(header) + "\n"]
-    vectorized = all(isinstance(col, np.ndarray)
-                     and (col.dtype.kind == "U"
-                          or col.dtype.kind == "f" and col.dtype.itemsize <= 8)
-                     for col in columns)
     with open(path, "wb") as f:
         f.write("".join(head).encode("utf-8"))
-        if vectorized and _write_rows(f, columns, n):
-            return
-        cols = [col.tolist() if isinstance(col, np.ndarray) else col
-                for col in columns]
-        f.write("".join(",".join(map(format_value, row)) + "\n"
-                        for row in zip(*cols)).encode("utf-8"))
+        _write_rows(f, columns, strs, seps, n)

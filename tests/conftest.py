@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -53,3 +55,24 @@ def kernel_path():
         return out, np.array(seen)
 
     return run
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_runtest_makereport(item, call):
+    """Import Hypothesis' patching module once a test fails.
+
+    Hypothesis imports it to report a failing property test, and the
+    import warns that mypy_extensions.TypedDict is deprecated; under
+    warnings-as-errors that would stop the session with INTERNALERROR.
+    Imported here first, with that warning ignored, the failure reports
+    as a failure.  It is not imported up front: it takes most of a
+    second.
+    """
+    if call.excinfo is None:
+        return
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass

@@ -69,8 +69,18 @@ def test_thresholds_report_values(capsys):
 
 
 def test_thresholds_unreachable_exit_code(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path / "c.cfg", {"stim_rate_G": 1.0})
-    assert main(["thresholds", "--config", cfg]) == 2
+    # Each threshold's own reason reaches stderr.  With k2 = 1e12 the
+    # laser threshold is reachable (111.2); only the orthogonal one is not.
+    laser = "small-signal gain cannot reach the parallel-mode loss"
+    orth = "lasing intensity saturates below gamma_orth/mu"
+    for mapping, reason in [({"stim_rate_G": 1.0}, laser),
+                            ({"stim_rate_G": 1e3}, laser),
+                            ({"decay_k2": 1e12}, orth)]:
+        cfg = _write_cfg(tmp_path / "c.cfg", mapping)
+        assert main(["thresholds", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: Unreachable: {reason}")
 
 
 def test_thresholds_without_output_coupler(tmp_path, capsys):
