@@ -27,8 +27,7 @@ from . import model
 from .csvio import format_exact, snapshot_lines, write_csv
 from .dynamics import settle
 from .dynamics import _settle_t_max as dynamics_t_max
-from .errors import (DomainError, InvalidParams, SqueezerSimError, Unreachable,
-                     WrongRegime)
+from .errors import InvalidParams, SqueezerSimError, Unreachable, WrongRegime
 from .montecarlo import compare_to_analytic, estimate_psd, run_length, simulate_decoupled
 from .montecarlo import _default_band
 from .params import ModelParams, reference_params, validate
@@ -208,6 +207,7 @@ def cmd_steady_sweep(cfg: dict, out: str, plot: bool) -> int:
     params = _model_params(cfg)
     thresholds = regime_thresholds(params)
     if "pump_max" not in cfg and not math.isfinite(thresholds[1]):
+        laser_threshold(params)  # raises Unreachable with its own reason
         raise Unreachable("cannot build a default pump grid: orthogonal-mode "
                           "threshold unreachable; give pump_min/max/steps")
     pumps, grid_keys = _grid(cfg, "pump", 0.0, 2.0 * thresholds[1], 201)
@@ -301,28 +301,6 @@ def cmd_spectrum(cfg: dict, out: str, plot: bool) -> int:
     return EXIT_OK
 
 
-# Peak doubles per step of one mc-verify run.  The threshold leg's
-# series, its half-length bin matrix and the FFT blocks measure about
-# 1.67 threshold series lengths under tracemalloc over a whole default
-# run; tests/test_cli.py holds a run to 1.7.
-_MC_DOUBLES_PER_STEP = 2.4
-
-
-def _check_fits_in_memory(steps: int):
-    """Refuse a run whose buffers exceed the machine's physical memory.
-
-    Only that: a run just under it still allocates, whatever other
-    processes or a container limit leave free.
-    """
-    need = 8 * _MC_DOUBLES_PER_STEP * steps
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise DomainError(
-            f"a run of {steps} steps needs about {need / 2**30:.3g} GiB, more "
-            f"than the {have / 2**30:.3g} GiB of physical memory; shorten "
-            "duration or raise dt")
-
-
 def _mc_leg(params, i_par, seed, dt, duration, segments, analytic_params,
             analytic_i_par):
     """Simulate, estimate and compare one mc-verify run.
@@ -361,8 +339,8 @@ def cmd_mc_verify(cfg: dict, out: str, negative_control: bool) -> int:
     # from half the samples.  Both legs are sized before either
     # allocates, and each draws from its own child of the seed.
     qnl_dt = dt * lam / params.gamma_orth
-    _check_fits_in_memory(max(run_length(params, i_star, dt, duration, segments),
-                              run_length(params, 0.0, qnl_dt, duration, segments)))
+    run_length(params, i_star, dt, duration, segments)
+    run_length(params, 0.0, qnl_dt, duration, segments)
     thr_seed, qnl_seed = np.random.SeedSequence(seed).spawn(2)
     est_thr, res_thr = _mc_leg(
         params, i_star, thr_seed, dt, duration, segments, analytic_params,
@@ -383,7 +361,7 @@ def cmd_mc_verify(cfg: dict, out: str, negative_control: bool) -> int:
               [res_thr[k] for k in ("omegas", "psd", "analytic", "deviations")],
               comments=comments)
 
-    ok = res_thr["pass"] and res_qnl["max_sigma_deviation"] <= 4.0
+    ok = res_thr["pass"] and res_qnl["pass"]
     lines = [
         f"qnl_calibration_max_sigma = {format_exact(res_qnl['max_sigma_deviation'])}",
         f"qnl_calibration_bins = {res_qnl['n_bins']}",
@@ -410,15 +388,17 @@ def _regime2_pumps(params, thresholds, n, rng) -> np.ndarray:
 def _check_route_equivalence(params, pumps):
     # The input-output solve on the model's orthogonal phase rate against
     # the closed form; in region ii a_orth = 0, so the modes decouple.
-    worst = 0.0
+    omegas = (0.0, 0.3 * params.gamma_orth, 3.0 * params.gamma_orth)
+    io, i_par = [], []
     for g in pumps:
         ss = steady_state(params, g)
         a, b = ss.a_par, ss.a_orth
         drift = [[model.phase_drift(params, a, b, ss.sigma2, ss.sigma3)[1][1]]]
-        for w in (0.0, 0.3 * params.gamma_orth, 3.0 * params.gamma_orth):
-            io, = output_phase_variances(params, drift, a, b, (1,), w)
-            red = orth_phase_variance_reduced(params, ss.i_par, w)
-            worst = max(worst, abs(io - red) / red)
+        io.append([output_phase_variances(params, drift, a, b, (1,), w)[0]
+                   for w in omegas])
+        i_par.append(ss.i_par)
+    red = orth_phase_variance_reduced(params, np.array(i_par)[:, None], omegas)
+    worst = float(np.max(np.abs(np.array(io) - red) / red))
     return worst <= 1e-12, f"max relative split {worst:.2e} (tol 1e-12)"
 
 
@@ -431,12 +411,10 @@ def _check_fixed_point(params, pumps):
 
 
 def _check_threshold_consistency(params, rng):
-    i_star = orth_threshold_intensity(params)
-    worst = 0.0
-    for w in params.gamma_orth * 10.0 ** rng.uniform(-2, 2, size=20):
-        a = threshold_variance(params, w)
-        b = orth_phase_variance_reduced(params, i_star, w)
-        worst = max(worst, abs(a - b) / b)
+    omegas = params.gamma_orth * 10.0 ** rng.uniform(-2, 2, size=20)
+    a = np.array([threshold_variance(params, w) for w in omegas])
+    b = orth_phase_variance_reduced(params, orth_threshold_intensity(params), omegas)
+    worst = float(np.max(np.abs(a - b) / b))
     return worst <= 1e-12, f"max relative split {worst:.2e} (tol 1e-12)"
 
 
@@ -463,7 +441,7 @@ def _check_jacobian_fd(params, rng):
     for _ in range(100):
         y = np.concatenate([rng.uniform(0, 3, size=2), rng.uniform(0, 1, size=3)])
         J = np.array(jac(*y.tolist()))
-        scales = model.rate_scales(y, params, pump)
+        scales = np.array(model.rate_scales_at(params, pump, *y.tolist()))
         for j in range(4):
             h = 1e-6 * max(1.0, abs(y[j]))
             yp, ym = y.copy(), y.copy()

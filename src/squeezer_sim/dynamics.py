@@ -232,7 +232,7 @@ def settle(params: ModelParams, pump, t_max: float | None = None) -> SteadyState
     field's diagonal Jacobian entry and eigenvalue) is positive gets
     reseeded, at most three times.  A field is lit when its net gain is
     clamped within 1e-6 of its decay.  The end state must have |rhs|
-    below 1e-10 of `model.rate_scales` on each of the four rates,
+    below 1e-10 of `model.rate_scales_at` on each of the four rates,
     with the amplitudes floored at the seed inside the scales so a
     decaying dark field cannot hold the test up; otherwise
     NoConvergence.  The default t_max is 400 over the slowest of (k3,
@@ -267,8 +267,10 @@ def settle(params: ModelParams, pump, t_max: float | None = None) -> SteadyState
     s3 = 1.0 - s1 - s2
     floored = (max(abs(a), _SEED_AMPLITUDE), max(abs(b), _SEED_AMPLITUDE),
                s1, s2, s3)
-    residual = np.max(np.abs(f(a, b, s1, s2, s3))
-                      / model.rate_scales(floored, params, g))
+    scaled = [abs(r) / s for r, s in zip(f(a, b, s1, s2, s3),
+                                         model.rate_scales_at(params, g, *floored))]
+    # The terms are >= 0, so their sum is NaN exactly when one of them is.
+    residual = math.nan if math.isnan(sum(scaled)) else max(scaled)
     if not residual < 1e-10:
         raise NoConvergence(f"scaled residual {residual!r} at t_max = {t_max!r}")
     i_par, i_orth = a * a, b * b

@@ -26,7 +26,7 @@ import numpy as np
 
 from .params import ModelParams
 
-__all__ = ["phase_drift", "rate_equations", "rate_scales", "rate_scales_at", "rhs"]
+__all__ = ["phase_drift", "rate_equations", "rate_scales_at", "rhs"]
 
 
 def rate_equations(params: ModelParams, pump: float):
@@ -105,6 +105,8 @@ def rate_scales_at(params: ModelParams, pump: float, a, b, s1, s2, s3):
     gpar, gorth = params.gamma_par, params.gamma_orth
     diff = abs(a * a - b * b)
     inv = abs(s3 - s2)
+    # Both paths have a workload: every region-iii steady_state and
+    # settle's residual pass floats, steady_state_sweep passes arrays.
     # max picks exactly as np.maximum does, NaN first argument included.
     clip = max if isinstance(a, float) else np.maximum
     floor = clip(max(G, mu, k2, k3, gpar, gorth), pump) * 1e-30 + 1e-300
@@ -113,8 +115,3 @@ def rate_scales_at(params: ModelParams, pump: float, a, b, s1, s2, s3):
             clip(k2 * abs(s2) + pump * abs(s1), floor),
             clip(G * inv * a * a + k3 * abs(s3) + k2 * abs(s2), floor))
 
-
-def rate_scales(y, params: ModelParams, pump: float) -> np.ndarray:
-    """`rate_scales_at` on the five-component state y, as an array."""
-    a, b, s1, s2, s3 = y.tolist() if isinstance(y, np.ndarray) else y
-    return np.array(rate_scales_at(params, pump, a, b, s1, s2, s3))

@@ -53,14 +53,14 @@ a 2-CPU x86-64 VM).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BandMismatch, DomainError, TooShort
 from .params import ModelParams
-from .spectra import orth_phase_variance_reduced
-from .steadystate import orth_threshold_intensity
+from .spectra import _gate_intensity, orth_phase_variance_reduced
 
 __all__ = ["SdeRun", "PsdEstimate", "run_length", "simulate_decoupled",
            "estimate_psd", "compare_to_analytic"]
@@ -71,6 +71,11 @@ _MIN_SEGMENTS = 8
 # which keeps each pass over a chunk in cache.  The bytes do not depend
 # on it.
 _BLOCK_SAMPLES = 1 << 16
+# Peak doubles per sample of a run and its estimate.  The series, the
+# estimate's half-length bin matrix and the FFT blocks measure about
+# 1.67 series lengths under tracemalloc over a whole default mc-verify;
+# tests/test_cli.py holds that run to 1.7.
+_DOUBLES_PER_SAMPLE = 2.4
 
 
 @dataclass(frozen=True)
@@ -147,14 +152,14 @@ def run_length(params: ModelParams, i_par, dt: float, duration: float,
     nperseg = duration / (dt * segments) steps, rounded to the nearest
     integer; n = segments * nperseg.  Raises the run's errors (i_par
     outside [0, gamma_orth/mu], a dt that is not positive and finite, a
-    duration / dt that is not finite: DomainError; fewer than 8
-    segments: ValueError; fewer than two steps a segment: TooShort)
-    without allocating anything, so a run can be sized before it is made.
+    duration / dt that is not finite, buffers larger than the machine's
+    physical memory: DomainError; fewer than 8 segments: ValueError;
+    fewer than two steps a segment: TooShort) without allocating
+    anything, so a run can be sized before it is made.  The memory gate
+    reads physical memory only: a run just under it still allocates,
+    whatever other processes or a container limit leave free.
     """
-    i = float(i_par)
-    top = orth_threshold_intensity(params)
-    if not 0.0 <= i <= top * (1.0 + 1e-12):
-        raise DomainError(f"i_par must lie in [0, {top!r}], got {i!r}")
+    _gate_intensity(params, i_par)
     if not (0.0 < dt < math.inf):
         raise DomainError(f"dt must be positive and finite, got {dt!r}")
     steps = duration / dt
@@ -166,7 +171,15 @@ def run_length(params: ModelParams, i_par, dt: float, duration: float,
     if nperseg < 2:
         raise TooShort(f"duration must cover at least two steps in each of "
                        f"{segments} segments")
-    return segments * nperseg
+    n = segments * nperseg
+    need = 8 * _DOUBLES_PER_SAMPLE * n
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise DomainError(
+            f"a run of {n} steps needs about {need / 2**30:.3g} GiB, more "
+            f"than the {have / 2**30:.3g} GiB of physical memory; shorten "
+            "duration or raise dt")
+    return n
 
 
 def simulate_decoupled(params: ModelParams, i_par, seed, dt: float,

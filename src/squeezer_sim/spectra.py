@@ -132,39 +132,35 @@ def orth_phase_variance_reduced(params: ModelParams, i_par, omega) -> float | np
 
     V = 1 - 4*gc*mu*i / ((gorth + mu*i)^2 + omega^2).  Independent of G,
     k2 and k3, which is what makes the headline squeezing numbers
-    reproducible without the unspecified laser constants.  Given an
-    ndarray of i_par or of omega (the two broadcast together), it
-    returns the variances as an array, bit for bit the float values and
-    with the same DomainErrors.
+    reproducible without the unspecified laser constants.  i_par and
+    omega broadcast together: a float when both are scalars or 0-d, else
+    an ndarray whose every element has the bits of the call at that
+    point.  A bad omega or i_par raises DomainError naming the first one.
     """
-    if isinstance(i_par, np.ndarray) or isinstance(omega, np.ndarray):
-        w = np.asarray(omega, float)
-        if not np.all(np.isfinite(w) & (w >= 0.0)):
-            raise DomainError("omega must be finite and >= 0")
-        i = np.asarray(i_par, float)
-        top = orth_threshold_intensity(params)
-        bad = ~(np.isfinite(i) & (i >= 0.0) & (i <= top * (1.0 + 1e-12)))
-        if bad.any():
-            raise DomainError(f"i_par must lie in [0, {top!r}], "
-                              f"got {float(i[bad].flat[0])!r}")
-        return _reduced_form(params, np.minimum(i, top), w)
-    w = _check_omega(omega)
-    i = float(i_par)
-    top = orth_threshold_intensity(params)
-    if not math.isfinite(i) or i < 0 or i > top * (1.0 + 1e-12):
-        raise DomainError(f"i_par must lie in [0, {top!r}], got {i!r}")
-    return _reduced_form(params, min(i, top), w)
-
-
-def _reduced_form(params: ModelParams, i, w):
-    """The reduced form in + - * / only, on floats or arrays alike.
-
-    The square is a product: `**` would call libm's pow, which is not
-    correctly rounded for about one argument in a thousand.
-    """
-    mu_i = params.nl_coupling_mu * i
+    w = np.asarray(omega, float)
+    if not np.all(np.isfinite(w) & (w >= 0.0)):
+        raise DomainError("omega must be finite and >= 0")
+    mu_i = params.nl_coupling_mu * _gate_intensity(params, i_par)
     rate = params.gamma_orth + mu_i
-    return 1.0 - 4.0 * params.gamma_orth_c * mu_i / (rate * rate + w * w)
+    # The square is a product: `**` would call libm's pow, which is not
+    # correctly rounded for about one argument in a thousand.
+    v = 1.0 - 4.0 * params.gamma_orth_c * mu_i / (rate * rate + w * w)
+    return v if v.ndim else float(v)
+
+
+def _gate_intensity(params: ModelParams, i_par):
+    """i_par through `np.asarray`, clamped to gamma_orth/mu.
+
+    Raises DomainError unless every element lies in [0, gamma_orth/mu],
+    with 1e-12 relative slack above, which the clamp removes.
+    """
+    i = np.asarray(i_par, float)
+    top = orth_threshold_intensity(params)
+    bad = ~(np.isfinite(i) & (i >= 0.0) & (i <= top * (1.0 + 1e-12)))
+    if bad.any():
+        raise DomainError(f"i_par must lie in [0, {top!r}], "
+                          f"got {float(i[bad].flat[0])!r}")
+    return np.minimum(i, top)
 
 
 def threshold_variance(params: ModelParams, omega) -> float:
@@ -181,23 +177,20 @@ def threshold_variance(params: ModelParams, omega) -> float:
 def to_decibel(variance):
     """Variance as a power ratio in dB; negative means squeezing.
 
-    Given an ndarray it returns an array of the float results, bit for
-    bit: it checks the whole array once, raising the float path's
-    DomainError on the first bad value, and then maps `math.log10`,
-    since numpy's log10 differs from libm's in the last bit for about
-    one value in five.
+    A float for a scalar or 0-d variance, else an ndarray of the same
+    shape.  A variance that is not finite and > 0 raises DomainError
+    naming the first one.  Each value goes through `math.log10`, since
+    numpy's log10 differs from libm's in the last bit for about one
+    value in five.
     """
-    if isinstance(variance, np.ndarray):
-        v = np.asarray(variance, float)
-        bad = ~(np.isfinite(v) & (v > 0.0))
-        if bad.any():
-            to_decibel(float(v[bad].flat[0]))  # raises the float path's error
-        logs = np.fromiter(map(math.log10, v.ravel().tolist()), float, v.size)
-        return 10.0 * logs.reshape(v.shape)
-    v = float(variance)
-    if not math.isfinite(v) or v <= 0:
-        raise DomainError(f"variance must be > 0 for dB conversion, got {v!r}")
-    return 10.0 * math.log10(v)
+    v = np.asarray(variance, float)
+    bad = ~(np.isfinite(v) & (v > 0.0))
+    if bad.any():
+        raise DomainError("variance must be > 0 for dB conversion, "
+                          f"got {float(v[bad].flat[0])!r}")
+    logs = np.fromiter(map(math.log10, v.ravel().tolist()), float, v.size)
+    db = 10.0 * logs.reshape(v.shape)
+    return db if db.ndim else float(db)
 
 
 def frequency_sweep_curve(params: ModelParams, i_par, omega_grid) -> SpectrumCurve:
@@ -219,8 +212,8 @@ def pump_sweep_curve(params: ModelParams, omega, pumps=None,
     negative or not finite raises InvalidParams.
     """
     w = _check_omega(omega)
-    g_orth = orth_threshold_pump(params)  # may raise Unreachable
-    g_laser = laser_threshold(params)
+    g_laser = laser_threshold(params)  # each raises Unreachable with its reason
+    g_orth = orth_threshold_pump(params)
     if (pumps is None) == (normalized_pumps is None):
         raise ValueError("give exactly one of pumps or normalized_pumps")
     if normalized_pumps is not None:

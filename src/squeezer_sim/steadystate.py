@@ -199,13 +199,12 @@ def laser_branch_intensity(params: ModelParams, pump):
 
     The positive root is taken as -2C / (B + sqrt(B^2 - 4 mu C)), which
     keeps full relative precision down to the threshold, where C -> 0.
-    A pump array gives the intensity at every pump, as an array.
+    A float for a scalar or 0-d pump, else an ndarray of the same shape;
+    a pump that is negative or not finite raises InvalidParams.
     """
-    if isinstance(pump, np.ndarray):
-        C, root = _lasing_root(params, as_pumps(pump), np.sqrt)
-        return np.where(C >= 0.0, 0.0, root)
-    C, root = _lasing_root(params, as_pump(pump), math.sqrt)
-    return 0.0 if C >= 0.0 else root
+    C, root = _lasing_root(params, as_pumps(pump), np.sqrt)
+    i_par = np.where(C >= 0.0, 0.0, root)
+    return i_par if i_par.ndim else float(i_par)
 
 
 def _laser_branch_state(params: ModelParams, pump: float, i_par: float) -> SteadyState:
@@ -222,8 +221,8 @@ def laser_only_branch(params: ModelParams, pump) -> SteadyState:
     state should go through steady_state instead.
     """
     g = as_pump(pump)
-    i_par = laser_branch_intensity(params, g)
-    if i_par <= 0.0:
+    C, i_par = _lasing_root(params, g, math.sqrt)
+    if C >= 0.0 or i_par <= 0.0:
         raise WrongRegime(
             f"lasing branch has i_par <= 0 at pump {g!r} (not above threshold)")
     return _laser_branch_state(params, g, i_par)

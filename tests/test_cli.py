@@ -69,18 +69,27 @@ def test_thresholds_report_values(capsys):
 
 
 def test_thresholds_unreachable_exit_code(tmp_path, capsys):
-    # Each threshold's own reason reaches stderr.  With k2 = 1e12 the
-    # laser threshold is reachable (111.2); only the orthogonal one is not.
+    # Each threshold's own reason reaches stderr, and the laser threshold
+    # is asked first.  With k2 = 1e12 the laser threshold is reachable
+    # (111.2); only the orthogonal one is not, and steady-sweep says that
+    # it cannot build its default grid.
     laser = "small-signal gain cannot reach the parallel-mode loss"
     orth = "lasing intensity saturates below gamma_orth/mu"
-    for mapping, reason in [({"stim_rate_G": 1.0}, laser),
-                            ({"stim_rate_G": 1e3}, laser),
-                            ({"decay_k2": 1e12}, orth)]:
+    grid = "cannot build a default pump grid: orthogonal-mode threshold unreachable"
+    out = tmp_path / "x.csv"
+    for mapping, reasons in [({"stim_rate_G": 1.0}, (laser, laser, laser)),
+                             ({"stim_rate_G": 1e3}, (laser, laser, laser)),
+                             ({"decay_k2": 1e12}, (orth, grid, orth))]:
         cfg = _write_cfg(tmp_path / "c.cfg", mapping)
-        assert main(["thresholds", "--config", cfg]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: Unreachable: {reason}")
+        for command, reason in zip(("thresholds", "steady-sweep", "pump-sweep"),
+                                   reasons):
+            argv = [command, "--config", cfg]
+            assert main(argv if command == "thresholds" else
+                        [*argv, "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: Unreachable: {reason}"), command
+            assert not out.exists()
 
 
 def test_thresholds_without_output_coupler(tmp_path, capsys):
@@ -318,6 +327,23 @@ def test_check_reference_config_passes(capsys):
     # The oracle runs on the configured rates, not on a substitute family.
     oracle = next(ln for ln in out.splitlines() if ln.startswith("oracle_equivalence"))
     assert "bundled" not in oracle
+
+
+# SHA-256 of check's stdout on the reference config, measured with numpy
+# 2.4.6 on x86-64 on the code from before check called the reduced form
+# on arrays.  The oracle's error line depends on the libm behind exp and
+# sqrt, so another build may move its digits.
+CHECK_STDOUT_SHA256 = {
+    "0": "81152b0f7a338f1de5a3d48677d2bf69c772d089acf10ef7ede3549baace5a6e",
+    "13": "f0a87a1c23cd65da9b26ec754dcc94a5a3e41486242f08bbfe847a702521b5f2",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CHECK_STDOUT_SHA256))
+def test_check_stdout_is_pinned(capsys, seed):
+    assert main(["check", "--seed", seed]) == 0
+    data = capsys.readouterr().out.encode()
+    assert hashlib.sha256(data).hexdigest() == CHECK_STDOUT_SHA256[seed]
 
 
 def test_check_route_equivalence_fails_on_the_amplitude_rate(monkeypatch, capsys):

@@ -139,3 +139,24 @@ def test_montecarlo_makes_no_blas_call():
         if name in ("matmul", "dot", "linalg"):
             found.append(f"{node.lineno}: {name}")
     assert found == []
+
+
+def test_ndarray_type_checks_are_only_the_allowed_ones():
+    # A closed form takes np.asarray of its inputs and has one body for
+    # scalars and arrays alike.  `isinstance(..., np.ndarray)` is kept
+    # only at write_csv's column type gate and model.rhs's unpacking of
+    # the state, each named by its innermost enclosing function.
+    found = []
+    for path in _SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        funcs = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                    and "np.ndarray" in ast.unparse(node.args[1])):
+                owner = max((f for f in funcs
+                             if f.lineno <= node.lineno <= f.end_lineno),
+                            key=lambda f: f.lineno, default=None)
+                found.append(f"{path.stem}.{owner.name if owner else '<module>'}")
+    assert sorted(found) == ["csvio.write_csv", "model.rhs"]

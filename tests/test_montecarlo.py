@@ -284,6 +284,24 @@ def test_intensity_domain_gate(reference):
                            1.0 / reference.gamma_orth, 16)
 
 
+def test_oversize_run_is_refused_before_allocating(reference):
+    # duration = 1e6 at the default dt asks for about 2e14 samples,
+    # petabytes of buffers: the library call must raise the typed memory
+    # gate's error, not numpy's MemoryError, and allocate nothing first.
+    i_star = orth_threshold_intensity(reference)
+    args = (reference, i_star, 0.16 / (2.0 * reference.gamma_orth), 1e6, 2048)
+    for call in (lambda: montecarlo.run_length(*args),
+                 lambda: simulate_decoupled(*args[:2], 7, *args[2:])):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="physical memory"):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
 def test_qnl_calibration_is_flat(reference):
     # Every bin strictly between 0 and Nyquist averages M complex
     # periodograms, so its relative standard error is 1/sqrt(M); DC and

@@ -447,10 +447,13 @@ def test_array_reduced_form_gates_the_intensity(reference):
     for bad in (-1.0, 1.01 * top, math.nan):
         with pytest.raises(DomainError):
             orth_phase_variance_reduced(reference, np.array([0.5 * top, bad]), 1e6)
-    # Dust above the threshold intensity is clamped, as in the scalar form.
+    # Dust above the threshold intensity is clamped, as in the scalar form,
+    # and a 0-d intensity gives a float, as a scalar one does.
     edge = top * (1.0 + 1e-13)
-    assert orth_phase_variance_reduced(reference, np.array(edge), 1e6).item() == \
-        orth_phase_variance_reduced(reference, edge, 1e6)
+    v = orth_phase_variance_reduced(reference, np.array(edge), 1e6)
+    assert type(v) is float
+    assert v == orth_phase_variance_reduced(reference, edge, 1e6)
+    assert v == orth_phase_variance_reduced(reference, top, 1e6)
 
 
 def test_array_reduced_form_names_the_bad_intensity_as_the_float_call_does(reference):
