@@ -6,7 +6,7 @@ orthogonally polarized fundamental mode, and stochastic (Monte Carlo)
 verification of those spectra.
 """
 
-from .dynamics import settle, stability
+from .dynamics import settle
 from .errors import (
     BandMismatch,
     DomainError,
@@ -39,7 +39,6 @@ from .steadystate import (
     Regime,
     SteadyState,
     SteadySweep,
-    classify_regime,
     laser_only_branch,
     laser_threshold,
     orth_threshold_intensity,

@@ -1,4 +1,4 @@
-"""Time integration of the semiclassical equations and local stability.
+"""Time integration of the semiclassical equations: the ODE oracle.
 
 This module is the brute-force oracle for the closed-form steady states.
 Its one entry point, `settle`, steps from a seeded ground state to
@@ -27,24 +27,12 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import model
 from .errors import NoConvergence, NonFiniteState, StepUnderflow, Unreachable
 from .params import ModelParams, as_pump
-from .steadystate import (
-    Regime,
-    SteadyState,
-    laser_only_branch,
-    laser_threshold,
-    steady_state,
-    zero_field_populations,
-)
+from .steadystate import Regime, SteadyState, laser_threshold
 
-__all__ = [
-    "settle",
-    "stability",
-]
+__all__ = ["settle"]
 
 _MAX_RESEEDS = 3
 # Amplitude `settle` seeds both fields with, and reseeds a dark field to.
@@ -285,33 +273,3 @@ def settle(params: ModelParams, pump, t_max: float | None = None) -> SteadyState
     return SteadyState(sigma1=s1, sigma2=s2, sigma3=s3,
                        i_par=i_par, i_orth=i_orth, regime=regime)
 
-
-def stability(params: ModelParams, pump, branch: Regime | None = None) -> dict:
-    """Real parts of the reduced Jacobian eigenvalues at the steady state.
-
-    `branch` forces evaluation on a particular solution branch (for
-    instance the lasing branch continued above the orthogonal-mode
-    threshold, whose a_orth eigenvalue -gamma_orth + mu*i_par has gone
-    positive).  The reduced Jacobian has no structural zero eigenvalue,
-    so stable means every real part is below 1e-15 of the largest rate.
-    """
-    g = as_pump(pump)
-    if branch is Regime.LaserOnly:
-        ss = laser_only_branch(params, g)
-    elif branch is Regime.BelowLaser:
-        s1, s2, s3 = zero_field_populations(params, g)
-        ss = SteadyState(sigma1=s1, sigma2=s2, sigma3=s3,
-                         i_par=0.0, i_orth=0.0, regime=Regime.BelowLaser)
-    else:
-        ss = steady_state(params, g)
-    _, jac = model.rate_equations(params, g)
-    a, b, s1, s2 = ss.state_vector()[:4].tolist()
-    J4 = np.array(jac(a, b, s1, s2, 1.0 - s1 - s2))
-    real_parts = np.sort(np.linalg.eigvals(J4).real)
-    scale = max(params.stim_rate_G, params.decay_k2, params.decay_k3,
-                params.gamma_par, params.gamma_orth, g)
-    return {
-        "eigen_real_parts": real_parts,
-        "stable": bool(np.all(real_parts < 1e-15 * scale)),
-        "steady_state": ss,
-    }

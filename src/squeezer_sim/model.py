@@ -15,9 +15,9 @@ a_orth, sigma1, sigma2, sigma3).  There the Jacobian splits.  The real
 directions give J4, taken over the four independent coordinates (a_par,
 a_orth, s1, s2) with s3 = 1 - s1 - s2 following them.  The imaginary
 directions (the phase quadratures) give the 2x2 block of `phase_drift`,
-which the noise spectra use.  Every other module (the ODE oracle,
-`stability`, the fixed-point residual of the closed forms, `spectra`,
-`check`) evaluates these expressions through this module.
+which the noise spectra use.  Every other module (the ODE oracle, the
+fixed-point residual of the closed forms, `spectra`, `check`)
+evaluates these expressions through this module.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from types import SimpleNamespace
 
 from .errors import InvalidParams
 
@@ -103,11 +102,9 @@ def validate(raw: dict[str, float] | None = None, /, **kwargs) -> ModelParams:
     errors += [f"missing field '{k}'" for k in missing]
     if errors:
         raise InvalidParams(errors)
-    values = {k: _number(v) for k, v in data.items()}
-    if None in values.values():
-        # Report every violation, the other fields' included.
-        raise InvalidParams(_violations(SimpleNamespace(**values)))
-    return ModelParams(**values)
+    # A field that is not a number becomes None, which ModelParams
+    # reports along with every other violation.
+    return ModelParams(**{k: _number(v) for k, v in data.items()})
 
 
 def _number(v) -> float | None:

@@ -207,9 +207,10 @@ def pump_sweep_curve(params: ModelParams, omega, pumps=None,
     The pump axis may be given directly or normalized to the
     orthogonal-mode threshold pump.  Returns a `PumpSweep` with one row
     per grid pump, in grid order.  Points below laser threshold are
-    reported at the QNL (V = 1); points beyond the instability are
-    flagged per row rather than failing the sweep.  A grid pump that is
-    negative or not finite raises InvalidParams.
+    reported at the QNL (V = 1); points above the orthogonal-mode
+    threshold pump, which itself is on the lasing branch, are flagged
+    per row rather than failing the sweep.  A grid pump that is negative
+    or not finite raises InvalidParams.
     """
     w = _check_omega(omega)
     g_laser = laser_threshold(params)  # each raises Unreachable with its reason
@@ -223,11 +224,10 @@ def pump_sweep_curve(params: ModelParams, omega, pumps=None,
         g = as_pumps(pumps)
         gn = g / g_orth
     below = g < g_laser
-    lasing = ~below & (g <= g_orth * (1.0 + 1e-12))
+    lasing = ~below & (g <= g_orth)
     variance = np.where(below, 1.0, np.nan)
-    i = np.minimum(laser_branch_intensity(params, g[lasing]),
-                   orth_threshold_intensity(params))
-    variance[lasing] = orth_phase_variance_reduced(params, i, w)
+    variance[lasing] = orth_phase_variance_reduced(
+        params, laser_branch_intensity(params, g[lasing]), w)
     status = np.where(below, "below_laser", np.where(lasing, "ok", "above_orth"))
     return PumpSweep(g, gn, variance, status)
 

@@ -41,7 +41,6 @@ __all__ = [
     "as_pumps",
     "steady_state",
     "steady_state_sweep",
-    "classify_regime",
     "regime_thresholds",
     "laser_threshold",
     "laser_branch_intensity",
@@ -287,21 +286,6 @@ def regime_thresholds(params: ModelParams) -> tuple[float, float]:
     return g_laser, g_orth
 
 
-def classify_regime(params: ModelParams, pump) -> Regime:
-    """Region of the pump axis between the threshold pumps, with
-    unreachable thresholds counted as infinite.
-
-    This is the region before the closed forms are solved: at the float
-    neighbours of a threshold `steady_state` can settle on the region
-    below it, and its `regime` is the one the spectra go by.
-    """
-    g = as_pump(pump)
-    g_laser, g_orth = regime_thresholds(params)
-    if g < g_laser:
-        return Regime.BelowLaser
-    return Regime.LaserOnly if g < g_orth else Regime.OrthExcited
-
-
 def fixed_point_residual(params: ModelParams, pump, ss: SteadyState) -> float:
     """Largest scaled residual |f_i| / s_i of the state, NaN if any is NaN.
 
@@ -325,7 +309,7 @@ def _regime3_state(params: ModelParams, pump: float) -> SteadyState:
     """
     s1, s2, s3, i_par, i_orth = _orth_excited_values(params, pump)
     if i_orth <= 0.0:
-        # Boundary dust: the pump sits numerically at the instability
+        # Boundary dust: the pump sits a few ulps above the instability
         # point, where the lasing branch is still the steady state.
         return laser_only_branch(params, pump)
     ss = SteadyState(sigma1=s1, sigma2=s2, sigma3=s3,
@@ -341,14 +325,19 @@ def _regime3_state(params: ModelParams, pump: float) -> SteadyState:
 def steady_state(params: ModelParams, pump) -> SteadyState:
     """Realized steady state at this pump, tagged with its regime.
 
-    At the laser threshold itself the lasing intensity is 0, so the
-    dark zero-field state is returned there.
+    The threshold pumps of `regime_thresholds` decide the region: i
+    below g_laser, ii from g_laser up to and including g_orth, where the
+    lasing branch is exact (i_orth = 0), and iii above g_orth.  At the
+    laser threshold itself the lasing intensity is 0, so the dark
+    zero-field state is returned there; a few ulps above g_orth, where
+    region iii's closed form rounds to i_orth <= 0, `_regime3_state`
+    returns the lasing branch.
     """
     g = as_pump(pump)
-    regime = classify_regime(params, g)
-    if regime is Regime.OrthExcited:
+    g_laser, g_orth = regime_thresholds(params)
+    if g > g_orth:
         return _regime3_state(params, g)
-    if regime is Regime.LaserOnly:
+    if g >= g_laser:
         C, i_par = _lasing_root(params, g, math.sqrt)
         if C < 0.0 and i_par > 0.0:  # laser_branch_intensity > 0
             return _laser_branch_state(params, g, i_par)
@@ -409,7 +398,7 @@ def steady_state_sweep(params: ModelParams, pumps) -> SteadySweep:
     g = as_pumps(pumps)
     g_laser, g_orth = regime_thresholds(params)
     below = g < g_laser
-    lasing = ~below & (g < g_orth)
+    lasing = ~below & (g <= g_orth)
     above = ~below & ~lasing
     # Every form on every row; a row keeps the one its branch takes and
     # drops the others, with whatever they made of a pump outside their
@@ -421,8 +410,9 @@ def steady_state_sweep(params: ModelParams, pumps) -> SteadySweep:
         *orth_pops, i_par3, i_orth3 = _orth_excited_values(params, g)
         a3, b3 = np.sqrt(i_par3), np.sqrt(i_orth3)
         residual = np.max(_scaled_rates(params, g, (a3, b3, *orth_pops)), axis=0)
-    # At the instability point itself region iii falls back on the
-    # lasing branch, which must then lase.
+    # A few ulps above the instability point region iii's closed form can
+    # round to i_orth <= 0; such a row falls back on the lasing branch,
+    # which must then lase.
     dust = above & (i_orth3 <= 0.0)
     wrong = dust & (i_lasing <= 0.0)
     on_branch = (lasing & (i_lasing > 0.0)) | (dust & ~wrong)

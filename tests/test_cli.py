@@ -12,7 +12,13 @@ import pytest
 import squeezer_sim
 from squeezer_sim import cli, model
 from squeezer_sim.cli import main
-from squeezer_sim.steadystate import SteadySweep, steady_state_sweep
+from squeezer_sim.sampling import sample_reachable_params
+from squeezer_sim.steadystate import (
+    SteadySweep,
+    laser_branch_intensity,
+    orth_threshold_pump,
+    steady_state_sweep,
+)
 
 OMEGA_2MHZ = 4.0 * math.pi * 1e6
 
@@ -156,6 +162,21 @@ def test_spectrum_pump_selection_errors(tmp_path):
     cfg = _write_cfg(tmp_path / "c.cfg", {"pump": 1.0})  # below laser threshold
     assert main(["spectrum", "--config", cfg,
                  "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_spectrum_at_the_orth_threshold_pump(tmp_path):
+    # The orthogonal-mode threshold pump is on the lasing branch.  On
+    # the fifth family drawn from seed 1, region iii's closed form at
+    # that pump leaves a rounding-sized i_orth > 0, which must not count.
+    rng = np.random.default_rng(1)
+    for _ in range(5):
+        params = sample_reachable_params(rng)
+    pump = orth_threshold_pump(params)
+    cfg = _write_cfg(tmp_path / "c.cfg", {**params.as_dict(), "pump": pump})
+    out = tmp_path / "x.csv"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    header = dict(line.split(" = ") for line in _read_csv(out)[0])
+    assert float(header["i_par"]) == laser_branch_intensity(params, pump)
 
 
 def test_pump_sweep_rejects_grid_past_instability(tmp_path):

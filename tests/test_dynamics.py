@@ -8,11 +8,12 @@ import pytest
 from squeezer_sim import (
     NonFiniteState,
     Regime,
+    SteadyState,
+    laser_only_branch,
     laser_threshold,
     orth_threshold_intensity,
     orth_threshold_pump,
     settle,
-    stability,
     steady_state,
 )
 from squeezer_sim import dynamics, model
@@ -267,8 +268,6 @@ def test_orth_mode_sees_no_laser_medium_in_region_ii(reference, moderate):
 
 
 def test_orth_eigenvalue_crosses_zero_at_threshold(moderate):
-    from squeezer_sim.steadystate import laser_only_branch
-
     go = orth_threshold_pump(moderate)
     i_star = orth_threshold_intensity(moderate)
     ss = laser_only_branch(moderate, go)
@@ -279,37 +278,55 @@ def test_orth_eigenvalue_crosses_zero_at_threshold(moderate):
     assert ss.i_par == pytest.approx(i_star, rel=1e-9)
 
 
+def _stability(params, pump, ss):
+    """Sorted real parts of J4's eigenvalues at state ss, and whether
+    each lies below 1e-15 of the largest rate.
+
+    J4 has no structural zero eigenvalue, so that bound is stability.
+    """
+    a, b, s1, s2 = ss.a_par, ss.a_orth, ss.sigma1, ss.sigma2
+    J4 = np.array(model.rate_equations(params, pump)[1](a, b, s1, s2, 1.0 - s1 - s2))
+    real_parts = np.sort(np.linalg.eigvals(J4).real)
+    scale = max(params.stim_rate_G, params.decay_k2, params.decay_k3,
+                params.gamma_par, params.gamma_orth, pump)
+    return real_parts, bool(np.all(real_parts < 1e-15 * scale))
+
+
+def _dark_state(params, pump):
+    return SteadyState(*zero_field_populations(params, pump), 0.0, 0.0,
+                       Regime.BelowLaser)
+
+
 def test_stability_below_laser_threshold(moderate):
-    res = stability(moderate, 0.5 * laser_threshold(moderate))
-    assert res["stable"]
+    g = 0.5 * laser_threshold(moderate)
+    assert _stability(moderate, g, steady_state(moderate, g))[1]
 
 
 def test_stability_regime2_below_orth_threshold(moderate):
     g = np.sqrt(laser_threshold(moderate) * orth_threshold_pump(moderate))
-    res = stability(moderate, g)
-    assert res["stable"]
+    assert _stability(moderate, g, steady_state(moderate, g))[1]
 
 
 def test_lasing_branch_unstable_above_orth_threshold(moderate):
     g = 1.5 * orth_threshold_pump(moderate)
-    res = stability(moderate, g, branch=Regime.LaserOnly)
-    assert not res["stable"]
-    assert np.max(res["eigen_real_parts"]) > 0.0
+    real_parts, stable = _stability(moderate, g, laser_only_branch(moderate, g))
+    assert not stable
+    assert np.max(real_parts) > 0.0
     # while the realized regime-iii state is stable
-    assert stability(moderate, g)["stable"]
+    assert _stability(moderate, g, steady_state(moderate, g))[1]
 
 
 def test_stability_at_reference_rates(reference):
     gl, go = laser_threshold(reference), orth_threshold_pump(reference)
     for g in (0.5 * gl, 1.5 * gl, np.sqrt(gl * go), 0.8 * go, 1.5 * go):
-        assert stability(reference, g)["stable"]
+        assert _stability(reference, g, steady_state(reference, g))[1]
     # Unstable branches: the dark state above the laser threshold and
     # the lasing branch continued past the orthogonal-mode threshold.
-    for g, branch in ((1.01 * gl, Regime.BelowLaser), (1.5 * gl, Regime.BelowLaser),
-                      (1.5 * go, Regime.LaserOnly)):
-        res = stability(reference, g, branch=branch)
-        assert not res["stable"]
-        assert np.max(res["eigen_real_parts"]) > 0.0
+    for g, state in ((1.01 * gl, _dark_state), (1.5 * gl, _dark_state),
+                     (1.5 * go, laser_only_branch)):
+        real_parts, stable = _stability(reference, g, state(reference, g))
+        assert not stable
+        assert np.max(real_parts) > 0.0
 
 
 def _block_solver(J, hd):

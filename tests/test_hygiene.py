@@ -141,6 +141,23 @@ def test_montecarlo_makes_no_blas_call():
     assert found == []
 
 
+def test_ode_oracle_imports_neither_numpy_nor_scipy():
+    # `dynamics` steps on Python floats: on a four-component state an
+    # array call costs more than its arithmetic.
+    path = Path(squeezer_sim.__file__).parent / "dynamics.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{node.lineno}: {name}" for name in names
+                  if name.split(".")[0] in ("numpy", "scipy")]
+    assert found == []
+
+
 def test_ndarray_type_checks_are_only_the_allowed_ones():
     # A closed form takes np.asarray of its inputs and has one body for
     # scalars and arrays alike.  `isinstance(..., np.ndarray)` is kept

@@ -10,7 +10,6 @@ from squeezer_sim import (
     SingularMatrix,
     SpectrumCurve,
     WrongRegime,
-    classify_regime,
     frequency_sweep_curve,
     laser_threshold,
     orth_phase_variance,
@@ -29,7 +28,7 @@ from squeezer_sim import model, montecarlo, spectra
 from squeezer_sim.montecarlo import PsdEstimate, compare_to_analytic
 from squeezer_sim.sampling import sample_reachable_params, sample_regime_pumps
 from squeezer_sim.spectra import output_phase_variances
-from squeezer_sim.steadystate import laser_branch_intensity
+from squeezer_sim.steadystate import laser_branch_intensity, regime_thresholds
 
 OMEGA_2MHZ = 4.0 * math.pi * 1e6
 
@@ -155,16 +154,26 @@ def test_spectra_follow_steady_state_regime_at_threshold_neighbours(reference, r
     # on the region below it: zero lasing intensity at the laser
     # threshold, a dark orthogonal mode just above the instability.  The
     # spectra go by the regime `steady_state` settles on, and return the
-    # value of their form at that state.
+    # value of their form at that state.  The orthogonal-mode threshold
+    # pump itself is on the lasing branch, and the pump sweep's last
+    # normalized row agrees with the full form there.
     families = [reference] + [sample_reachable_params(rng) for _ in range(100)]
     moved = 0
     for p in families:
         w = p.gamma_orth
-        for g0 in (laser_threshold(p), orth_threshold_pump(p)):
+        gl, go = regime_thresholds(p)
+        assert steady_state(p, go).regime is Regime.LaserOnly
+        curve = pump_sweep_curve(p, w, normalized_pumps=[0.5, 1.0])
+        full = orth_phase_variance(p, go, w)
+        assert curve.status[-1] == "ok"
+        assert abs(curve.variances[-1] - full) <= 1e-12 * full
+        for g0 in (gl, go):
             up1 = math.nextafter(g0, math.inf)
             for g in (math.nextafter(g0, 0.0), g0, up1, math.nextafter(up1, math.inf)):
                 ss = steady_state(p, g)
-                moved += ss.regime is not classify_regime(p, g)
+                region = (Regime.BelowLaser if g < gl else
+                          Regime.LaserOnly if g <= go else Regime.OrthExcited)
+                moved += ss.regime is not region
                 if ss.regime is Regime.LaserOnly:
                     assert orth_phase_variance(p, g, w) == _full_form(p, ss, w)
                 else:
@@ -403,14 +412,13 @@ def test_pump_sweep_equals_scalar_reduced_form(reference, grid):
     # Every point bitwise the scalar form at the lasing intensity, and
     # the point's status and grid values as the per-point rules give them.
     gl, go = laser_threshold(reference), orth_threshold_pump(reference)
-    top = orth_threshold_intensity(reference)
     curve = pump_sweep_curve(reference, OMEGA_2MHZ, **grid)
     for g, status, v in zip(curve.pumps.tolist(), curve.status.tolist(),
                             curve.variances.tolist()):
         if g < gl:
             assert (status, v) == ("below_laser", 1.0)
-        elif g <= go * (1.0 + 1e-12):
-            i = min(laser_branch_intensity(reference, g), top)
+        elif g <= go:
+            i = laser_branch_intensity(reference, g)
             assert status == "ok"
             assert v.hex() == orth_phase_variance_reduced(
                 reference, i, OMEGA_2MHZ).hex()

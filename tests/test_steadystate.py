@@ -10,7 +10,6 @@ from squeezer_sim import (
     SqueezerSimError,
     Unreachable,
     WrongRegime,
-    classify_regime,
     laser_only_branch,
     laser_threshold,
     orth_threshold_intensity,
@@ -83,13 +82,15 @@ def test_sweep_transitions_and_ode_agreement(moderate):
         assert st.regime is ss.regime
 
 
-def test_classify_regime_boundaries(moderate):
+def test_steady_state_region_boundaries(moderate):
+    # Dark at the laser threshold itself, where the lasing intensity is
+    # 0, and on the lasing branch at the orthogonal-mode threshold pump.
     gl = laser_threshold(moderate)
     go = orth_threshold_pump(moderate)
-    assert classify_regime(moderate, 0.0) is Regime.BelowLaser
-    assert classify_regime(moderate, 0.5 * (gl + go)) is Regime.LaserOnly
-    assert classify_regime(moderate, 2.0 * go) is Regime.OrthExcited
-    assert classify_regime(moderate, gl) is Regime.LaserOnly  # inclusive left edge
+    for g, regime in ((0.0, Regime.BelowLaser), (gl, Regime.BelowLaser),
+                      (0.5 * (gl + go), Regime.LaserOnly), (go, Regime.LaserOnly),
+                      (2.0 * go, Regime.OrthExcited)):
+        assert steady_state(moderate, g).regime is regime, g
 
 
 def test_laser_threshold_gain_equals_loss(moderate):
@@ -394,11 +395,11 @@ def test_sweep_reports_root_find_failures_on_the_scalar_rows(reference, monkeypa
 
 
 def test_sweep_reports_wrong_regime_on_the_scalar_rows(moderate, monkeypatch):
-    # Thresholds of (0, 0) put every pump in region iii, so the pumps
+    # A g_orth of -1, below every pump, puts every pump in region iii, so the pumps
     # below the instability take the lasing-branch fallback, which raises
     # WrongRegime below the laser threshold.
     gl, go = laser_threshold(moderate), orth_threshold_pump(moderate)
-    monkeypatch.setattr(steadystate, "regime_thresholds", lambda params: (0.0, 0.0))
+    monkeypatch.setattr(steadystate, "regime_thresholds", lambda params: (0.0, -1.0))
     pumps = np.array([0.0, 0.5 * gl, 2.0 * gl, 0.5 * go, 2.0 * go])
     sweep = _assert_sweep_is_scalar(moderate, pumps)
     assert sweep.status.tolist() == ["error:WrongRegime"] * 2 + ["ok"] * 3
