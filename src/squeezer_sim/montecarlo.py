@@ -40,7 +40,9 @@ Trans. Audio Electroacoust. 15, 70, 1967) over those segments, without
 overlap, in the two-sided density convention: for a real series the
 one-sided bins, left undoubled, are the two-sided density at f >= 0.
 The segments are independent, so each bin's relative standard error is
-1/sqrt(segments) with no overlap correction.
+1/sqrt(segments) with no overlap correction.  The estimate writes its
+periodograms over the series' spent rows, so it consumes the run: a run
+holds one series from its first draw to its estimate.
 
 Draws come from numpy's default generator (PCG64), seeded by an int or
 a `np.random.SeedSequence`, so a run is reproducible from (seed, dt,
@@ -71,18 +73,24 @@ _MIN_SEGMENTS = 8
 # which keeps each pass over a chunk in cache.  The bytes do not depend
 # on it.
 _BLOCK_SAMPLES = 1 << 16
-# Peak doubles per sample of a run and its estimate.  The series, the
-# estimate's half-length bin matrix and the FFT blocks measure about
-# 1.67 series lengths under tracemalloc over a whole default mc-verify;
-# tests/test_cli.py holds that run to 1.7.
-_DOUBLES_PER_SAMPLE = 2.4
+# Peak doubles per sample of a run and its estimate.  The series plus
+# the simulation's chunk buffers or the estimate's FFT blocks measure
+# about 1.145 series lengths under tracemalloc over a whole default
+# mc-verify; tests/test_cli.py holds that run to 1.2.  The factor is
+# about 1.44 times that peak, headroom for numpy's temporaries and for
+# runs of other shapes.
+_DOUBLES_PER_SAMPLE = 1.65
 
 
 @dataclass(frozen=True)
 class SdeRun:
     """One exact realization of the output, `segments` independent
     stationary segments interleaved time-major in `series_out`: sample k
-    of segment j is series_out[k * segments + j]."""
+    of segment j is series_out[k * segments + j].
+
+    `estimate_psd` consumes the run: it writes its periodograms over the
+    series and leaves `series_out` read-only, so read or copy the
+    samples before estimating."""
 
     dt: float
     segments: int
@@ -251,37 +259,52 @@ def estimate_psd(run: SdeRun) -> PsdEstimate:
     read as column blocks of the time-major series, multiplied by the
     psd-scaled Hann window into one reused buffer and transformed by a
     single `rfft` down the columns into another; their squared
-    magnitudes are copied into the block's columns of one (bins,
-    segments) matrix, whose segment mean is the estimate.  The window,
-    its scaling and the frequency grid are computed as scipy's
+    magnitudes are written over rows 0..bins-1 of the block's own
+    columns of the series, whose first `bins` rows end as the (bins,
+    segments) periodogram matrix; its segment mean is the estimate.  The
+    window, its scaling and the frequency grid are computed as scipy's
     ShortTimeFFT does, and each bin's row of the matrix is contiguous,
     so the mean sums in the same order and the bins have the same bytes
     as `scipy.signal.welch(..., noverlap=0, return_onesided=False)` on
     the segments laid end to end, at f >= 0.
+
+    The estimate consumes the run: `run.series_out` no longer holds the
+    samples and is left read-only, and a second `estimate_psd` on the
+    same run raises ValueError.  Besides the series it needs only the two
+    block buffers.
     """
+    if not run.series_out.flags.writeable:
+        raise ValueError("run.series_out is read-only: estimate_psd has "
+                         "already consumed this run, whose first rows now "
+                         "hold periodograms")
     m = run.segments
     x = run.series_out.reshape(-1, m)
+    # Marked consumed before the first write, so a run that an error
+    # interrupts is not estimated again either; x keeps its own flag.
+    run.series_out.flags.writeable = False
     nperseg = x.shape[0]
     win, freqs = _welch_window(nperseg, run.dt)
     win = win[:, None]
+    bins = len(freqs)
     block = max(1, _BLOCK_SAMPLES // nperseg)
     windowed = np.empty((nperseg, block))
-    spectra = np.empty((block, len(freqs)), dtype=complex)
-    pxx = np.empty((len(freqs), m))
+    spectra = np.empty((block, bins), dtype=complex)
     for p0 in range(0, m, block):
         p1 = min(p0 + block, m)
         seg = np.multiply(x[:, p0:p1], win, out=windowed[:, :p1 - p0])
         spec = np.fft.rfft(seg, axis=0, out=spectra[:p1 - p0].T).T
         # |X|^2 in place in the spectra's own real parts, each segment's
-        # row contiguous, then copied into the bins' columns.
+        # row contiguous, then written over rows 0..bins-1 of the block's
+        # own columns: the window multiply has read them in full, later
+        # blocks read only other columns, and bins <= nperseg.
         re, im = spec.real, spec.imag
         np.square(re, out=re)
         np.square(im, out=im)
         re += im
-        pxx[:, p0:p1] = re.T
-    return PsdEstimate(freqs=2.0 * math.pi * freqs, psd=pxx.mean(axis=-1),
-                       n_segments=m, rel_std_err=1.0 / math.sqrt(m),
-                       dt=run.dt)
+        x[:bins, p0:p1] = re.T
+    return PsdEstimate(freqs=2.0 * math.pi * freqs,
+                       psd=x[:bins].mean(axis=-1), n_segments=m,
+                       rel_std_err=1.0 / math.sqrt(m), dt=run.dt)
 
 
 def _default_band(params: ModelParams) -> tuple:

@@ -82,6 +82,8 @@ def test_numpy_is_the_only_runtime_dependency():
     deps = tomllib.loads(manifest.read_text(encoding="utf-8"))["project"][
         "dependencies"]
     assert [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in deps] == ["numpy"]
+    # estimate_psd passes `out=` to np.fft.rfft, which numpy 2.0 added.
+    assert deps == ["numpy>=2.0"]
 
 
 def test_every_private_module_helper_is_read():

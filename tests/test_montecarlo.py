@@ -190,8 +190,9 @@ def test_block_size_leaves_the_bytes_alone(reference, monkeypatch, block):
     # hold the whole run.
     def run_and_estimate():
         run, _ = _threshold_run(reference, seed=13, segments=301)
+        series = run.series_out.tobytes()
         est = estimate_psd(run)
-        return run.series_out.tobytes(), est.psd.tobytes(), est.freqs.tobytes()
+        return series, est.psd.tobytes(), est.freqs.tobytes()
 
     expected = run_and_estimate()
     monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", block)
@@ -355,11 +356,12 @@ def test_estimate_matches_two_sided_welch_exactly(reference, qnl_leg, segments):
         run, nperseg = _qnl_run(reference, seed=5, segments=segments), 256
     else:
         run, nperseg = _threshold_run(reference, seed=5, segments=segments)[0], _NPERSEG
+    # scipy reads the segments end to end: a segment-major copy, taken
+    # before the estimate consumes the run.
+    end_to_end = run.series_out.reshape(nperseg, segments).T.reshape(-1)
     est = estimate_psd(run)
     assert est.n_segments == segments
     assert est.rel_std_err == 1.0 / math.sqrt(segments)
-    # scipy reads the segments end to end: a segment-major copy.
-    end_to_end = run.series_out.reshape(nperseg, segments).T.reshape(-1)
     f, pxx = scipy.signal.welch(
         end_to_end, fs=1.0 / run.dt, window="hann", nperseg=nperseg,
         noverlap=0, detrend=False, return_onesided=False, scaling="density")
@@ -371,9 +373,21 @@ def test_estimate_matches_two_sided_welch_exactly(reference, qnl_leg, segments):
     assert np.array_equal(est.psd, pxx[:half + 1])
 
 
+def test_second_estimate_of_a_run_is_refused(reference):
+    # The first estimate writes its periodograms over the series, so a
+    # second one would average periodograms of periodograms.
+    run, _ = _threshold_run(reference, segments=16)
+    estimate_psd(run)
+    assert not run.series_out.flags.writeable
+    with pytest.raises(ValueError, match="already consumed"):
+        estimate_psd(run)
+
+
 def test_memory_footprint_of_simulation_and_estimate(reference):
     # tracemalloc sees every numpy buffer, so the peaks are exact counts.
-    # Neither call imports anything, so the windows hold only their data.
+    # A small run first imports numpy.fft outside the window, so the
+    # windows hold only their data.
+    estimate_psd(_threshold_run(reference, segments=16)[0])
     tracemalloc.start()
     try:
         run, _ = _threshold_run(reference)
@@ -388,13 +402,19 @@ def test_memory_footprint_of_simulation_and_estimate(reference):
     assert len(run.series_out) > 1_000_000
     # The run holds one state array of nperseg + 1 rows, one row and two
     # chunk buffers of _BLOCK_SAMPLES // segments rows, plus a few KB of
-    # Python objects (the generator, the run); the estimate is a
-    # half-length bin matrix plus the FFT blocks.
+    # Python objects (the generator, the run).  The estimate writes its
+    # bins over the series and adds its two block buffers (windowed
+    # segments and their spectra), the window multiply's ufunc buffers
+    # (np.getbufsize() doubles for each of its two operands) and a few
+    # KB for the window, the grid and the estimate itself.
     segments = run.segments
     rows = montecarlo._BLOCK_SAMPLES // segments
     state_rows = len(run.series_out) // segments + 1
     assert sim_peak <= 8 * segments * (state_rows + 1 + 2 * rows) + 8192
-    assert psd_peak - start <= 0.75 * nbytes
+    nperseg = state_rows - 1
+    block = montecarlo._BLOCK_SAMPLES // nperseg
+    blocks = 8 * nperseg * block + 16 * block * (nperseg // 2 + 1)
+    assert psd_peak - start <= blocks + 16 * np.getbufsize() + 32768
 
 
 @pytest.mark.parametrize("nperseg", [64, 512, 4096])
