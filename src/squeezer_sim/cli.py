@@ -27,7 +27,8 @@ from . import model
 from .csvio import format_exact, snapshot_lines, write_csv
 from .dynamics import settle
 from .dynamics import _settle_t_max as dynamics_t_max
-from .errors import InvalidParams, SqueezerSimError, Unreachable, WrongRegime
+from .errors import (InvalidParams, SqueezerSimError, Unreachable, WrongRegime,
+                     check_fits_in_memory)
 from .montecarlo import compare_to_analytic, estimate_psd, run_length, simulate_decoupled
 from .montecarlo import _default_band
 from .params import ModelParams, reference_params, validate
@@ -148,6 +149,21 @@ def _model_params(cfg: dict) -> ModelParams:
     return validate(base)
 
 
+# Peak bytes a grid subcommand holds per grid row.  A 2001-point
+# `steady-sweep --plot` measures about 352 under tracemalloc (pump-sweep
+# --plot 391, spectrum --plot 302), most of it in the CSV and SVG
+# writers.  The factor is about 1.45 times the steady-sweep peak,
+# headroom for numpy's temporaries and for grids of other sizes.
+_GRID_BYTES_PER_ROW = 512
+
+
+def _check_grid_fits(key: str, steps: int):
+    """DomainError, before anything is allocated, for a grid of `steps`
+    rows whose subcommand would not fit in physical memory."""
+    check_fits_in_memory(_GRID_BYTES_PER_ROW * steps, f"a grid of {steps} steps",
+                         f"lower {key}")
+
+
 def _grid(cfg: dict, name: str, default_min: float, default_max: float,
           default_steps: int) -> tuple[np.ndarray, dict]:
     """The `name` grid and its resolved `<name>_*` keys for the header."""
@@ -159,6 +175,7 @@ def _grid(cfg: dict, name: str, default_min: float, default_max: float,
         raise ConfigError(f"{name} grid needs min < max and steps >= 2")
     if log and lo <= 0:
         raise ConfigError(f"{name}_log requires {name}_min > 0")
+    _check_grid_fits(f"{name}_steps", steps)
     grid = (np.geomspace if log else np.linspace)(lo, hi, steps)
     return grid, {f"{name}_min": float(grid[0]), f"{name}_max": float(grid[-1]),
                   f"{name}_steps": steps, f"{name}_log": log}
@@ -252,6 +269,7 @@ def cmd_pump_sweep(cfg: dict, out: str, plot: bool) -> int:
         if steps < 2 or not (hi > lo):
             raise ConfigError("normalized pump grid needs min < max and "
                               "steps >= 2")
+        _check_grid_fits("pump_steps", steps)
         sweep = pump_sweep_curve(
             params, omega, normalized_pumps=np.linspace(lo, hi, steps))
         grid_keys = {"pump_norm_min": float(sweep.pumps_normalized[0]),

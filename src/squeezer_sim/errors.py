@@ -1,9 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the memory gate.
 
 Exit-code mapping used by the CLI: InvalidParams and config problems are
 input errors (exit 1), solver/numerical failures are exit 2, and
 statistical verification failures are exit 3.
 """
+
+import os
 
 
 class SqueezerSimError(Exception):
@@ -59,3 +61,18 @@ class TooShort(SqueezerSimError):
 
 class BandMismatch(SqueezerSimError):
     """The trusted comparison band contains no usable frequency bins."""
+
+
+def check_fits_in_memory(need: float, what: str, remedy: str):
+    """Raise DomainError when `need` bytes exceed physical memory.
+
+    The message reads "<what> needs about X GiB, more than the Y GiB of
+    physical memory; <remedy>".  The gate reads physical memory only:
+    a request just under it still allocates, whatever other processes
+    or a container limit leave free.
+    """
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise DomainError(
+            f"{what} needs about {need / 2**30:.3g} GiB, more than the "
+            f"{have / 2**30:.3g} GiB of physical memory; {remedy}")

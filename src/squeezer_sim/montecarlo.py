@@ -55,12 +55,11 @@ a 2-CPU x86-64 VM).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandMismatch, DomainError, TooShort
+from .errors import BandMismatch, DomainError, TooShort, check_fits_in_memory
 from .params import ModelParams
 from .spectra import _gate_intensity, orth_phase_variance_reduced
 
@@ -163,9 +162,7 @@ def run_length(params: ModelParams, i_par, dt: float, duration: float,
     duration / dt that is not finite, buffers larger than the machine's
     physical memory: DomainError; fewer than 8 segments: ValueError;
     fewer than two steps a segment: TooShort) without allocating
-    anything, so a run can be sized before it is made.  The memory gate
-    reads physical memory only: a run just under it still allocates,
-    whatever other processes or a container limit leave free.
+    anything, so a run can be sized before it is made.
     """
     _gate_intensity(params, i_par)
     if not (0.0 < dt < math.inf):
@@ -180,13 +177,8 @@ def run_length(params: ModelParams, i_par, dt: float, duration: float,
         raise TooShort(f"duration must cover at least two steps in each of "
                        f"{segments} segments")
     n = segments * nperseg
-    need = 8 * _DOUBLES_PER_SAMPLE * n
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise DomainError(
-            f"a run of {n} steps needs about {need / 2**30:.3g} GiB, more "
-            f"than the {have / 2**30:.3g} GiB of physical memory; shorten "
-            "duration or raise dt")
+    check_fits_in_memory(8 * _DOUBLES_PER_SAMPLE * n, f"a run of {n} steps",
+                         "shorten duration or raise dt")
     return n
 
 

@@ -17,14 +17,16 @@ not a fixed point of the rate equations.
 The algebra of each form is written once, in helpers that use only
 + - * /, abs and a square root the caller passes in, and so take a pump
 float or a pump array alike.  `steady_state` calls them on one pump
-with `math.sqrt` and Python branches; `steady_state_sweep` calls them
-on a whole pump grid with `np.sqrt` and row masks, and gives bitwise
-the same values.
+with `math.sqrt` and Python branches.  `steady_state_sweep` calls each
+with `np.sqrt` on only the rows of a pump grid that take its branch and
+writes the results into the grid's columns by row index; the forms are
+elementwise, so every row gets bitwise the scalar call's values.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -348,11 +350,13 @@ def steady_state(params: ModelParams, pump) -> SteadyState:
 
 @dataclass(frozen=True)
 class SteadySweep:
-    """Steady states of a pump grid, one row per pump.
+    """Steady states of a 1-D pump grid, one row per pump.
 
     `regime` holds the `Regime` values ("i", "ii", "iii") and `status`
     "ok", or "error:<type>" where `steady_state` would raise that error
     at the row's pump; such a row has regime "" and NaN values.
+    `regime` is "<U3", and `status` only as wide as the labels it
+    holds: "<U2" when every row is ok.
     """
 
     pumps: np.ndarray
@@ -366,11 +370,12 @@ class SteadySweep:
     status: np.ndarray
 
 
-def _check_rows(s1, s2, s3, i_par, i_orth):
-    """`SteadyState`'s invariants on the rows a sweep resolves.
+def _check_rows(s1, s2, s3):
+    """`SteadyState`'s population invariants on one branch's rows.
 
-    Its regime rules (dark fields, i_orth = 0 < i_par on the lasing
-    branch, i_orth > 0 above it) hold by the way the rows are chosen.
+    Its intensity and regime rules (dark fields, i_orth = 0 < i_par on
+    the lasing branch, i_orth > 0 above it, and so i_par > 0) hold by
+    the way the rows are chosen.
     """
     total = s1 + s2 + s3
     bad = abs(total - 1.0) > 1e-12
@@ -380,59 +385,80 @@ def _check_rows(s1, s2, s3, i_par, i_orth):
         bad = ~((v >= -_BOUND_SLACK) & (v <= 1.0 + _BOUND_SLACK))
         if bad.any():
             raise ValueError(f"{name}={v[bad][0]!r} outside [0, 1]")
-    if np.any(i_par < 0) or np.any(i_orth < 0):
-        raise ValueError("intensities must be >= 0")
 
 
+# A pump near either end of the float range overflows or underflows in
+# numpy as it does, silently, in the scalar call's floats.
+@np.errstate(all="ignore")
 def steady_state_sweep(params: ModelParams, pumps) -> SteadySweep:
-    """`steady_state` at every pump of a grid, evaluated on the whole grid.
+    """`steady_state` at every pump of a 1-D grid, one branch at a time.
 
     Every row has bitwise the values `steady_state` gives at its pump:
-    the closed forms are the same helpers, evaluated on arrays, and each
-    row takes the branch the scalar call would.  Where the scalar call
-    raises WrongRegime or RootFindFailure, the row's status says so.  A
-    negative or non-finite pump raises InvalidParams, and a resolved row
-    that breaks `SteadyState`'s invariants raises ValueError, as the
-    scalar call does.
+    the closed forms are the same helpers, evaluated elementwise on the
+    rows of their own branch, and each row takes the branch the scalar
+    call would.  Where the scalar call raises WrongRegime or
+    RootFindFailure, the row's status says so.  A negative or
+    non-finite pump raises InvalidParams, a grid that is not 1-D
+    ValueError, and a resolved row that breaks `SteadyState`'s
+    invariants ValueError, as the scalar call does.
     """
     g = as_pumps(pumps)
+    if g.ndim != 1:
+        raise ValueError(f"pumps must be a 1-D grid, got shape {g.shape}")
     g_laser, g_orth = regime_thresholds(params)
-    below = g < g_laser
-    lasing = ~below & (g <= g_orth)
-    above = ~below & ~lasing
-    # Every form on every row; a row keeps the one its branch takes and
-    # drops the others, with whatever they made of a pump outside their
-    # region.  A zero pump gets the dark (1, 0, 0), as in the scalar.
-    with np.errstate(all="ignore"):
-        dark = _dark_populations(params, g)
-        i_lasing = laser_branch_intensity(params, g)
-        lasing_pops = _lasing_populations(params, g, i_lasing)
-        *orth_pops, i_par3, i_orth3 = _orth_excited_values(params, g)
-        a3, b3 = np.sqrt(i_par3), np.sqrt(i_orth3)
-        residual = np.max(_scaled_rates(params, g, (a3, b3, *orth_pops)), axis=0)
-    # A few ulps above the instability point region iii's closed form can
-    # round to i_orth <= 0; such a row falls back on the lasing branch,
-    # which must then lase.
-    dust = above & (i_orth3 <= 0.0)
-    wrong = dust & (i_lasing <= 0.0)
-    on_branch = (lasing & (i_lasing > 0.0)) | (dust & ~wrong)
-    orth = above & ~dust
-    branches = (~(on_branch | orth | wrong), on_branch, orth)
-    s1, s2, s3 = (np.select(branches, forms)
-                  for forms in zip(dark, lasing_pops, orth_pops))
-    zero = np.zeros(g.shape)
-    i_par = np.select(branches, (zero, i_lasing, i_par3))
-    i_orth = np.select(branches, (zero, zero, i_orth3))
-    made = ~wrong  # the rows that the scalar call builds a SteadyState for
-    _check_rows(s1[made], s2[made], s3[made], i_par[made], i_orth[made])
-    ok = made & ~(orth & ~(residual <= _RESIDUAL_TOL))  # a NaN residual fails
-    regime = np.select(branches, [r.value for r in Regime], "")
-    regime[~ok] = ""
-    status = np.where(ok, "ok", np.where(
-        wrong, f"error:{WrongRegime.__name__}", f"error:{RootFindFailure.__name__}"))
-    values = [np.where(ok, v, np.nan) for v in (
-        np.sqrt(i_par), np.sqrt(i_orth), s1, s2, s3, _sh_flux(params, i_par, i_orth))]
-    return SteadySweep(g, regime, *values, status)
+    columns = [np.full(len(g), np.nan) for _ in range(6)]
+    regime = np.full(len(g), "", "<U3")
+
+    def put(rows, tag, s1, s2, s3, a_par, a_orth, sh):
+        """Check one branch's populations and write its values into the rows."""
+        _check_rows(s1, s2, s3)
+        for col, v in zip(columns, (a_par, a_orth, s1, s2, s3, sh)):
+            col[rows] = v
+        regime[rows] = tag.value
+
+    def lase(rows):
+        """Put the lasing branch on the rows where it lases; return the others."""
+        C, i_par = _lasing_root(params, g[rows], np.sqrt)
+        on = (C < 0.0) & (i_par > 0.0)  # laser_branch_intensity > 0
+        i_par = i_par[on]
+        put(rows[on], Regime.LaserOnly,
+            *_lasing_populations(params, g[rows[on]], i_par),
+            np.sqrt(i_par), 0.0, _sh_flux(params, i_par, 0.0))
+        return rows[~on]
+
+    # Region iii.  A few ulps above the instability point its closed form
+    # can round to i_orth <= 0; such dust rows fall back on the lasing
+    # branch, which must then lase.
+    above = np.flatnonzero(g > g_orth)
+    *pops, i_par, i_orth = _orth_excited_values(params, g[above])
+    dust = i_orth <= 0.0
+    wrong = above[:0]
+    if dust.any():
+        wrong = lase(above[dust])
+        pops, i_par, i_orth = ([v[~dust] for v in pops],
+                               i_par[~dust], i_orth[~dust])
+        above = above[~dust]
+    a_par, a_orth = np.sqrt(i_par), np.sqrt(i_orth)
+    put(above, Regime.OrthExcited, *pops, a_par, a_orth,
+        _sh_flux(params, i_par, i_orth))
+    residual = functools.reduce(np.maximum, _scaled_rates(
+        params, g[above], (a_par, a_orth, *pops)))
+    failed = above[~(residual <= _RESIDUAL_TOL)]  # a NaN residual fails
+    for col in columns:
+        col[failed] = np.nan
+    regime[failed] = ""
+    # Region ii, then region i with the lasing rows whose intensity is 0.
+    # A zero pump gets the dark (1, 0, 0), as in the scalar.
+    dark = np.concatenate((np.flatnonzero(g < g_laser),
+                           lase(np.flatnonzero((g >= g_laser) & (g <= g_orth)))))
+    put(dark, Regime.BelowLaser, *_dark_populations(params, g[dark]), 0.0, 0.0, 0.0)
+    # As wide as the labels it holds: "<U2" when every row is ok.
+    errors = [(f"error:{exc.__name__}", rows) for exc, rows in (
+        (WrongRegime, wrong), (RootFindFailure, failed)) if rows.size]
+    status = np.full(len(g), "ok", f"<U{max([2, *(len(e) for e, _ in errors)])}")
+    for label, rows in errors:
+        status[rows] = label
+    return SteadySweep(g, regime, *columns, status)
 
 
 def sh_power(params: ModelParams, ss: SteadyState) -> float:

@@ -286,6 +286,37 @@ def test_mc_verify_oversize_duration_is_refused_before_allocating(tmp_path, caps
     assert not (tmp_path / "mc.csv").exists()
 
 
+@pytest.mark.parametrize("command, config, key", [
+    ("steady-sweep", {}, "pump_steps"),
+    ("steady-sweep", {"pump_min": 1, "pump_max": 1e19, "pump_log": "true"}, "pump_steps"),
+    ("pump-sweep", {}, "pump_steps"),
+    ("pump-sweep", {"pump_min": 0.0, "pump_max": 1e18}, "pump_steps"),
+    ("spectrum", {}, "omega_steps"),
+], ids=["steady-sweep", "steady-sweep-log", "pump-sweep-normalized",
+        "pump-sweep-explicit", "spectrum"])
+def test_oversize_grid_is_refused_before_allocating(tmp_path, capsys, command,
+                                                    config, key):
+    # 1e15 steps would need petabytes for the grid alone: the memory gate
+    # must refuse it with one error line, naming the steps and the GiB,
+    # before the grid is made.
+    cfg = _write_cfg(tmp_path / "c.cfg", {**config, key: 10**15})
+    out = tmp_path / "x.csv"
+    tracemalloc.start()
+    try:
+        rc = main([command, "--config", cfg, "--out", str(out), "--plot"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: DomainError: a grid of 1000000000000000 steps "
+                          "needs about ")
+    assert "GiB of physical memory" in err and key in err
+    assert err.count("\n") == 1
+    assert peak < 1_000_000
+    assert not list(tmp_path.glob("x*"))
+
+
 def test_mc_verify_seeds_draw_from_disjoint_streams(monkeypatch, tmp_path):
     # Each leg of each run must draw its own stream: the benchmark runs
     # --seed s and s + 1 back to back, and the QNL leg of one must not

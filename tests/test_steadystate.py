@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -382,6 +384,14 @@ def test_sweep_rows_equal_scalar_at_the_thresholds(reference, moderate, rng):
         _assert_sweep_is_scalar(p, np.array(edges))
 
 
+def test_sweep_rows_equal_scalar_at_the_ends_of_the_float_range(reference, moderate):
+    # Subnormal and near-overflow pumps: the forms under- and overflow in
+    # numpy as in the scalar's floats, with no warning.
+    pumps = np.array([5e-324, 1e-320, 1e-300, 1e300, 1e308, 1.7e308])
+    for p in (reference, moderate):
+        _assert_sweep_is_scalar(p, pumps)
+
+
 def test_sweep_reports_root_find_failures_on_the_scalar_rows(reference, monkeypatch):
     # A tolerance below the residual's rounding floor fails some region-iii
     # rows; both paths must fail the same ones.
@@ -421,6 +431,77 @@ def test_sweep_keeps_the_state_invariants(moderate, monkeypatch):
 def test_sweep_rejects_invalid_pumps(moderate, bad):
     with pytest.raises(InvalidParams):
         steady_state_sweep(moderate, [1.0, bad])
+
+
+@pytest.mark.parametrize("pumps", [5.0, [[1.0, 2e18]]], ids=["0-d", "2-d"])
+def test_sweep_rejects_a_grid_that_is_not_1d(moderate, pumps):
+    # One row per pump: a scalar or a 2-D grid is refused by its shape.
+    shape = np.shape(pumps)
+    with pytest.raises(ValueError, match=f"1-D grid, got shape {re.escape(str(shape))}"):
+        steady_state_sweep(moderate, pumps)
+
+
+def _benchmark_grids(params):
+    """The steady-sweep grids of the benchmark: 2001 points from 0 to
+    2 g_orth, and 2001 log-spaced points from 1 to 1e19."""
+    go = orth_threshold_pump(params)
+    return {"linear": np.linspace(0.0, 2.0 * go, 2001),
+            "log": np.geomspace(1.0, 1e19, 2001)}
+
+
+@pytest.mark.parametrize("grid, residual_rows", [("linear", 1000), ("log", 103)])
+def test_sweep_evaluates_each_form_on_its_own_rows(reference, monkeypatch, grid,
+                                                   residual_rows):
+    # Each closed form and the region-iii residual see the pumps of their
+    # own branch and no other, once each.  Neither grid has a dust row or
+    # a lasing row with zero intensity, so the branches are the regions.
+    pumps = _benchmark_grids(reference)[grid]
+    gl, go = laser_threshold(reference), orth_threshold_pump(reference)
+    region = np.array([steady_state(reference, g).regime.value for g in pumps.tolist()])
+    seen = {}
+
+    def counted(name, fn):
+        def wrapper(params, g, *args):
+            seen.setdefault(name, []).extend(np.atleast_1d(g).tolist())
+            return fn(params, g, *args)
+        return wrapper
+
+    for name in ("_dark_populations", "_lasing_root", "_lasing_populations",
+                 "_orth_excited_values", "_scaled_rates"):
+        monkeypatch.setattr(steadystate, name, counted(name, getattr(steadystate, name)))
+    steady_state_sweep(reference, pumps)
+    want = {"_dark_populations": pumps[region == "i"],
+            "_lasing_root": pumps[(pumps >= gl) & (pumps <= go)],
+            "_lasing_populations": pumps[region == "ii"],
+            "_orth_excited_values": pumps[pumps > go],
+            "_scaled_rates": pumps[region == "iii"]}
+    assert len(want["_scaled_rates"]) == residual_rows
+    for name, rows in want.items():
+        assert sorted(seen[name]) == sorted(rows.tolist()), name
+
+
+@pytest.mark.parametrize("grid", ["linear", "log"])
+def test_sweep_memory_is_its_columns_and_one_branch(reference, grid):
+    # tracemalloc sees every numpy buffer.  The sweep keeps six float64
+    # columns, a "<U3" regime and a "<U2" status: 68 bytes a row.  While
+    # it works it holds those columns and the arrays of one branch at a
+    # time, the most for region iii's residual: the row indices, the
+    # pump, the state, i_par and i_orth, and the four rates, scales and
+    # quotients, 21 arrays of the branch's rows.  Three more are allowed
+    # for numpy's temporaries, and 8 KB for the Python objects.
+    pumps = _benchmark_grids(reference)[grid]
+    region = [steady_state(reference, g).regime.value for g in pumps.tolist()]
+    branch = max(region.count(r) for r in ("i", "ii", "iii"))
+    steady_state_sweep(reference, pumps)
+    tracemalloc.start()
+    try:
+        sweep = steady_state_sweep(reference, pumps)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sweep.status.dtype == np.dtype("<U2")
+    assert kept <= 68 * len(pumps) + 8192
+    assert peak <= 68 * len(pumps) + 8 * 24 * branch + 8192
 
 
 def test_rate_scales_on_arrays_equal_the_float_scales(reference, rng):
