@@ -39,7 +39,6 @@ from .steadystate import (
     Regime,
     SteadyState,
     SteadySweep,
-    laser_only_branch,
     laser_threshold,
     orth_threshold_intensity,
     orth_threshold_pump,

@@ -24,6 +24,9 @@ into the reduced form
 
 depending only on mu, the orthogonal-mode decays and the operating
 intensity.  These closed forms are the production path in region ii.
+Nothing here compares a pump with a threshold: a point goes by the
+regime `steady_state` settles on, and a pump grid by the same rule
+applied row by row in `steadystate`.
 One input-output solve, `output_phase_variances` on the phase block of
 `model.phase_drift`, gives the coupled pair of region iii and checks
 the reduced form (`check`'s route_equivalence).  The region-ii
@@ -43,8 +46,8 @@ from .errors import DomainError, SingularMatrix, WrongRegime
 from .params import ModelParams, as_pump
 from .steadystate import (
     Regime,
+    _grid_branches,
     as_pumps,
-    laser_branch_intensity,
     laser_threshold,
     orth_threshold_intensity,
     orth_threshold_pump,
@@ -91,8 +94,8 @@ class PumpSweep:
     """Variance at one omega across a pump grid, one row per pump.
 
     `status` is "ok", "below_laser" (reported at the QNL, variance 1) or
-    "above_orth", where the orthogonal mode oscillates and the variance
-    is NaN.
+    "above_orth", where the orthogonal mode oscillates (or
+    `steady_state` raises) and the variance is NaN.
     """
 
     pumps: np.ndarray
@@ -204,13 +207,16 @@ def pump_sweep_curve(params: ModelParams, omega, pumps=None,
                      normalized_pumps=None) -> PumpSweep:
     """Variance at fixed omega versus pump across region ii.
 
-    The pump axis may be given directly or normalized to the
+    The pump axis is a 1-D grid, given directly or normalized to the
     orthogonal-mode threshold pump.  Returns a `PumpSweep` with one row
-    per grid pump, in grid order.  Points below laser threshold are
-    reported at the QNL (V = 1); points above the orthogonal-mode
-    threshold pump, which itself is on the lasing branch, are flagged
-    per row rather than failing the sweep.  A grid pump that is negative
-    or not finite raises InvalidParams.
+    per grid pump, in grid order.  Each row goes by the branch
+    `steady_state` takes at its pump, through the grid rule
+    `steady_state_sweep` uses: the dark state is reported at the QNL
+    (V = 1), the lasing branch at the reduced form of its intensity,
+    and a pump past the instability (or one where `steady_state` raises)
+    is flagged per row rather than failing the sweep.  A grid pump that
+    is negative or not finite raises InvalidParams, a grid that is not
+    1-D ValueError.
     """
     w = _check_omega(omega)
     g_laser = laser_threshold(params)  # each raises Unreachable with its reason
@@ -223,12 +229,13 @@ def pump_sweep_curve(params: ModelParams, omega, pumps=None,
     else:
         g = as_pumps(pumps)
         gn = g / g_orth
-    below = g < g_laser
-    lasing = ~below & (g <= g_orth)
-    variance = np.where(below, 1.0, np.nan)
-    variance[lasing] = orth_phase_variance_reduced(
-        params, laser_branch_intensity(params, g[lasing]), w)
-    status = np.where(below, "below_laser", np.where(lasing, "ok", "above_orth"))
+    dark, lasing, i_par, *_ = _grid_branches(params, g, g_laser, g_orth)
+    variance = np.full(len(g), np.nan)
+    variance[dark] = 1.0
+    variance[lasing] = orth_phase_variance_reduced(params, i_par, w)
+    status = np.full(len(g), "above_orth", "<U11")
+    status[dark] = "below_laser"
+    status[lasing] = "ok"
     return PumpSweep(g, gn, variance, status)
 
 

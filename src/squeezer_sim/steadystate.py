@@ -16,10 +16,12 @@ not a fixed point of the rate equations.
 
 The algebra of each form is written once, in helpers that use only
 + - * /, abs and a square root the caller passes in, and so take a pump
-float or a pump array alike.  `steady_state` calls them on one pump
-with `math.sqrt` and Python branches.  `steady_state_sweep` calls each
-with `np.sqrt` on only the rows of a pump grid that take its branch and
-writes the results into the grid's columns by row index; the forms are
+float or a pump array alike.  A pump's branch is decided in two places,
+with the same tests in the same order: `steady_state`, on one pump with
+`math.sqrt` and Python branches, and `_grid_branches`, the same rule on
+the rows of a 1-D grid with `np.sqrt`.  `steady_state_sweep` and
+`spectra.pump_sweep_curve` both take their rows from `_grid_branches`
+and evaluate each form only on its own branch's rows; the forms are
 elementwise, so every row gets bitwise the scalar call's values.
 """
 
@@ -45,12 +47,10 @@ __all__ = [
     "steady_state_sweep",
     "regime_thresholds",
     "laser_threshold",
-    "laser_branch_intensity",
     "orth_threshold_intensity",
     "orth_threshold_pump",
     "fixed_point_residual",
     "sh_power",
-    "laser_only_branch",
     "zero_field_populations",
 ]
 
@@ -109,10 +109,15 @@ class SteadyState:
 
 
 def as_pumps(pumps) -> np.ndarray:
-    """`as_pump` on every element of a pump grid, as a float array."""
+    """`as_pump` on every element of a 1-D pump grid, as a float array.
+
+    A grid that is not 1-D raises ValueError naming its shape.
+    """
     g = np.asarray(pumps, float)
     if not np.all(np.isfinite(g) & (g >= 0.0)):
         raise InvalidParams(["pump rate must be finite and >= 0"])
+    if g.ndim != 1:
+        raise ValueError(f"pumps must be a 1-D grid, got shape {g.shape}")
     return g
 
 
@@ -130,8 +135,19 @@ def _dark_populations(params: ModelParams, g):
 
 def _lasing_root(params: ModelParams, g, sqrt):
     """C of the lasing-branch quadratic and its positive root, which is
-    the intensity where C < 0.  Where C >= 0 the root means nothing, and
-    abs only keeps sqrt's argument >= 0 there.
+    the intensity i_par where C < 0.  Where C >= 0 the root means
+    nothing, and abs only keeps sqrt's argument >= 0 there.
+
+    Gain clamping fixes s3 - s2 = 2(gamma_par + mu i)/G; the s1 balance
+    and unit sum give s2 = c (1 - s3 + s2) with c = Gamma/(k2 + 2 Gamma),
+    and the s2 balance leaves mu i^2 + B i + C = 0 with
+
+        K = (k2 - k3) c + k3,
+        B = gamma_par + mu K / G,
+        C = gamma_par K / G - (k2 - k3) c / 2.
+
+    The positive root is taken as -2C / (B + sqrt(B^2 - 4 mu C)), which
+    keeps full relative precision down to the threshold, where C -> 0.
     """
     G = params.stim_rate_G
     mu = params.nl_coupling_mu
@@ -153,7 +169,7 @@ def _lasing_populations(params: ModelParams, g, i_par):
 
 
 def _orth_excited_values(params: ModelParams, g):
-    """(s1, s2, s3, i_par, i_orth) of region iii; see `_regime3_state`."""
+    """(s1, s2, s3, i_par, i_orth) of region iii; see `steady_state`."""
     G = params.stim_rate_G
     k2, k3 = params.decay_k2, params.decay_k3
     D = 2.0 * (params.gamma_par + params.gamma_orth) / G
@@ -185,48 +201,6 @@ def zero_field_populations(params: ModelParams, pump) -> tuple[float, float, flo
     if g == 0.0:
         return 1.0, 0.0, 0.0
     return _dark_populations(params, g)
-
-
-def laser_branch_intensity(params: ModelParams, pump):
-    """i_par on the lasing branch, 0 at and below the laser threshold.
-
-    Gain clamping fixes s3 - s2 = 2(gamma_par + mu i)/G; the s1 balance
-    and unit sum give s2 = c (1 - s3 + s2) with c = Gamma/(k2 + 2 Gamma),
-    and the s2 balance leaves mu i^2 + B i + C = 0 with
-
-        K = (k2 - k3) c + k3,
-        B = gamma_par + mu K / G,
-        C = gamma_par K / G - (k2 - k3) c / 2.
-
-    The positive root is taken as -2C / (B + sqrt(B^2 - 4 mu C)), which
-    keeps full relative precision down to the threshold, where C -> 0.
-    A float for a scalar or 0-d pump, else an ndarray of the same shape;
-    a pump that is negative or not finite raises InvalidParams.
-    """
-    C, root = _lasing_root(params, as_pumps(pump), np.sqrt)
-    i_par = np.where(C >= 0.0, 0.0, root)
-    return i_par if i_par.ndim else float(i_par)
-
-
-def _laser_branch_state(params: ModelParams, pump: float, i_par: float) -> SteadyState:
-    return SteadyState(*_lasing_populations(params, pump, i_par),
-                       i_par, 0.0, Regime.LaserOnly)
-
-
-def laser_only_branch(params: ModelParams, pump) -> SteadyState:
-    """Analytic lasing branch with the orthogonal mode dark.
-
-    Valid as algebra for any pump above the laser threshold, including
-    pumps past the orthogonal-mode instability where the branch is no
-    longer the realized steady state.  Callers that need the realized
-    state should go through steady_state instead.
-    """
-    g = as_pump(pump)
-    C, i_par = _lasing_root(params, g, math.sqrt)
-    if C >= 0.0 or i_par <= 0.0:
-        raise WrongRegime(
-            f"lasing branch has i_par <= 0 at pump {g!r} (not above threshold)")
-    return _laser_branch_state(params, g, i_par)
 
 
 def laser_threshold(params: ModelParams) -> float:
@@ -301,29 +275,6 @@ def fixed_point_residual(params: ModelParams, pump, ss: SteadyState) -> float:
     return math.nan if math.isnan(sum(scaled)) else max(scaled)
 
 
-def _regime3_state(params: ModelParams, pump: float) -> SteadyState:
-    """Region-iii fixed point from the two clamping conditions.
-
-    Both field equations clamp: mu (i_par - i_orth) = gamma_orth and
-    (G/2)(s3 - s2) = gamma_par + gamma_orth, so the populations follow
-    from the s1 balance plus normalization and the s2 balance hands back
-    i_par.
-    """
-    s1, s2, s3, i_par, i_orth = _orth_excited_values(params, pump)
-    if i_orth <= 0.0:
-        # Boundary dust: the pump sits a few ulps above the instability
-        # point, where the lasing branch is still the steady state.
-        return laser_only_branch(params, pump)
-    ss = SteadyState(sigma1=s1, sigma2=s2, sigma3=s3,
-                     i_par=i_par, i_orth=i_orth, regime=Regime.OrthExcited)
-    res = fixed_point_residual(params, pump, ss)
-    if not res <= _RESIDUAL_TOL:
-        raise RootFindFailure(
-            f"region-iii closed form is not a fixed point at pump {pump!r}: "
-            f"scaled residual {res!r} > {_RESIDUAL_TOL!r}")
-    return ss
-
-
 def steady_state(params: ModelParams, pump) -> SteadyState:
     """Realized steady state at this pump, tagged with its regime.
 
@@ -331,21 +282,71 @@ def steady_state(params: ModelParams, pump) -> SteadyState:
     below g_laser, ii from g_laser up to and including g_orth, where the
     lasing branch is exact (i_orth = 0), and iii above g_orth.  At the
     laser threshold itself the lasing intensity is 0, so the dark
-    zero-field state is returned there; a few ulps above g_orth, where
-    region iii's closed form rounds to i_orth <= 0, `_regime3_state`
-    returns the lasing branch.
+    zero-field state is returned there.  A few ulps above g_orth region
+    iii's closed form can round to i_orth <= 0; such a dust pump takes
+    the lasing branch, and raises WrongRegime if that does not lase.
+
+    Region iii clamps both field equations, mu (i_par - i_orth) =
+    gamma_orth and (G/2)(s3 - s2) = gamma_par + gamma_orth, so the
+    populations follow from the s1 balance plus normalization and the
+    s2 balance hands back i_par.  Its state must be a fixed point of the
+    rate equations to within `_RESIDUAL_TOL`, else RootFindFailure.
     """
     g = as_pump(pump)
     g_laser, g_orth = regime_thresholds(params)
     if g > g_orth:
-        return _regime3_state(params, g)
-    if g >= g_laser:
-        C, i_par = _lasing_root(params, g, math.sqrt)
-        if C < 0.0 and i_par > 0.0:  # laser_branch_intensity > 0
-            return _laser_branch_state(params, g, i_par)
-    s1, s2, s3 = zero_field_populations(params, g)
-    return SteadyState(sigma1=s1, sigma2=s2, sigma3=s3,
-                       i_par=0.0, i_orth=0.0, regime=Regime.BelowLaser)
+        s1, s2, s3, i_par, i_orth = _orth_excited_values(params, g)
+        if not i_orth <= 0.0:  # else dust; a NaN i_orth fails the residual
+            ss = SteadyState(s1, s2, s3, i_par, i_orth, Regime.OrthExcited)
+            res = fixed_point_residual(params, g, ss)
+            if not res <= _RESIDUAL_TOL:
+                raise RootFindFailure(
+                    f"region-iii closed form is not a fixed point at pump {g!r}: "
+                    f"scaled residual {res!r} > {_RESIDUAL_TOL!r}")
+            return ss
+    elif g < g_laser:
+        return SteadyState(*zero_field_populations(params, g), 0.0, 0.0,
+                           Regime.BelowLaser)
+    C, i_par = _lasing_root(params, g, math.sqrt)
+    if C < 0.0 and i_par > 0.0:
+        return SteadyState(*_lasing_populations(params, g, i_par), i_par, 0.0,
+                           Regime.LaserOnly)
+    if g > g_orth:
+        raise WrongRegime(
+            f"lasing branch has i_par <= 0 at pump {g!r} (not above threshold)")
+    return SteadyState(*zero_field_populations(params, g), 0.0, 0.0,
+                       Regime.BelowLaser)
+
+
+def _grid_branches(params: ModelParams, g, g_laser: float, g_orth: float):
+    """`steady_state`'s region rule on every row of a 1-D pump grid.
+
+    Returns the row indices of each branch, and what the rule computed
+    to choose them, as (dark, lasing, i_par, orth, values, wrong):
+
+      dark:    below g_laser, or in [g_laser, g_orth] with zero lasing
+               intensity;
+      lasing:  in [g_laser, g_orth] with i_par > 0, plus the dust rows
+               above g_orth that lase; i_par is their intensity;
+      orth:    above g_orth and not dust; values is their region-iii
+               (s1, s2, s3, i_par, i_orth), whose residual is the
+               caller's to check;
+      wrong:   dust rows that do not lase, where `steady_state` raises
+               WrongRegime.
+    """
+    above = np.flatnonzero(g > g_orth)
+    values = _orth_excited_values(params, g[above])
+    dust = values[-1] <= 0.0  # a NaN i_orth is not dust: its residual fails
+    if dust.any():
+        values = [v[~dust] for v in values]
+    rows = np.concatenate((np.flatnonzero((g >= g_laser) & (g <= g_orth)),
+                           above[dust]))
+    C, i_par = _lasing_root(params, g[rows], np.sqrt)
+    on = (C < 0.0) & (i_par > 0.0)
+    off = rows[~on]
+    off_above = g[off] > g_orth
+    return (np.concatenate((np.flatnonzero(g < g_laser), off[~off_above])),
+            rows[on], i_par[on], above[~dust], values, off[off_above])
 
 
 @dataclass(frozen=True)
@@ -395,17 +396,16 @@ def steady_state_sweep(params: ModelParams, pumps) -> SteadySweep:
 
     Every row has bitwise the values `steady_state` gives at its pump:
     the closed forms are the same helpers, evaluated elementwise on the
-    rows of their own branch, and each row takes the branch the scalar
-    call would.  Where the scalar call raises WrongRegime or
-    RootFindFailure, the row's status says so.  A negative or
-    non-finite pump raises InvalidParams, a grid that is not 1-D
-    ValueError, and a resolved row that breaks `SteadyState`'s
+    rows of their own branch, and `_grid_branches` gives each row the
+    branch the scalar call takes.  Where the scalar call raises
+    WrongRegime or RootFindFailure, the row's status says so.  A
+    negative or non-finite pump raises InvalidParams, a grid that is
+    not 1-D ValueError, and a resolved row that breaks `SteadyState`'s
     invariants ValueError, as the scalar call does.
     """
     g = as_pumps(pumps)
-    if g.ndim != 1:
-        raise ValueError(f"pumps must be a 1-D grid, got shape {g.shape}")
-    g_laser, g_orth = regime_thresholds(params)
+    dark, lasing, i_lase, orth, values, wrong = _grid_branches(
+        params, g, *regime_thresholds(params))
     columns = [np.full(len(g), np.nan) for _ in range(6)]
     regime = np.full(len(g), "", "<U3")
 
@@ -416,41 +416,20 @@ def steady_state_sweep(params: ModelParams, pumps) -> SteadySweep:
             col[rows] = v
         regime[rows] = tag.value
 
-    def lase(rows):
-        """Put the lasing branch on the rows where it lases; return the others."""
-        C, i_par = _lasing_root(params, g[rows], np.sqrt)
-        on = (C < 0.0) & (i_par > 0.0)  # laser_branch_intensity > 0
-        i_par = i_par[on]
-        put(rows[on], Regime.LaserOnly,
-            *_lasing_populations(params, g[rows[on]], i_par),
-            np.sqrt(i_par), 0.0, _sh_flux(params, i_par, 0.0))
-        return rows[~on]
-
-    # Region iii.  A few ulps above the instability point its closed form
-    # can round to i_orth <= 0; such dust rows fall back on the lasing
-    # branch, which must then lase.
-    above = np.flatnonzero(g > g_orth)
-    *pops, i_par, i_orth = _orth_excited_values(params, g[above])
-    dust = i_orth <= 0.0
-    wrong = above[:0]
-    if dust.any():
-        wrong = lase(above[dust])
-        pops, i_par, i_orth = ([v[~dust] for v in pops],
-                               i_par[~dust], i_orth[~dust])
-        above = above[~dust]
+    # Region iii, then the rows whose closed form is not a fixed point.
+    *pops, i_par, i_orth = values
     a_par, a_orth = np.sqrt(i_par), np.sqrt(i_orth)
-    put(above, Regime.OrthExcited, *pops, a_par, a_orth,
+    put(orth, Regime.OrthExcited, *pops, a_par, a_orth,
         _sh_flux(params, i_par, i_orth))
     residual = functools.reduce(np.maximum, _scaled_rates(
-        params, g[above], (a_par, a_orth, *pops)))
-    failed = above[~(residual <= _RESIDUAL_TOL)]  # a NaN residual fails
+        params, g[orth], (a_par, a_orth, *pops)))
+    failed = orth[~(residual <= _RESIDUAL_TOL)]  # a NaN residual fails
     for col in columns:
         col[failed] = np.nan
     regime[failed] = ""
-    # Region ii, then region i with the lasing rows whose intensity is 0.
+    put(lasing, Regime.LaserOnly, *_lasing_populations(params, g[lasing], i_lase),
+        np.sqrt(i_lase), 0.0, _sh_flux(params, i_lase, 0.0))
     # A zero pump gets the dark (1, 0, 0), as in the scalar.
-    dark = np.concatenate((np.flatnonzero(g < g_laser),
-                           lase(np.flatnonzero((g >= g_laser) & (g <= g_orth)))))
     put(dark, Regime.BelowLaser, *_dark_populations(params, g[dark]), 0.0, 0.0, 0.0)
     # As wide as the labels it holds: "<U2" when every row is ok.
     errors = [(f"error:{exc.__name__}", rows) for exc, rows in (

@@ -42,8 +42,6 @@ _LIMIT = 10**6  # n from here on has a fifth integer digit
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
     raw = (hi - lo) / max(n - 1, 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,8 +16,8 @@ from squeezer_sim.cli import main
 from squeezer_sim.sampling import sample_reachable_params
 from squeezer_sim.steadystate import (
     SteadySweep,
-    laser_branch_intensity,
     orth_threshold_pump,
+    steady_state,
     steady_state_sweep,
 )
 
@@ -176,7 +177,7 @@ def test_spectrum_at_the_orth_threshold_pump(tmp_path):
     out = tmp_path / "x.csv"
     assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
     header = dict(line.split(" = ") for line in _read_csv(out)[0])
-    assert float(header["i_par"]) == laser_branch_intensity(params, pump)
+    assert float(header["i_par"]) == steady_state(params, pump).i_par
 
 
 def test_pump_sweep_rejects_grid_past_instability(tmp_path):
@@ -523,6 +524,66 @@ def test_config_parse_errors(tmp_path):
     assert main(["thresholds", "--config", str(p)]) == 1
     p.write_text("pump_steps = 2.5\n")
     assert main(["thresholds", "--config", str(p)]) == 1
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["thresholds"], {"pump_log": "maybe"},
+     "config errors: line 1: cannot parse 'maybe' as bool"),
+    (["steady-sweep"], {"pump_min": 1e18, "pump_max": 1e18},
+     "pump grid needs min < max and steps >= 2"),
+    (["spectrum"], {"omega_min": 0.0, "omega_log": "true"},
+     "omega_log requires omega_min > 0"),
+    (["pump-sweep"], {"pump_norm_min": 1.0, "pump_norm_max": 0.5},
+     "normalized pump grid needs min < max and steps >= 2"),
+], ids=["bad-bool", "grid-min-equals-max", "log-grid-min-zero", "normalized-grid"])
+def test_config_and_grid_errors_are_one_input_error_line(tmp_path, capsys, argv,
+                                                         config, message):
+    cfg = _write_cfg(tmp_path / "c.cfg", config)
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["thresholds", "check"])
+def test_report_file_is_the_stdout_report(tmp_path, capsys, command):
+    out = tmp_path / "report.txt"
+    assert main([command, "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert out.read_bytes() == captured.out.encode()
+
+
+def test_check_reports_a_raising_helper_as_its_fail_line(monkeypatch, capsys):
+    # A typed error inside one invariant fails that line, with the
+    # error's type and message, and the others still run.
+    def broken(params, thresholds):
+        raise squeezer_sim.RootFindFailure("no root")
+
+    monkeypatch.setattr(cli, "_check_continuity", broken)
+    assert main(["check"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert len(lines) == 7
+    assert [ln for ln in lines if "FAIL" in ln] == [
+        "continuity_at_thresholds: FAIL  (RootFindFailure: no root)"]
+
+
+def test_check_oracle_fails_on_a_regime_mismatch(monkeypatch, capsys, reference):
+    # An oracle that settles every pump dark agrees in region i and
+    # parts from steady_state at the region-ii pump.
+    monkeypatch.setattr(cli, "settle",
+                        lambda params, pump, t_max: steady_state(params, 0.0))
+    assert main(["check"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    oracle = next(ln for ln in captured.out.splitlines()
+                  if ln.startswith("oracle_equivalence"))
+    m = re.fullmatch(r"oracle_equivalence: FAIL  \(regime mismatch at pump (\S+)\)",
+                     oracle)
+    assert m and steady_state(reference, float(m[1])).regime.value == "ii"
 
 
 def test_missing_config_file(tmp_path):

@@ -9,14 +9,13 @@ from squeezer_sim import (
     NonFiniteState,
     Regime,
     SteadyState,
-    laser_only_branch,
     laser_threshold,
     orth_threshold_intensity,
     orth_threshold_pump,
     settle,
     steady_state,
 )
-from squeezer_sim import dynamics, model
+from squeezer_sim import dynamics, model, steadystate
 from squeezer_sim.sampling import sample_reachable_params
 from squeezer_sim.steadystate import zero_field_populations
 
@@ -270,7 +269,7 @@ def test_orth_mode_sees_no_laser_medium_in_region_ii(reference, moderate):
 def test_orth_eigenvalue_crosses_zero_at_threshold(moderate):
     go = orth_threshold_pump(moderate)
     i_star = orth_threshold_intensity(moderate)
-    ss = laser_only_branch(moderate, go)
+    ss = steady_state(moderate, go)
     eig = -moderate.gamma_orth + moderate.nl_coupling_mu * ss.i_par
     assert abs(eig) <= 1e-8 * moderate.gamma_orth
     J = _j4(moderate, go, ss.state_vector())
@@ -297,6 +296,13 @@ def _dark_state(params, pump):
                        Regime.BelowLaser)
 
 
+def _lasing_state(params, pump):
+    """The lasing branch at this pump, continued past g_orth too."""
+    _, i_par = steadystate._lasing_root(params, pump, math.sqrt)
+    return SteadyState(*steadystate._lasing_populations(params, pump, i_par),
+                       i_par, 0.0, Regime.LaserOnly)
+
+
 def test_stability_below_laser_threshold(moderate):
     g = 0.5 * laser_threshold(moderate)
     assert _stability(moderate, g, steady_state(moderate, g))[1]
@@ -309,7 +315,7 @@ def test_stability_regime2_below_orth_threshold(moderate):
 
 def test_lasing_branch_unstable_above_orth_threshold(moderate):
     g = 1.5 * orth_threshold_pump(moderate)
-    real_parts, stable = _stability(moderate, g, laser_only_branch(moderate, g))
+    real_parts, stable = _stability(moderate, g, _lasing_state(moderate, g))
     assert not stable
     assert np.max(real_parts) > 0.0
     # while the realized regime-iii state is stable
@@ -323,7 +329,7 @@ def test_stability_at_reference_rates(reference):
     # Unstable branches: the dark state above the laser threshold and
     # the lasing branch continued past the orthogonal-mode threshold.
     for g, state in ((1.01 * gl, _dark_state), (1.5 * gl, _dark_state),
-                     (1.5 * go, laser_only_branch)):
+                     (1.5 * go, _lasing_state)):
         real_parts, stable = _stability(reference, g, state(reference, g))
         assert not stable
         assert np.max(real_parts) > 0.0

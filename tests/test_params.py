@@ -51,6 +51,17 @@ def test_negative_mu_rejected():
     assert any("nl_coupling_mu must be > 0" in e for e in err.value.errors)
 
 
+def test_dark_parallel_mode_rejected():
+    # Each loss rate may be 0 and none negative, but the parallel mode
+    # needs some loss; both violations are listed.
+    fields = reference_params().as_dict()
+    fields["gamma_par_c"], fields["gamma_par_l"] = 0.0, -1.0
+    with pytest.raises(InvalidParams) as err:
+        validate(fields)
+    assert err.value.errors == ["gamma_par_l must be >= 0",
+                                "gamma_par_c + gamma_par_l must be > 0"]
+
+
 def test_non_finite_rate_rejected():
     fields = reference_params().as_dict()
     fields["gamma_orth_c"] = math.nan

@@ -19,7 +19,6 @@ from squeezer_sim import (
 from squeezer_sim.sampling import sample_reachable_params, sample_regime_pumps
 from squeezer_sim.steadystate import (
     fixed_point_residual,
-    laser_branch_intensity,
     regime_thresholds,
 )
 
@@ -66,7 +65,7 @@ def test_sweeps_equal_scalar_calls_bitwise(seed):
     for g, status, v in zip(curve.pumps.tolist(), curve.status.tolist(),
                             curve.variances.tolist()):
         if status == "ok":
-            i = min(laser_branch_intensity(params, g), top)
+            i = min(steady_state(params, g).i_par, top)
             assert v.hex() == orth_phase_variance_reduced(params, i, omega).hex()
     i_par = rng.uniform(0.0, top)
     omegas = params.gamma_orth * np.geomspace(1e-3, 1e3, 97)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from squeezer_sim import (
     Regime,
     SingularMatrix,
     SpectrumCurve,
+    SqueezerSimError,
     WrongRegime,
     frequency_sweep_curve,
     laser_threshold,
@@ -28,7 +30,7 @@ from squeezer_sim import model, montecarlo, spectra
 from squeezer_sim.montecarlo import PsdEstimate, compare_to_analytic
 from squeezer_sim.sampling import sample_reachable_params, sample_regime_pumps
 from squeezer_sim.spectra import output_phase_variances
-from squeezer_sim.steadystate import laser_branch_intensity, regime_thresholds
+from squeezer_sim.steadystate import regime_thresholds
 
 OMEGA_2MHZ = 4.0 * math.pi * 1e6
 
@@ -191,6 +193,54 @@ def test_spectra_follow_steady_state_regime_at_threshold_neighbours(reference, r
     # The boundary cases occur: some of these pumps settle below the
     # region their threshold pump puts them in.
     assert moved >= 50
+
+
+def test_pump_sweep_rows_take_the_branch_of_steady_state(reference, rng):
+    # Each pump-sweep row goes by the branch `steady_state` settles on at
+    # the float neighbours of both thresholds: dark where the lasing
+    # intensity is 0 at or just above g_laser, the lasing branch where
+    # region iii rounds to i_orth <= 0 a few ulps above g_orth, and
+    # "above_orth" wherever the scalar call is in region iii or raises.
+    status_of = {Regime.BelowLaser: "below_laser", Regime.LaserOnly: "ok",
+                 Regime.OrthExcited: "above_orth"}
+    dark_above_gl = lasing_above_go = 0
+    for p in [reference] + [sample_reachable_params(rng) for _ in range(200)]:
+        w = p.gamma_orth
+        gl, go = regime_thresholds(p)
+        pumps = []
+        for g0 in (gl, go):
+            g = math.nextafter(g0, 0.0)
+            for _ in range(5):  # nextafter -1 ... +3
+                pumps.append(g)
+                g = math.nextafter(g, math.inf)
+        curve = pump_sweep_curve(p, w, pumps=pumps)
+        for g, status, v in zip(pumps, curve.status.tolist(), curve.variances.tolist()):
+            try:
+                ss = steady_state(p, g)
+            except SqueezerSimError:
+                assert status == "above_orth" and math.isnan(v)
+                continue
+            assert status == status_of[ss.regime]
+            if status == "ok":
+                assert v.hex() == orth_phase_variance_reduced(p, ss.i_par, w).hex()
+                lasing_above_go += g > go
+            elif status == "below_laser":
+                assert v == 1.0
+                dark_above_gl += g >= gl
+            else:
+                assert math.isnan(v)
+    # Both boundary cases occur on these families.
+    assert dark_above_gl >= 50 and lasing_above_go >= 50
+
+
+@pytest.mark.parametrize("grid", [{"pumps": 5e17}, {"normalized_pumps": 0.5},
+                                  {"pumps": [[5e17, 6e17]]}],
+                         ids=["0-d", "0-d-normalized", "2-d"])
+def test_pump_sweep_rejects_a_grid_that_is_not_1d(reference, grid):
+    # One row per pump, as in steady_state_sweep.
+    shape = np.shape(next(iter(grid.values())))
+    with pytest.raises(ValueError, match=re.escape(f"1-D grid, got shape {shape}")):
+        pump_sweep_curve(reference, OMEGA_2MHZ, **grid)
 
 
 def test_variance_bounded_by_qnl_floor_and_ceiling(rng):
@@ -418,7 +468,7 @@ def test_pump_sweep_equals_scalar_reduced_form(reference, grid):
         if g < gl:
             assert (status, v) == ("below_laser", 1.0)
         elif g <= go:
-            i = laser_branch_intensity(reference, g)
+            i = steady_state(reference, g).i_par
             assert status == "ok"
             assert v.hex() == orth_phase_variance_reduced(
                 reference, i, OMEGA_2MHZ).hex()

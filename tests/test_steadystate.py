@@ -11,8 +11,6 @@ from squeezer_sim import (
     Regime,
     SqueezerSimError,
     Unreachable,
-    WrongRegime,
-    laser_only_branch,
     laser_threshold,
     orth_threshold_intensity,
     orth_threshold_pump,
@@ -42,9 +40,10 @@ def test_quadratic_sigma3_matches_ode_settling(moderate):
 
 
 def test_below_threshold_has_no_lasing_root(moderate):
+    # C >= 0: the lasing-branch quadratic has no positive root.
     g = 0.1 * laser_threshold(moderate)
-    with pytest.raises(WrongRegime):
-        laser_only_branch(moderate, g)
+    C, _ = steadystate._lasing_root(moderate, g, math.sqrt)
+    assert C >= 0.0
 
 
 def test_zero_pump_gives_ground_state(moderate):
@@ -148,7 +147,8 @@ def test_orth_threshold_intensity_coupler_only():
 
 def test_orth_threshold_pump_hits_target_intensity(moderate):
     g = orth_threshold_pump(moderate)
-    ss = laser_only_branch(moderate, g)
+    ss = steady_state(moderate, g)
+    assert ss.regime is Regime.LaserOnly
     assert ss.i_par == pytest.approx(orth_threshold_intensity(moderate),
                                      rel=1e-9)
 
@@ -177,17 +177,29 @@ def test_orth_threshold_unreachable_when_intensity_saturates(moderate):
         orth_threshold_pump(p)
 
 
-def test_family_sampler_retries_only_unreachable_thresholds(rng, monkeypatch):
-    # An unreachable threshold means a fresh draw; any other error is a
-    # bug and must surface, not turn into silent retries.
-    from squeezer_sim import sampling
+def test_family_sampler_draws_reachable_families_in_one_pass():
+    # The bounds of sample_reachable_params' docstring hold on every
+    # draw, and each family takes eight uniforms: no draw is retried.
+    for seed in range(200):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(10):
+            p = sample_reachable_params(rng)
+            twin.uniform(size=8)
+            assert rng.bit_generator.state == twin.bit_generator.state
+            G, k2, k3 = p.stim_rate_G, p.decay_k2, p.decay_k3
+            d = 2.0 * (p.gamma_par + p.gamma_orth) / G
+            r = k3 / k2
+            flux = G * d * orth_threshold_intensity(p)
+            assert d <= 0.72
+            assert G * (1.0 - r) / (2.0 * p.gamma_par) - 1.0 - r > 4.4
+            assert k2 * (1.0 - d) - 2.0 * flux - k3 * (1.0 + d) > 0.0
+            assert 0.5 * flux - 1.72 * k3 > 0.0
+            assert orth_threshold_pump(p) / laser_threshold(p) > 220.0
 
-    def broken(params):
-        raise ZeroDivisionError("float division by zero")
 
-    monkeypatch.setattr(sampling, "orth_threshold_pump", broken)
-    with pytest.raises(ZeroDivisionError):
-        sample_reachable_params(rng)
+def test_regime_pump_sampler_names_an_unknown_region(moderate, rng):
+    with pytest.raises(ValueError, match="unknown region 'iv'"):
+        sample_regime_pumps(rng, moderate, "iv")
 
 
 def test_sh_power_dark_state_zero(moderate):
@@ -204,7 +216,7 @@ def test_sh_power_plateau_in_regime3(moderate):
 
 def test_sh_power_continuous_at_orth_threshold(moderate):
     go = orth_threshold_pump(moderate)
-    ss = laser_only_branch(moderate, go)
+    ss = steady_state(moderate, go)
     plateau = moderate.gamma_orth ** 2 / moderate.nl_coupling_mu
     assert sh_power(moderate, ss) == pytest.approx(plateau, rel=1e-8)
 
