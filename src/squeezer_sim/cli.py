@@ -26,7 +26,6 @@ import numpy as np
 from . import model
 from .csvio import format_exact, snapshot_lines, write_csv
 from .dynamics import settle
-from .dynamics import _settle_t_max as dynamics_t_max
 from .errors import (InvalidParams, SqueezerSimError, Unreachable, WrongRegime,
                      check_fits_in_memory)
 from .montecarlo import compare_to_analytic, estimate_psd, run_length, simulate_decoupled
@@ -428,14 +427,6 @@ def _check_fixed_point(params, pumps):
     return worst <= 1e-10, f"max scaled residual {worst:.2e} (tol 1e-10)"
 
 
-def _check_threshold_consistency(params, rng):
-    omegas = params.gamma_orth * 10.0 ** rng.uniform(-2, 2, size=20)
-    a = np.array([threshold_variance(params, w) for w in omegas])
-    b = orth_phase_variance_reduced(params, orth_threshold_intensity(params), omegas)
-    worst = float(np.max(np.abs(a - b) / b))
-    return worst <= 1e-12, f"max relative split {worst:.2e} (tol 1e-12)"
-
-
 def _check_continuity(params, thresholds):
     worst = 0.0
     i_star = orth_threshold_intensity(params)
@@ -483,7 +474,7 @@ def _check_oracle(params, rng):
     for region in ("i", "ii", "iii"):
         g = sample_regime_pumps(rng, params, region)
         ss = steady_state(params, g)
-        st = settle(params, g, t_max=4.0 * dynamics_t_max(params, g))
+        st = settle(params, g)
         ref, got = ss.state_vector(), st.state_vector()
         scale = np.maximum(np.abs(ref), 1e-9 * float(np.max(np.abs(ref))))
         worst = max(worst, float(np.max(np.abs(got - ref) / scale)))
@@ -507,7 +498,6 @@ def cmd_check(cfg: dict, out: str | None) -> int:
         except SqueezerSimError as exc:
             checks.append((name, "FAIL", f"{type(exc).__name__}: {exc}"))
 
-    checks.append(("params_valid", "PASS", "all invariants satisfied"))
     if has_window:
         regime2 = _regime2_pumps(params, thresholds, 140, rng)
         regime3 = [m * thresholds[1] for m in (1.2, 2.0, 3.5)]
@@ -520,7 +510,6 @@ def cmd_check(cfg: dict, out: str | None) -> int:
                      "continuity_at_thresholds", "oracle_equivalence"):
             checks.append((name, "SKIP", "no lasing window for these "
                                          "parameters"))
-    run("threshold_consistency", _check_threshold_consistency, params, rng)
     run("jacobian_fd", _check_jacobian_fd, params, rng)
 
     lines = [f"{name}: {status}  ({detail})" for name, status, detail in checks]

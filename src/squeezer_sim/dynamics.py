@@ -35,6 +35,8 @@ from .steadystate import Regime, SteadyState, laser_threshold
 __all__ = ["settle"]
 
 _MAX_RESEEDS = 3
+# Windows of the default t_max that `settle` may run past its first.
+_EXTRA_WINDOWS = 3
 # Amplitude `settle` seeds both fields with, and reseeds a dark field to.
 _SEED_AMPLITUDE = 1e-3
 
@@ -210,7 +212,7 @@ def _settle_t_max(params: ModelParams, pump: float) -> float:
 
 
 def settle(params: ModelParams, pump, t_max: float | None = None) -> SteadyState:
-    """Integrate from the seeded ground state to t_max and classify the end.
+    """Integrate from the seeded ground state and classify where it settles.
 
     Both amplitudes are seeded at 1e-3: a_orth = 0 is invariant under the
     flow, so probing region iii needs a nonzero seed.  On a fixed point the
@@ -219,22 +221,30 @@ def settle(params: ModelParams, pump, t_max: float | None = None) -> SteadyState
     decaying one, so a field below the seed whose net gain (a dark
     field's diagonal Jacobian entry and eigenvalue) is positive gets
     reseeded, at most three times.  A field is lit when its net gain is
-    clamped within 1e-6 of its decay.  The end state must have |rhs|
-    below 1e-10 of `model.rate_scales_at` on each of the four rates,
-    with the amplitudes floored at the seed inside the scales so a
-    decaying dark field cannot hold the test up; otherwise
-    NoConvergence.  The default t_max is 400 over the slowest of (k3,
-    gamma_par, gamma_orth, pump bounded below by the laser threshold);
-    pass a larger value where critical slowing stretches the transient.
+    clamped within 1e-6 of its decay.  The state has settled when no
+    field is left dark and unstable and |rhs| is below 1e-10 of
+    `model.rate_scales_at` on each of the four rates, with the
+    amplitudes floored at the seed inside the scales so a decaying dark
+    field cannot hold the test up.
+
+    Each run, from the seed or a reseed, is one window of length t_max.
+    The default t_max is 400 over the slowest of (k3, gamma_par,
+    gamma_orth, pump bounded below by the laser threshold); where
+    critical slowing stretches the transient past it, `settle` runs on
+    from the end state for up to three more windows of that length.  An
+    explicit t_max gets one window.  A state that has not settled by
+    then raises NoConvergence.
     """
     g = as_pump(pump)
+    windows = 1 if t_max is not None else 1 + _EXTRA_WINDOWS
     if t_max is None:
         t_max = _settle_t_max(params, g)
     f, jac = model.rate_equations(params, g)
     mu2 = 2.0 * params.nl_coupling_mu
     clamp = (1e-6 * params.gamma_par, 1e-6 * params.gamma_orth)
     z = [_SEED_AMPLITUDE, _SEED_AMPLITUDE, 1.0, 0.0]
-    for _ in range(_MAX_RESEEDS + 1):
+    reseeds = 0
+    while True:
         # Path accuracy is not what matters here: every Rosenbrock stage
         # is W^-1 applied to a combination of f values, so the stages
         # vanish where f = 0 and equilibria are preserved exactly.  The
@@ -245,22 +255,26 @@ def settle(params: ModelParams, pump, t_max: float | None = None) -> SteadyState
         gain = [J[i][i] + mu2 * (z[i] * z[i]) for i in (0, 1)]
         unstable = [i for i in (0, 1)
                     if gain[i] > clamp[i] and abs(z[i]) < _SEED_AMPLITUDE]
-        if not unstable:
+        if unstable and reseeds < _MAX_RESEEDS:
+            reseeds += 1
+            for i in unstable:
+                z[i] = _SEED_AMPLITUDE
+            continue
+        a, b, s1, s2 = z
+        s3 = 1.0 - s1 - s2
+        floored = (max(abs(a), _SEED_AMPLITUDE), max(abs(b), _SEED_AMPLITUDE),
+                   s1, s2, s3)
+        scaled = [abs(r) / s for r, s in zip(f(a, b, s1, s2, s3),
+                                             model.rate_scales_at(params, g, *floored))]
+        # The terms are >= 0, so their sum is NaN exactly when one of them is.
+        residual = math.nan if math.isnan(sum(scaled)) else max(scaled)
+        if residual < 1e-10 and not unstable:
             break
-        for i in unstable:
-            z[i] = _SEED_AMPLITUDE
-    else:
-        raise NoConvergence(f"unstable dark state after {_MAX_RESEEDS} reseeds")
-    a, b, s1, s2 = z
-    s3 = 1.0 - s1 - s2
-    floored = (max(abs(a), _SEED_AMPLITUDE), max(abs(b), _SEED_AMPLITUDE),
-               s1, s2, s3)
-    scaled = [abs(r) / s for r, s in zip(f(a, b, s1, s2, s3),
-                                         model.rate_scales_at(params, g, *floored))]
-    # The terms are >= 0, so their sum is NaN exactly when one of them is.
-    residual = math.nan if math.isnan(sum(scaled)) else max(scaled)
-    if not residual < 1e-10:
-        raise NoConvergence(f"scaled residual {residual!r} at t_max = {t_max!r}")
+        windows -= 1
+        if not windows:
+            raise NoConvergence(
+                f"scaled residual {residual!r} at the end of a window of "
+                f"t_max = {t_max!r}" + (", a dark field unstable" if unstable else ""))
     i_par, i_orth = a * a, b * b
     if abs(gain[1]) < clamp[1]:
         regime = Regime.OrthExcited
@@ -272,4 +286,3 @@ def settle(params: ModelParams, pump, t_max: float | None = None) -> SteadyState
         i_par = i_orth = 0.0
     return SteadyState(sigma1=s1, sigma2=s2, sigma3=s3,
                        i_par=i_par, i_orth=i_orth, regime=regime)
-

@@ -44,7 +44,7 @@ class NonFiniteState(SqueezerSimError):
 
 
 class NoConvergence(SqueezerSimError):
-    """Settling hit t_max while the derivative norm was still large."""
+    """`settle` ran out of run time before the state settled."""
 
 
 class DomainError(SqueezerSimError):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import squeezer_sim
-from squeezer_sim import cli, model
+from squeezer_sim import cli, model, steadystate
 from squeezer_sim.cli import main
 from squeezer_sim.sampling import sample_reachable_params
 from squeezer_sim.steadystate import (
@@ -388,12 +388,12 @@ def test_check_reference_config_passes(capsys):
 
 
 # SHA-256 of check's stdout on the reference config, measured with numpy
-# 2.4.6 on x86-64 on the code from before check called the reduced form
-# on arrays.  The oracle's error line depends on the libm behind exp and
-# sqrt, so another build may move its digits.
+# 2.4.6 on x86-64 once every line could fail and the oracle settled at
+# its default run length.  The oracle's error line depends on the libm
+# behind exp and sqrt, so another build may move its digits.
 CHECK_STDOUT_SHA256 = {
-    "0": "81152b0f7a338f1de5a3d48677d2bf69c772d089acf10ef7ede3549baace5a6e",
-    "13": "f0a87a1c23cd65da9b26ec754dcc94a5a3e41486242f08bbfe847a702521b5f2",
+    "0": "b835c8aa1d8133dc0e00ceece34b15e435b5eb2bdf183019212447784bc19add",
+    "13": "7b293838742733bde48d2107476b7d8c720193c9cbe833aaa5e38e7831981850",
 }
 
 
@@ -418,6 +418,44 @@ def test_check_route_equivalence_fails_on_the_amplitude_rate(monkeypatch, capsys
     monkeypatch.setattr(model, "phase_drift", amplitude_rate)
     assert main(["check"]) == 2
     assert "route_equivalence: FAIL" in capsys.readouterr().out
+
+
+def _fail_lines(out):
+    return [ln for ln in out.splitlines() if ": FAIL" in ln]
+
+
+def test_check_fixed_point_fails_on_lasing_populations_off_by_1e_6(monkeypatch, capsys):
+    # Negative control: lasing populations taken at an intensity 1e-6 too
+    # high still sum to 1, but are not a fixed point of the rate equations.
+    true_populations = steadystate._lasing_populations
+    monkeypatch.setattr(steadystate, "_lasing_populations",
+                        lambda params, g, i_par: true_populations(
+                            params, g, i_par * (1.0 + 1e-6)))
+    assert main(["check"]) == 2
+    [line] = _fail_lines(capsys.readouterr().out)
+    assert re.fullmatch(r"fixed_point_residual: FAIL  \(max scaled residual "
+                        r"\S+ \(tol 1e-10\)\)", line)
+
+
+def test_check_jacobian_fd_fails_on_one_j4_entry_off_by_1e_3(monkeypatch, capsys):
+    # Negative control: dsigma1'/dsigma2 = k2 scaled by 1 + 1e-3 in the J4
+    # that check differences against (and the oracle steps with, which
+    # moves its path but not its equilibria).
+    true_rate_equations = model.rate_equations
+
+    def scaled_entry(params, pump):
+        f, jac = true_rate_equations(params, pump)
+
+        def bad(*y):
+            J = [list(row) for row in jac(*y)]
+            J[2][3] *= 1.0 + 1e-3
+            return J
+        return f, bad
+
+    monkeypatch.setattr(model, "rate_equations", scaled_entry)
+    assert main(["check"]) == 2
+    [line] = _fail_lines(capsys.readouterr().out)
+    assert line == "jacobian_fd: FAIL  (max relative element error 9.99e-04 (tol 1e-5))"
 
 
 def test_check_rejects_invalid_params(tmp_path):
@@ -566,7 +604,7 @@ def test_check_reports_a_raising_helper_as_its_fail_line(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     lines = captured.out.splitlines()
-    assert len(lines) == 7
+    assert len(lines) == 5
     assert [ln for ln in lines if "FAIL" in ln] == [
         "continuity_at_thresholds: FAIL  (RootFindFailure: no root)"]
 
@@ -575,7 +613,7 @@ def test_check_oracle_fails_on_a_regime_mismatch(monkeypatch, capsys, reference)
     # An oracle that settles every pump dark agrees in region i and
     # parts from steady_state at the region-ii pump.
     monkeypatch.setattr(cli, "settle",
-                        lambda params, pump, t_max: steady_state(params, 0.0))
+                        lambda params, pump: steady_state(params, 0.0))
     assert main(["check"]) == 2
     captured = capsys.readouterr()
     assert captured.err == ""

@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from squeezer_sim import (
+    NoConvergence,
     NonFiniteState,
     Regime,
     SteadyState,
@@ -16,7 +18,8 @@ from squeezer_sim import (
     steady_state,
 )
 from squeezer_sim import dynamics, model, steadystate
-from squeezer_sim.sampling import sample_reachable_params
+from squeezer_sim.errors import StepUnderflow, Unreachable
+from squeezer_sim.sampling import sample_reachable_params, sample_regime_pumps
 from squeezer_sim.steadystate import zero_field_populations
 
 GROUND = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
@@ -126,6 +129,75 @@ def test_settle_regime3_difference_clamp(moderate):
     target = moderate.gamma_orth / moderate.nl_coupling_mu
     assert st.regime is Regime.OrthExcited
     assert st.i_par - st.i_orth == pytest.approx(target, rel=1e-6)
+
+
+def _kernel_calls(monkeypatch):
+    """Count `settle`'s runs of the kernel: one per window."""
+    calls = []
+    kernel = dynamics._rosenbrock23
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_rosenbrock23", counted)
+    return calls
+
+
+def test_settle_runs_on_past_the_default_window_where_slowing_needs_it(monkeypatch):
+    # The 150th family drawn from seed 5 with its regions' pumps, as they
+    # are drawn in turn: at its region-iii pump, 1.228 g_orth, one default
+    # window leaves a scaled residual of 6.85e-8, and the second settles.
+    rng = np.random.default_rng(5)
+    for _ in range(150):
+        params = sample_reachable_params(rng)
+        g = [sample_regime_pumps(rng, params, r) for r in ("i", "ii", "iii")][-1]
+    t_max = dynamics._settle_t_max(params, g)
+    with pytest.raises(NoConvergence, match=f"window of t_max = {t_max!r}"):
+        settle(params, g, t_max=t_max)
+    calls = _kernel_calls(monkeypatch)
+    st = settle(params, g)
+    assert calls == [t_max, t_max]
+    ss = steady_state(params, g)
+    assert st.regime is ss.regime is Regime.OrthExcited
+    assert np.max(np.abs(st.state_vector() / ss.state_vector() - 1.0)) < 1e-5
+
+
+def test_settle_gives_up_after_four_default_windows(moderate, monkeypatch):
+    # An explicit t_max is one window; the default runs on for at most
+    # three more.  A pump 1e-6 above the laser threshold slows too much
+    # for either.
+    g = laser_threshold(moderate) * (1.0 + 1e-6)
+    calls = _kernel_calls(monkeypatch)
+    with pytest.raises(NoConvergence, match="scaled residual"):
+        settle(moderate, g, t_max=1.0)
+    assert calls == [1.0]
+    calls.clear()
+    with pytest.raises(NoConvergence):
+        settle(moderate, g)
+    assert calls == [dynamics._settle_t_max(moderate, g)] * 4
+
+
+def test_settle_refuses_a_dark_field_left_unstable(reference, monkeypatch):
+    # At 1.01 x the laser threshold the first window ends on the dark
+    # state, which the lasing mode has left unstable; with no reseed the
+    # state has not settled, though it is a fixed point.
+    monkeypatch.setattr(dynamics, "_MAX_RESEEDS", 0)
+    g = 1.01 * laser_threshold(reference)
+    with pytest.raises(NoConvergence, match="a dark field unstable"):
+        settle(reference, g, t_max=dynamics._settle_t_max(reference, g))
+
+
+def test_settle_without_a_laser_threshold_sizes_its_window_by_the_pump(moderate):
+    # With G = 1 the gain never reaches the loss, so the window is sized
+    # from the pump itself, and every pump settles dark.
+    params = dataclasses.replace(moderate, stim_rate_G=1.0)
+    with pytest.raises(Unreachable):
+        laser_threshold(params)
+    assert dynamics._settle_t_max(params, 1e-3) == 400.0 / 1e-3
+    st = settle(params, 1.0)
+    assert st.regime is Regime.BelowLaser
+    assert st.sigma1 == pytest.approx(zero_field_populations(params, 1.0)[0], rel=1e-9)
 
 
 def test_dark_orthogonal_mode_is_invariant(moderate, kernel_path):
@@ -470,6 +542,49 @@ def test_singular_w_is_a_rejected_step(reference):
 
     with pytest.raises(NonFiniteState):
         dynamics._rosenbrock23(still, nan_jac, z, 1.0, rtol=1e-7, atol=1e-9)
+
+
+def _wild_after(n, first):
+    """An f that returns (first, 0, 0, 0) for its first n calls and then
+    (+-1e300, 0, 0, 0), alternating: the error estimate of every step
+    from then on is about 2.5e6 at any step size."""
+    calls = itertools.count()
+
+    def f(*_):
+        k = next(calls)
+        return (first if k < n else (-1e300 if k % 2 else 1e300), 0.0, 0.0, 0.0)
+    return f
+
+
+def _zero_jac(*_):
+    return ((0.0,) * 4,) * 4
+
+
+def test_kernel_stops_on_repeated_rejections():
+    # The first step is the whole span; each retry is rejected at a fifth
+    # of the step, and the 61st rejection in a row ends the run at t = 0.
+    f = _wild_after(1, 1e-12)
+    with pytest.raises(StepUnderflow, match=r"repeated step rejections at t = 0\.0"):
+        dynamics._rosenbrock23(f, _zero_jac, SEED, 1.0, rtol=1e-7, atol=1e-9)
+
+
+def test_kernel_stops_on_a_step_below_the_resolution_of_t():
+    # One step of 1e-9 is taken; then the rejected step shrinks below
+    # the spacing of floats at t, where t would no longer advance.
+    f = _wild_after(3, 1.0)
+    with pytest.raises(StepUnderflow, match=r"underflowed at t = 1\.01e-09"):
+        dynamics._rosenbrock23(f, _zero_jac, (1.0, 0.0, 0.0, 0.0), 1.0,
+                               rtol=1e-7, atol=1e-9)
+
+
+def test_kernel_refuses_a_state_that_leaves_the_float_range():
+    # dz/dt = 1e307 is integrated exactly, every step accepted; by t = 100
+    # the state is past the largest float.
+    def steep(*_):
+        return (1e307, 0.0, 0.0, 0.0)
+
+    with pytest.raises(NonFiniteState, match="non-finite state values"):
+        dynamics._rosenbrock23(steep, _zero_jac, SEED, 100.0, rtol=1e-7, atol=1e-9)
 
 
 def test_integrate_step_counts_are_pinned(moderate, kernel_path):

@@ -9,6 +9,8 @@ import scipy.signal
 from squeezer_sim import (
     BandMismatch,
     DomainError,
+    PsdEstimate,
+    SdeRun,
     TooShort,
     compare_to_analytic,
     estimate_psd,
@@ -371,6 +373,32 @@ def test_estimate_matches_two_sided_welch_exactly(reference, qnl_leg, segments):
     assert len(est.freqs) == half + 1
     assert np.array_equal(est.freqs, 2.0 * math.pi * np.abs(f[:half + 1]))
     assert np.array_equal(est.psd, pxx[:half + 1])
+
+
+def test_run_refuses_a_series_that_is_not_whole_segments():
+    # SdeRun is exported, and estimate_psd reshapes whatever run it gets.
+    SdeRun(dt=1.0, segments=3, series_out=np.zeros(12))
+    for segments, series in ((3, np.zeros(10)), (1, np.zeros((2, 3)))):
+        with pytest.raises(ValueError, match="equal segments"):
+            SdeRun(dt=1.0, segments=segments, series_out=series)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"psd": np.array([1.0, 0.0])}, "finite and positive"),
+    ({"psd": np.array([1.0, math.nan])}, "finite and positive"),
+    ({"psd": np.array([1.0, math.inf])}, "finite and positive"),
+    ({"n_segments": 0}, "implausible"),
+    ({"rel_std_err": 1.0}, "implausible"),
+    ({"rel_std_err": 0.0}, "implausible"),
+])
+def test_estimate_refuses_an_impossible_psd_or_statistics(change, message):
+    # PsdEstimate is exported, and compare_to_analytic takes one built by
+    # hand as readily as one from estimate_psd.
+    fields = {"freqs": np.array([0.0, 1.0]), "psd": np.ones(2), "n_segments": 4,
+              "rel_std_err": 0.5, "dt": 1.0}
+    PsdEstimate(**fields)
+    with pytest.raises(ValueError, match=message):
+        PsdEstimate(**{**fields, **change})
 
 
 def test_second_estimate_of_a_run_is_refused(reference):

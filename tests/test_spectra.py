@@ -326,6 +326,14 @@ def test_spectrum_curve_validates_inputs(reference):
                       variances=np.array([0.5, -0.5]))
 
 
+def test_frequency_sweep_curve_refuses_a_column_of_intensities(reference):
+    # An i_par of shape (2, 1) broadcasts the variances to (2, n), which a
+    # 1-D curve cannot hold.
+    grid = reference.gamma_orth * np.array([0.5, 1.0, 2.0])
+    with pytest.raises(ValueError, match="1-d and equal length"):
+        frequency_sweep_curve(reference, np.array([[1e9], [2e9]]), grid)
+
+
 def test_pump_sweep_normalized_endpoint(reference):
     curve = pump_sweep_curve(reference, OMEGA_2MHZ,
                              normalized_pumps=np.linspace(0.0, 1.0, 21))

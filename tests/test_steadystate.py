@@ -10,6 +10,7 @@ from squeezer_sim import (
     InvalidParams,
     Regime,
     SqueezerSimError,
+    SteadyState,
     Unreachable,
     laser_threshold,
     orth_threshold_intensity,
@@ -396,12 +397,18 @@ def test_sweep_rows_equal_scalar_at_the_thresholds(reference, moderate, rng):
         _assert_sweep_is_scalar(p, np.array(edges))
 
 
-def test_sweep_rows_equal_scalar_at_the_ends_of_the_float_range(reference, moderate):
+def test_sweep_rows_equal_scalar_at_the_ends_of_the_float_range(reference, moderate,
+                                                                rng):
     # Subnormal and near-overflow pumps: the forms under- and overflow in
-    # numpy as in the scalar's floats, with no warning.
-    pumps = np.array([5e-324, 1e-320, 1e-300, 1e300, 1e308, 1.7e308])
+    # numpy as in the scalar's floats, with no warning.  Across the whole
+    # range on 40 sampled families too, where the scalar call raises no
+    # ValueError, so no row breaks a SteadyState invariant.
+    ends = np.array([5e-324, 1e-320, 1e-300, 1e300, 1e308, 1.7e308])
+    wide = np.geomspace(5e-324, 1.7e308, 160)
     for p in (reference, moderate):
-        _assert_sweep_is_scalar(p, pumps)
+        _assert_sweep_is_scalar(p, ends)
+    for _ in range(40):
+        _assert_sweep_is_scalar(sample_reachable_params(rng), wide)
 
 
 def test_sweep_reports_root_find_failures_on_the_scalar_rows(reference, monkeypatch):
@@ -429,14 +436,35 @@ def test_sweep_reports_wrong_regime_on_the_scalar_rows(moderate, monkeypatch):
 
 
 def test_sweep_keeps_the_state_invariants(moderate, monkeypatch):
-    # A negative slack makes every population bound fail: the sweep raises
-    # ValueError as SteadyState does.
+    # The sweep checks no invariant of its own: every row it resolves has
+    # the bits of `steady_state` at its pump (the `_assert_sweep_is_scalar`
+    # tests here and in test_properties, on sampled families across the
+    # float range and at the thresholds' float neighbours), which builds
+    # a SteadyState and so raises where an invariant breaks.  A negative
+    # slack makes every population bound fail.
     monkeypatch.setattr(steadystate, "_BOUND_SLACK", -0.5)
-    pumps = np.array([0.5 * laser_threshold(moderate)])
     with pytest.raises(ValueError, match="outside"):
-        steady_state(moderate, pumps[0])
-    with pytest.raises(ValueError, match="outside"):
-        steady_state_sweep(moderate, pumps)
+        steady_state(moderate, 0.5 * laser_threshold(moderate))
+
+
+_VALID_STATE = {"sigma1": 0.5, "sigma2": 0.2, "sigma3": 0.3,
+                "i_par": 2.0, "i_orth": 0.0, "regime": Regime.LaserOnly}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"sigma1": 0.6}, "populations sum to"),
+    ({"sigma1": 0.3, "sigma2": 1.1, "sigma3": -0.4}, r"sigma2=1\.1 outside"),
+    ({"i_par": -1.0}, "intensities must be >= 0"),
+    ({"regime": Regime.BelowLaser}, "below-laser state must have dark fields"),
+    ({"i_par": 0.0}, "laser-only state needs"),
+    ({"regime": Regime.OrthExcited}, "orth-excited state needs i_orth > 0"),
+], ids=["sum", "bounds", "negative", "dark", "lasing", "orth"])
+def test_steady_state_rejects_each_broken_invariant(change, message):
+    # SteadyState is exported: whoever builds one gets each invariant
+    # checked, as `steady_state` and `settle` do.
+    SteadyState(**_VALID_STATE)
+    with pytest.raises(ValueError, match=message):
+        SteadyState(**{**_VALID_STATE, **change})
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
@@ -495,12 +523,16 @@ def test_sweep_evaluates_each_form_on_its_own_rows(reference, monkeypatch, grid,
 @pytest.mark.parametrize("grid", ["linear", "log"])
 def test_sweep_memory_is_its_columns_and_one_branch(reference, grid):
     # tracemalloc sees every numpy buffer.  The sweep keeps six float64
-    # columns, a "<U3" regime and a "<U2" status: 68 bytes a row.  While
-    # it works it holds those columns and the arrays of one branch at a
-    # time, the most for region iii's residual: the row indices, the
-    # pump, the state, i_par and i_orth, and the four rates, scales and
-    # quotients, 21 arrays of the branch's rows.  Three more are allowed
-    # for numpy's temporaries, and 8 KB for the Python objects.
+    # columns, a "<U3" regime and a "<U2" status: 68 bytes a row, of which
+    # the status (8) is made last.  It writes the dark and lasing branches
+    # and drops their arrays before region iii's residual, its peak, which
+    # holds the other 60 bytes a row and 22 arrays of that branch's rows:
+    # the row indices, the pump, the state, i_par and i_orth, the four
+    # rates, scales and quotients, and the one temporary |rate| of the
+    # quotient being made.  While the dark and lasing branches are written
+    # the region-iii indices and values (6) and the written branch's
+    # arrays and temporaries (about ten) stay under 22 of the largest branch.
+    # 8 KB more are for the Python objects.
     pumps = _benchmark_grids(reference)[grid]
     region = [steady_state(reference, g).regime.value for g in pumps.tolist()]
     branch = max(region.count(r) for r in ("i", "ii", "iii"))
@@ -513,7 +545,7 @@ def test_sweep_memory_is_its_columns_and_one_branch(reference, grid):
         tracemalloc.stop()
     assert sweep.status.dtype == np.dtype("<U2")
     assert kept <= 68 * len(pumps) + 8192
-    assert peak <= 68 * len(pumps) + 8 * 24 * branch + 8192
+    assert peak <= 60 * len(pumps) + 8 * 22 * branch + 8192
 
 
 def test_rate_scales_on_arrays_equal_the_float_scales(reference, rng):

@@ -11,24 +11,29 @@ prints each statement of `src/squeezer_sim/*.py` that never ran as
 A compound statement (`def`, `if`, `for`, ...) counts as run when a
 line of its header runs; a simple one when any of its lines does.
 
-Two kinds of result need a second look:
+Child processes are traced too.  The tests start their Python children
+with this process's PYTHONPATH, so the tool puts a temporary directory
+at its front holding a `sitecustomize` module: it traces the child's
+package lines, writes them to that directory at exit, and then runs any
+`sitecustomize` it shadows.  That is how `cli`'s `__main__` guard and
+the `break` of `svg._ticks` for a range finer than its tick resolution,
+tested only in children, count as run.
 
-  * Paths that tests reach only in a child process (`cli`'s `__main__`
-    guard, and the `break` of `svg._ticks` for a range finer than its
-    tick resolution, which runs under a timeout) show as unrun: the
-    tracer does not follow subprocesses.
-  * The two `test_sweep_memory_is_its_columns_and_one_branch` cases are
-    deselected.  They bound tracemalloc's peak over one sweep, and the
-    tracer's own records are allocated inside that window.
+The two `test_sweep_memory_is_its_columns_and_one_branch` cases are
+deselected.  They bound tracemalloc's peak over one sweep, and the
+tracer's own records are allocated inside that window.
 
-A full run takes about 35 s on a 2-CPU x86-64 VM.  The exit code
-is pytest's, so a failing test is not mistaken for a coverage result.
+A full run takes about 35 s on a 2-CPU x86-64 VM.  The exit code is
+pytest's when that is nonzero, so a failing test is not mistaken for a
+coverage result; otherwise 1 when any statement is unrun, else 0.
 """
 
 from __future__ import annotations
 
 import ast
+import os
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -37,6 +42,41 @@ PACKAGE = ROOT / "src" / "squeezer_sim"
 DESELECT = [
     "tests/test_steadystate.py::test_sweep_memory_is_its_columns_and_one_branch"
     f"[{grid}]" for grid in ("linear", "log")]
+
+# The body of the children's `sitecustomize`, after the two lines that
+# set _PREFIX (the package directory) and _OUT (where to write).
+CHILD_TRACER = """
+import atexit, importlib.machinery, importlib.util, os, sys, threading
+
+_ran = set()
+
+
+def _local(frame, event, arg):
+    if event == "line":
+        _ran.add((frame.f_code.co_filename, frame.f_lineno))
+    return _local
+
+
+def _tracer(frame, event, arg):
+    if frame.f_code.co_filename.startswith(_PREFIX):
+        return _local(frame, event, arg)
+    return None
+
+
+def _write():
+    with open(os.path.join(_OUT, f"{os.getpid()}.lines"), "w") as out:
+        out.writelines(f"{name}\\t{line}\\n" for name, line in _ran)
+
+
+atexit.register(_write)
+threading.settrace(_tracer)
+sys.settrace(_tracer)
+
+_spec = importlib.machinery.PathFinder.find_spec(
+    "sitecustomize", [p for p in sys.path if os.path.abspath(p or ".") != _OUT])
+if _spec is not None:
+    _spec.loader.exec_module(importlib.util.module_from_spec(_spec))
+"""
 
 
 def _is_docstring(node: ast.stmt) -> bool:
@@ -60,10 +100,12 @@ def statements(source: str) -> dict[int, range]:
     return found
 
 
-def main(argv: list[str]) -> int:
+def _run_traced(argv: list[str], prefix: str, children: str) -> tuple[int, set]:
+    """Run pytest under the line tracer, with `children` first on the
+    PYTHONPATH that child processes inherit; return its exit code and
+    the (file, line) pairs this process ran."""
     import pytest
 
-    prefix = str(PACKAGE) + "/"
     ran: set[tuple[str, int]] = set()
 
     def local(frame, event, arg):
@@ -76,6 +118,8 @@ def main(argv: list[str]) -> int:
             return local(frame, event, arg)
         return None
 
+    old_path = os.environ.get("PYTHONPATH")
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (children, old_path)))
     sys.path.insert(0, str(ROOT / "src"))
     threading.settrace(tracer)
     sys.settrace(tracer)
@@ -86,6 +130,24 @@ def main(argv: list[str]) -> int:
     finally:
         sys.settrace(None)
         threading.settrace(None)
+        if old_path is None:
+            del os.environ["PYTHONPATH"]
+        else:
+            os.environ["PYTHONPATH"] = old_path
+    return int(code), ran
+
+
+def main(argv: list[str]) -> int:
+    prefix = str(PACKAGE) + "/"
+    with tempfile.TemporaryDirectory() as children:
+        children = os.path.abspath(children)
+        Path(children, "sitecustomize.py").write_text(
+            f"_PREFIX = {prefix!r}\n_OUT = {children!r}\n{CHILD_TRACER}", encoding="utf-8")
+        code, ran = _run_traced(argv, prefix, children)
+        for record in Path(children).glob("*.lines"):
+            for row in record.read_text(encoding="utf-8").splitlines():
+                name, line = row.rsplit("\t", 1)
+                ran.add((name, int(line)))
 
     total = unrun = 0
     for path in sorted(PACKAGE.glob("*.py")):
@@ -97,7 +159,7 @@ def main(argv: list[str]) -> int:
                 unrun += 1
                 print(f"{path.relative_to(ROOT)}:{lineno}: {lines[lineno - 1].strip()}")
     print(f"{unrun} of {total} statements unrun")
-    return int(code)
+    return code or int(unrun > 0)
 
 
 if __name__ == "__main__":
