@@ -236,9 +236,9 @@ def settle(params: ModelParams, pump, t_max: float | None = None) -> SteadyState
     then raises NoConvergence.
     """
     g = as_pump(pump)
-    windows = 1 if t_max is not None else 1 + _EXTRA_WINDOWS
+    windows = 1
     if t_max is None:
-        t_max = _settle_t_max(params, g)
+        t_max, windows = _settle_t_max(params, g), 1 + _EXTRA_WINDOWS
     f, jac = model.rate_equations(params, g)
     mu2 = 2.0 * params.nl_coupling_mu
     clamp = (1e-6 * params.gamma_par, 1e-6 * params.gamma_orth)

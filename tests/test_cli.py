@@ -424,17 +424,25 @@ def _fail_lines(out):
     return [ln for ln in out.splitlines() if ": FAIL" in ln]
 
 
-def test_check_fixed_point_fails_on_lasing_populations_off_by_1e_6(monkeypatch, capsys):
-    # Negative control: lasing populations taken at an intensity 1e-6 too
-    # high still sum to 1, but are not a fixed point of the rate equations.
+@pytest.mark.parametrize("offset, failing", [
+    (1e-6, ["fixed_point_residual"]),
+    (1e-4, ["fixed_point_residual", "continuity_at_thresholds"]),
+])
+def test_check_fails_on_lasing_populations_off_in_intensity(monkeypatch, capsys,
+                                                            offset, failing):
+    # Negative control: lasing populations taken at an intensity `offset`
+    # too high still sum to 1, but are not a fixed point of the rate
+    # equations.  At 1e-4 they also jump by 2.9e-6 of their scale at the
+    # orthogonal threshold, where region iii's exact populations take over.
     true_populations = steadystate._lasing_populations
     monkeypatch.setattr(steadystate, "_lasing_populations",
                         lambda params, g, i_par: true_populations(
-                            params, g, i_par * (1.0 + 1e-6)))
+                            params, g, i_par * (1.0 + offset)))
     assert main(["check"]) == 2
-    [line] = _fail_lines(capsys.readouterr().out)
+    lines = _fail_lines(capsys.readouterr().out)
+    assert [ln.split(":")[0] for ln in lines] == failing
     assert re.fullmatch(r"fixed_point_residual: FAIL  \(max scaled residual "
-                        r"\S+ \(tol 1e-10\)\)", line)
+                        r"\S+ \(tol 1e-10\)\)", lines[0])
 
 
 def test_check_jacobian_fd_fails_on_one_j4_entry_off_by_1e_3(monkeypatch, capsys):
