@@ -721,6 +721,23 @@ def test_2001_point_grids_are_pinned(tmp_path, command, key):
             == GRID_2001_SHA256[command, key])
 
 
+def test_explicit_log_grid_pump_sweep_is_pinned(tmp_path):
+    # The explicit pump grid, whose Gamma_normalized column is the grid
+    # over the orthogonal threshold pump, and its --plot against that
+    # column.  Measured with numpy 2.4.6 on the code from before the CLI
+    # normalized the grid itself.
+    out = tmp_path / "x.csv"
+    cfg = _write_cfg(tmp_path / "c.cfg", {"pump_min": 1e17, "pump_max": 1e18,
+                                          "pump_steps": 2001, "pump_log": "true"})
+    assert main(["pump-sweep", "--config", cfg, "--out", str(out), "--plot"]) == 0
+    assert len(_read_csv(out)[2]) == 2001
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "8a77febb8ef12878335ebc13d4a1b4757d9d3130516202c237bac2b6ebfb90f1")
+    svg = (tmp_path / "x.variance_db.svg").read_bytes()
+    assert (hashlib.sha256(svg).hexdigest()
+            == "28bfd3bcf1d4d54b3542b0115e82c6a2052b7d5e672f65650a17dfe6891f74ee")
+
+
 def test_log_spaced_grid(tmp_path):
     out = tmp_path / "sp.csv"
     cfg = _write_cfg(tmp_path / "c.cfg", {
