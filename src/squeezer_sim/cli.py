@@ -260,7 +260,8 @@ def cmd_pump_sweep(cfg: dict, out: str, plot: bool) -> int:
     omega = cfg.get("omega", 4.0 * math.pi * 1e6)
     if explicit:
         pumps, grid_keys = _grid(cfg, "pump", 0.0, 0.0, 101)
-        sweep = pump_sweep_curve(params, omega, pumps=pumps)
+        sweep = pump_sweep_curve(params, omega, pumps)
+        normalized = sweep.pumps / orth_threshold_pump(params)
     else:
         lo = cfg.get("pump_norm_min", 0.0)
         hi = cfg.get("pump_norm_max", 1.0)
@@ -269,11 +270,13 @@ def cmd_pump_sweep(cfg: dict, out: str, plot: bool) -> int:
             raise ConfigError("normalized pump grid needs min < max and "
                               "steps >= 2")
         _check_grid_fits("pump_steps", steps)
-        sweep = pump_sweep_curve(
-            params, omega, normalized_pumps=np.linspace(lo, hi, steps))
-        grid_keys = {"pump_norm_min": float(sweep.pumps_normalized[0]),
-                     "pump_norm_max": float(sweep.pumps_normalized[-1]),
-                     "pump_steps": len(sweep.pumps)}
+        normalized = np.linspace(lo, hi, steps)
+        laser_threshold(params)  # raises Unreachable with its own reason
+        sweep = pump_sweep_curve(params, omega,
+                                 normalized * orth_threshold_pump(params))
+        grid_keys = {"pump_norm_min": float(normalized[0]),
+                     "pump_norm_max": float(normalized[-1]),
+                     "pump_steps": len(normalized)}
     above = int(np.count_nonzero(sweep.status == "above_orth"))
     if above:
         raise WrongRegime(f"{above} grid points lie above the oscillation "
@@ -282,10 +285,10 @@ def cmd_pump_sweep(cfg: dict, out: str, plot: bool) -> int:
     snapshot = {**params.as_dict(), "omega": float(omega), **grid_keys}
     db = to_decibel(sweep.variances)
     write_csv(out, ["Gamma", "Gamma_normalized", "variance", "variance_db"],
-              [sweep.pumps, sweep.pumps_normalized, sweep.variances, db],
+              [sweep.pumps, normalized, sweep.variances, db],
               comments=snapshot_lines(snapshot))
     if plot:
-        line_plot_svg(_plot_path(out, "variance_db"), sweep.pumps_normalized, db,
+        line_plot_svg(_plot_path(out, "variance_db"), normalized, db,
                       title="phase-quadrature noise vs pump",
                       xlabel="pump / oscillation-threshold pump",
                       ylabel="variance (dB)")

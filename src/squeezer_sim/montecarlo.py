@@ -107,14 +107,18 @@ class PsdEstimate:
     freqs: np.ndarray  # angular, rad/s, ascending, 0 to Nyquist
     psd: np.ndarray
     n_segments: int
-    rel_std_err: float
-    dt: float
 
     def __post_init__(self):
         if np.any(self.psd <= 0) or np.any(~np.isfinite(self.psd)):
             raise ValueError("PSD estimate must be finite and positive")
-        if self.n_segments < 1 or not 0 < self.rel_std_err < 1:
+        if self.n_segments < 2:
             raise ValueError("implausible Welch averaging statistics")
+
+    @property
+    def rel_std_err(self) -> float:
+        """Relative standard error of each bin, 1/sqrt(n_segments): the
+        segments are independent and do not overlap."""
+        return 1.0 / math.sqrt(self.n_segments)
 
 
 def _relaxation_rate(params: ModelParams, i_par) -> float:
@@ -248,8 +252,9 @@ def estimate_psd(run: SdeRun) -> PsdEstimate:
     flat at 1; there is no post-hoc calibration factor.
 
     Blocks of whole segments, about `_BLOCK_SAMPLES` samples each, are
-    read as column blocks of the time-major series, multiplied by the
-    psd-scaled Hann window into one reused buffer and transformed by a
+    copied as column blocks of the time-major series into one reused
+    buffer, multiplied there by the psd-scaled Hann window (a strided
+    multiply would buffer both operands) and transformed by a
     single `rfft` down the columns into another; their squared
     magnitudes are written over rows 0..bins-1 of the block's own
     columns of the series, whose first `bins` rows end as the (bins,
@@ -283,7 +288,9 @@ def estimate_psd(run: SdeRun) -> PsdEstimate:
     spectra = np.empty((block, bins), dtype=complex)
     for p0 in range(0, m, block):
         p1 = min(p0 + block, m)
-        seg = np.multiply(x[:, p0:p1], win, out=windowed[:, :p1 - p0])
+        seg = windowed[:, :p1 - p0]
+        np.copyto(seg, x[:, p0:p1])
+        seg *= win
         spec = np.fft.rfft(seg, axis=0, out=spectra[:p1 - p0].T).T
         # |X|^2 in place in the spectra's own real parts, each segment's
         # row contiguous, then written over rows 0..bins-1 of the block's
@@ -295,8 +302,7 @@ def estimate_psd(run: SdeRun) -> PsdEstimate:
         re += im
         x[:bins, p0:p1] = re.T
     return PsdEstimate(freqs=2.0 * math.pi * freqs,
-                       psd=x[:bins].mean(axis=-1), n_segments=m,
-                       rel_std_err=1.0 / math.sqrt(m), dt=run.dt)
+                       psd=x[:bins].mean(axis=-1), n_segments=m)
 
 
 def _default_band(params: ModelParams) -> tuple:

@@ -87,24 +87,22 @@ def _violations(p) -> list[str]:
     return errors
 
 
-def validate(raw: dict[str, float] | None = None, /, **kwargs) -> ModelParams:
-    """Build a ModelParams from raw fields.
+def validate(raw: dict[str, float]) -> ModelParams:
+    """Build a ModelParams from a dict of raw fields.
 
     Raises InvalidParams carrying the complete list of violated
     invariants; there is no partially valid value.
     """
-    data = dict(raw or {})
-    data.update(kwargs)
     known = {f.name for f in fields(ModelParams)}
-    unknown = sorted(set(data) - known)
-    missing = sorted(known - set(data))
+    unknown = sorted(set(raw) - known)
+    missing = sorted(known - set(raw))
     errors = [f"unknown field '{k}'" for k in unknown]
     errors += [f"missing field '{k}'" for k in missing]
     if errors:
         raise InvalidParams(errors)
     # A field that is not a number becomes None, which ModelParams
     # reports along with every other violation.
-    return ModelParams(**{k: _number(v) for k, v in data.items()})
+    return ModelParams(**{k: _number(v) for k, v in raw.items()})
 
 
 def _number(v) -> float | None:

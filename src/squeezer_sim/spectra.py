@@ -91,7 +91,7 @@ class SpectrumCurve:
 
 @dataclass(frozen=True)
 class PumpSweep:
-    """Variance at one omega across a pump grid, one row per pump.
+    """Variance at one omega across a pump grid, one row per pump rate.
 
     `status` is "ok", "below_laser" (reported at the QNL, variance 1) or
     "above_orth", where the orthogonal mode oscillates (or
@@ -99,7 +99,6 @@ class PumpSweep:
     """
 
     pumps: np.ndarray
-    pumps_normalized: np.ndarray
     variances: np.ndarray
     status: np.ndarray
 
@@ -203,14 +202,12 @@ def frequency_sweep_curve(params: ModelParams, i_par, omega_grid) -> SpectrumCur
                          variances=orth_phase_variance_reduced(params, i_par, om))
 
 
-def pump_sweep_curve(params: ModelParams, omega, pumps=None,
-                     normalized_pumps=None) -> PumpSweep:
+def pump_sweep_curve(params: ModelParams, omega, pumps) -> PumpSweep:
     """Variance at fixed omega versus pump across region ii.
 
-    The pump axis is a 1-D grid, given directly or normalized to the
-    orthogonal-mode threshold pump.  Returns a `PumpSweep` with one row
-    per grid pump, in grid order.  Each row goes by the branch
-    `steady_state` takes at its pump, through the grid rule
+    The pump axis is a 1-D grid of pump rates; returns a `PumpSweep`
+    with one row per grid pump, in grid order.  Each row goes by the
+    branch `steady_state` takes at its pump, through the grid rule
     `steady_state_sweep` uses: the dark state is reported at the QNL
     (V = 1), the lasing branch at the reduced form of its intensity,
     and a pump past the instability (or one where `steady_state` raises)
@@ -221,14 +218,7 @@ def pump_sweep_curve(params: ModelParams, omega, pumps=None,
     w = _check_omega(omega)
     g_laser = laser_threshold(params)  # each raises Unreachable with its reason
     g_orth = orth_threshold_pump(params)
-    if (pumps is None) == (normalized_pumps is None):
-        raise ValueError("give exactly one of pumps or normalized_pumps")
-    if normalized_pumps is not None:
-        gn = np.asarray(normalized_pumps, float)
-        g = as_pumps(gn * g_orth)
-    else:
-        g = as_pumps(pumps)
-        gn = g / g_orth
+    g = as_pumps(pumps)
     dark, lasing, i_par, *_ = _grid_branches(params, g, g_laser, g_orth)
     variance = np.full(len(g), np.nan)
     variance[dark] = 1.0
@@ -236,7 +226,7 @@ def pump_sweep_curve(params: ModelParams, omega, pumps=None,
     status = np.full(len(g), "above_orth", "<U11")
     status[dark] = "below_laser"
     status[lasing] = "ok"
-    return PumpSweep(g, gn, variance, status)
+    return PumpSweep(g, variance, status)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ def test_sweeps_equal_scalar_calls_bitwise(seed):
             assert [float(v).hex() for v in got] == [v.hex() for v in want]
     omega = params.gamma_orth * 10.0 ** rng.uniform(-2, 2)
     top = orth_threshold_intensity(params)
-    curve = pump_sweep_curve(params, omega, normalized_pumps=np.linspace(0.0, 1.0, 97))
+    curve = pump_sweep_curve(params, omega, np.linspace(0.0, 1.0, 97) * g_orth)
     for g, status, v in zip(curve.pumps.tolist(), curve.status.tolist(),
                             curve.variances.tolist()):
         if status == "ok":

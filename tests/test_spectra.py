@@ -165,7 +165,7 @@ def test_spectra_follow_steady_state_regime_at_threshold_neighbours(reference, r
         w = p.gamma_orth
         gl, go = regime_thresholds(p)
         assert steady_state(p, go).regime is Regime.LaserOnly
-        curve = pump_sweep_curve(p, w, normalized_pumps=[0.5, 1.0])
+        curve = pump_sweep_curve(p, w, np.array([0.5, 1.0]) * go)
         full = orth_phase_variance(p, go, w)
         assert curve.status[-1] == "ok"
         assert abs(curve.variances[-1] - full) <= 1e-12 * full
@@ -233,14 +233,12 @@ def test_pump_sweep_rows_take_the_branch_of_steady_state(reference, rng):
     assert dark_above_gl >= 50 and lasing_above_go >= 50
 
 
-@pytest.mark.parametrize("grid", [{"pumps": 5e17}, {"normalized_pumps": 0.5},
-                                  {"pumps": [[5e17, 6e17]]}],
-                         ids=["0-d", "0-d-normalized", "2-d"])
-def test_pump_sweep_rejects_a_grid_that_is_not_1d(reference, grid):
+@pytest.mark.parametrize("pumps", [5e17, [[5e17, 6e17]]], ids=["0-d", "2-d"])
+def test_pump_sweep_rejects_a_grid_that_is_not_1d(reference, pumps):
     # One row per pump, as in steady_state_sweep.
-    shape = np.shape(next(iter(grid.values())))
+    shape = np.shape(pumps)
     with pytest.raises(ValueError, match=re.escape(f"1-D grid, got shape {shape}")):
-        pump_sweep_curve(reference, OMEGA_2MHZ, **grid)
+        pump_sweep_curve(reference, OMEGA_2MHZ, pumps)
 
 
 def test_variance_bounded_by_qnl_floor_and_ceiling(rng):
@@ -336,7 +334,7 @@ def test_frequency_sweep_curve_refuses_a_column_of_intensities(reference):
 
 def test_pump_sweep_normalized_endpoint(reference):
     curve = pump_sweep_curve(reference, OMEGA_2MHZ,
-                             normalized_pumps=np.linspace(0.0, 1.0, 21))
+                             np.linspace(0.0, 1.0, 21) * orth_threshold_pump(reference))
     assert curve.status[-1] == "ok"
     assert curve.variances[-1] == pytest.approx(
         threshold_variance(reference, OMEGA_2MHZ), rel=1e-12)
@@ -344,7 +342,7 @@ def test_pump_sweep_normalized_endpoint(reference):
 
 def test_pump_sweep_monotone_and_minimum(reference):
     curve = pump_sweep_curve(reference, OMEGA_2MHZ,
-                             normalized_pumps=np.linspace(0.0, 1.0, 101))
+                             np.linspace(0.0, 1.0, 101) * orth_threshold_pump(reference))
     vs = curve.variances.tolist()
     assert all(a >= b - 1e-15 for a, b in zip(vs, vs[1:]))
     assert min(vs) == pytest.approx(0.1784, abs=1e-4)
@@ -352,7 +350,7 @@ def test_pump_sweep_monotone_and_minimum(reference):
 
 def test_pump_sweep_below_laser_reported_at_qnl(moderate):
     gl = laser_threshold(moderate)
-    curve = pump_sweep_curve(moderate, 1.0, pumps=[0.0, 0.5 * gl])
+    curve = pump_sweep_curve(moderate, 1.0, [0.0, 0.5 * gl])
     for status, variance in zip(curve.status, curve.variances):
         assert status == "below_laser"
         assert variance == 1.0
@@ -360,26 +358,22 @@ def test_pump_sweep_below_laser_reported_at_qnl(moderate):
 
 def test_pump_sweep_flags_points_above_threshold(moderate):
     go = orth_threshold_pump(moderate)
-    curve = pump_sweep_curve(moderate, 1.0, pumps=[0.5 * go, 2.0 * go])
+    curve = pump_sweep_curve(moderate, 1.0, [0.5 * go, 2.0 * go])
     assert curve.status[0] == "ok"
     assert curve.status[1] == "above_orth"
     assert np.isnan(curve.variances[1])
 
 
-def test_pump_sweep_needs_exactly_one_grid(moderate):
-    with pytest.raises(ValueError):
-        pump_sweep_curve(moderate, 1.0)
-    with pytest.raises(ValueError):
-        pump_sweep_curve(moderate, 1.0, pumps=[1.0], normalized_pumps=[0.5])
-
-
 @pytest.mark.parametrize("grid", [{"pumps": [1.0, -1.0]},
                                   {"pumps": [math.nan]},
-                                  {"normalized_pumps": [-0.5, 0.5]},
-                                  {"normalized_pumps": [math.inf]}])
+                                  {"normalized": [-0.5, 0.5]},
+                                  {"normalized": [math.inf]}])
 def test_pump_sweep_rejects_invalid_pumps(moderate, grid):
+    pumps = grid.get("pumps")
+    if pumps is None:
+        pumps = np.array(grid["normalized"]) * orth_threshold_pump(moderate)
     with pytest.raises(InvalidParams):
-        pump_sweep_curve(moderate, 1.0, **grid)
+        pump_sweep_curve(moderate, 1.0, pumps)
 
 
 # ---------------------------------------------------------------------------
@@ -462,15 +456,16 @@ def test_regime3_wrong_regime_rejected(moderate):
 # The array curves against the scalar reduced form
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("grid", [{"normalized_pumps": np.linspace(0.0, 1.0, 101)},
-                                  {"normalized_pumps": np.linspace(0.0, 1.0, 2001)},
+@pytest.mark.parametrize("grid", [{"normalized": np.linspace(0.0, 1.0, 101)},
+                                  {"normalized": np.linspace(0.0, 1.0, 2001)},
                                   {"pumps": np.geomspace(1.0, 2.5e18, 500)}],
                          ids=["default", "normalized-2001", "log-pumps"])
 def test_pump_sweep_equals_scalar_reduced_form(reference, grid):
     # Every point bitwise the scalar form at the lasing intensity, and
     # the point's status and grid values as the per-point rules give them.
     gl, go = laser_threshold(reference), orth_threshold_pump(reference)
-    curve = pump_sweep_curve(reference, OMEGA_2MHZ, **grid)
+    pumps = grid["pumps"] if "pumps" in grid else grid["normalized"] * go
+    curve = pump_sweep_curve(reference, OMEGA_2MHZ, pumps)
     for g, status, v in zip(curve.pumps.tolist(), curve.status.tolist(),
                             curve.variances.tolist()):
         if g < gl:
@@ -482,9 +477,8 @@ def test_pump_sweep_equals_scalar_reduced_form(reference, grid):
                 reference, i, OMEGA_2MHZ).hex()
         else:
             assert status == "above_orth" and math.isnan(v)
+    assert curve.pumps.tolist() == pumps.tolist()
     if "pumps" in grid:
-        assert curve.pumps_normalized.tolist() == [
-            g / go for g in grid["pumps"].tolist()]
         assert set(curve.status.tolist()) == {"below_laser", "ok", "above_orth"}
 
 
@@ -503,7 +497,7 @@ def test_curves_reject_bad_omegas(reference, bad):
     with pytest.raises(DomainError):
         frequency_sweep_curve(reference, 1e9, [0.0, 1.0, bad])
     with pytest.raises(DomainError):
-        pump_sweep_curve(reference, bad, normalized_pumps=[0.5])
+        pump_sweep_curve(reference, bad, [0.5 * orth_threshold_pump(reference)])
     with pytest.raises(DomainError):
         orth_phase_variance_reduced(reference, 1e9, np.array([1.0, bad]))
 
@@ -544,8 +538,9 @@ def test_array_callers_resolve_the_reduced_form_at_call_time(reference, monkeypa
     monkeypatch.setattr(montecarlo, "orth_phase_variance_reduced", spy)
     gorth = reference.gamma_orth
     frequency_sweep_curve(reference, 1e9, [0.0, gorth])
-    pump_sweep_curve(reference, OMEGA_2MHZ, normalized_pumps=[0.5, 1.0])
+    pump_sweep_curve(reference, OMEGA_2MHZ,
+                     np.array([0.5, 1.0]) * orth_threshold_pump(reference))
     est = PsdEstimate(freqs=gorth * np.array([0.0, 0.5, 1.0, 2.0]), psd=np.ones(4),
-                      n_segments=4, rel_std_err=0.1, dt=1e-3 / gorth)
+                      n_segments=100)
     compare_to_analytic(est, reference, 0.5 * orth_threshold_intensity(reference))
     assert calls == [reference] * 3
