@@ -260,7 +260,7 @@ def cmd_pump_sweep(cfg: dict, out: str, plot: bool) -> int:
     omega = cfg.get("omega", 4.0 * math.pi * 1e6)
     if explicit:
         pumps, grid_keys = _grid(cfg, "pump", 0.0, 0.0, 101)
-        sweep = pump_sweep_curve(params, omega, pumps)
+        sweep = pump_sweep_curve(params, omega, pumps=pumps)
         normalized = sweep.pumps / orth_threshold_pump(params)
     else:
         lo = cfg.get("pump_norm_min", 0.0)

@@ -350,7 +350,7 @@ def test_pump_sweep_monotone_and_minimum(reference):
 
 def test_pump_sweep_below_laser_reported_at_qnl(moderate):
     gl = laser_threshold(moderate)
-    curve = pump_sweep_curve(moderate, 1.0, [0.0, 0.5 * gl])
+    curve = pump_sweep_curve(moderate, 1.0, pumps=[0.0, 0.5 * gl])
     for status, variance in zip(curve.status, curve.variances):
         assert status == "below_laser"
         assert variance == 1.0
@@ -358,7 +358,7 @@ def test_pump_sweep_below_laser_reported_at_qnl(moderate):
 
 def test_pump_sweep_flags_points_above_threshold(moderate):
     go = orth_threshold_pump(moderate)
-    curve = pump_sweep_curve(moderate, 1.0, [0.5 * go, 2.0 * go])
+    curve = pump_sweep_curve(moderate, 1.0, pumps=[0.5 * go, 2.0 * go])
     assert curve.status[0] == "ok"
     assert curve.status[1] == "above_orth"
     assert np.isnan(curve.variances[1])
