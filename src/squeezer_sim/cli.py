@@ -193,9 +193,17 @@ def _emit_report(text: str, out: str | None):
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _plot_path(out: str, curve: str) -> str:
-    p = Path(out)
-    return str(p.with_suffix("")) + f".{curve}.svg"
+def _plot(out: str, curve: str, x, y, **labels):
+    """Write the curve next to the CSV as <out stem>.<curve>.svg.
+
+    An axis range the plot cannot draw is an input error (exit 1); the
+    CSV is already written and is kept.
+    """
+    path = str(Path(out).with_suffix("")) + f".{curve}.svg"
+    try:
+        line_plot_svg(path, x, y, **labels)
+    except ValueError as exc:
+        raise ConfigError(f"cannot plot {curve}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +245,8 @@ def cmd_steady_sweep(cfg: dict, out: str, plot: bool) -> int:
         for name in ("a_par", "a_orth", "sh_power"):
             values = getattr(sweep, name)
             if np.isfinite(values).any():  # else no row resolved: no plot
-                line_plot_svg(_plot_path(out, name), sweep.pumps, values,
-                              title=name, xlabel="pump rate (1/s)", ylabel=name)
+                _plot(out, name, sweep.pumps, values,
+                      title=name, xlabel="pump rate (1/s)", ylabel=name)
     bad = int(np.count_nonzero(sweep.status != "ok"))
     if bad:
         print(f"{bad} of {len(pumps)} rows failed to resolve", file=sys.stderr)
@@ -288,10 +296,9 @@ def cmd_pump_sweep(cfg: dict, out: str, plot: bool) -> int:
               [sweep.pumps, normalized, sweep.variances, db],
               comments=snapshot_lines(snapshot))
     if plot:
-        line_plot_svg(_plot_path(out, "variance_db"), normalized, db,
-                      title="phase-quadrature noise vs pump",
-                      xlabel="pump / oscillation-threshold pump",
-                      ylabel="variance (dB)")
+        _plot(out, "variance_db", normalized, db,
+              title="phase-quadrature noise vs pump",
+              xlabel="pump / oscillation-threshold pump", ylabel="variance (dB)")
     return EXIT_OK
 
 
@@ -314,16 +321,14 @@ def cmd_spectrum(cfg: dict, out: str, plot: bool) -> int:
     write_csv(out, ["omega_rad_s", "variance", "variance_db"],
               [curve.omegas, curve.variances, db], comments=snapshot_lines(snapshot))
     if plot:
-        line_plot_svg(_plot_path(out, "variance_db"), curve.omegas, db,
-                      title="phase-quadrature spectrum",
-                      xlabel="analysis frequency (rad/s)",
-                      ylabel="variance (dB)")
+        _plot(out, "variance_db", curve.omegas, db,
+              title="phase-quadrature spectrum",
+              xlabel="analysis frequency (rad/s)", ylabel="variance (dB)")
     return EXIT_OK
 
 
-def _mc_leg(params, i_par, seed, dt, duration, segments, analytic_params,
-            analytic_i_par):
-    """Simulate, estimate and compare one mc-verify run.
+def _mc_leg(params, i_par, seed, dt, duration, segments, analytic_params):
+    """Simulate, estimate and compare one mc-verify run at i_par.
 
     The comparison goes over the default band of the simulated `params`,
     so a perturbed analytic reference is checked on the same bins.  Only
@@ -332,7 +337,7 @@ def _mc_leg(params, i_par, seed, dt, duration, segments, analytic_params,
     """
     run = simulate_decoupled(params, i_par, seed, dt, duration, segments)
     est = estimate_psd(run)
-    return est, compare_to_analytic(est, analytic_params, analytic_i_par,
+    return est, compare_to_analytic(est, analytic_params, i_par,
                                     band=_default_band(params))
 
 
@@ -362,11 +367,10 @@ def cmd_mc_verify(cfg: dict, out: str, negative_control: bool) -> int:
     run_length(params, i_star, dt, duration, segments)
     run_length(params, 0.0, qnl_dt, duration, segments)
     thr_seed, qnl_seed = np.random.SeedSequence(seed).spawn(2)
-    est_thr, res_thr = _mc_leg(
-        params, i_star, thr_seed, dt, duration, segments, analytic_params,
-        min(i_star, orth_threshold_intensity(analytic_params)))
+    est_thr, res_thr = _mc_leg(params, i_star, thr_seed, dt, duration,
+                               segments, analytic_params)
     _, res_qnl = _mc_leg(params, 0.0, qnl_seed, qnl_dt, duration, segments,
-                         analytic_params, 0.0)
+                         analytic_params)
 
     snapshot = {**params.as_dict(), "seed": int(seed), "dt": float(dt),
                 "duration": float(duration), "segments": int(segments),
@@ -448,7 +452,7 @@ def _check_jacobian_fd(params, rng):
     # Differences the rates over the four coordinates the oracle carries
     # against the J4 it steps with.
     pump = float(10.0 ** rng.uniform(-1, 1) * params.decay_k3)
-    _, jac = model.rate_equations(params, pump)
+    f, jac = model.rate_equations(params, pump)
     worst = 0.0
     for _ in range(100):
         y = np.concatenate([rng.uniform(0, 3, size=2), rng.uniform(0, 1, size=3)])
@@ -462,7 +466,7 @@ def _check_jacobian_fd(params, rng):
             if j >= 2:  # sigma3 = 1 - sigma1 - sigma2 moves the other way
                 yp[4] -= h
                 ym[4] += h
-            col = (model.rhs(yp, params, pump) - model.rhs(ym, params, pump)) / (2 * h)
+            col = (np.array(f(*yp.tolist())) - np.array(f(*ym.tolist()))) / (2 * h)
             # Differencing cannot resolve elements below its own rounding
             # noise, ~eps * equation magnitude / h; elements under that
             # floor are unverifiable rather than wrong.

@@ -17,24 +17,28 @@ rendered in numpy, to the bytes `format_value` gives cell by cell:
   1e13: N = 1e13 carries into E + 1, and N = 1e12 reached from below
   stands only when ten times the value would also round up; any other
   miss goes to `format_value`.
-- Significand.  |x|·10^(12-E) is formed as an unevaluated sum of two
-  doubles.  10^k is held as hi + lo, each part correctly rounded from
-  Python integers, and |x|·hi is Dekker's exact product (Numer. Math.
-  18, 224, 1971), so the sum is within about 5e-19 of the true value.
-  N is that sum rounded to the nearest integer, and the fraction left
-  over is known to about 1e-16.  N is used only where the fraction is
-  more than `_MARGIN` (1e-9) from ±1/2; true ties, and the rare cells
-  that close to one, go to `format_value`, which rounds correctly
-  (half to even).
+- Significand.  |x|·10^(12-E) is one product p = fl(|x|·t), where t
+  is the table entry for 10^k, k = 12 - E, correctly rounded from
+  Python integers.  With u = 2^-53 and P = |x|·10^k, the one-rounding
+  model (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+  ed., 2002, §2.2) gives |t - 10^k| <= u·10^k and, the product being
+  normal, |p - |x|·t| <= u·|x|·t; together |p - P| <= (2 + u)·u·P.  A
+  cell kept below has P < 1e13 + 1/2, so that error is under 2.23e-3.
+  N is p rounded to the nearest integer; the fraction p - N is exact
+  and lies in [-1/2, 1/2].  N is used only where that fraction is more
+  than `_MARGIN` (5e-3, above the bound) from ±1/2, and the rule at
+  1e12 keeps the same margin; true ties, and the cells that close to
+  one, go to `format_value`, which rounds correctly (half to even).
 - Bytes.  N and E go through small ASCII tables (4-digit groups packed
   as uint32) into fixed 24-byte NUL-padded cells.  A str column is
   copied as its code points, each an ASCII byte.  Separators are
   written into the cells, and the NULs are dropped on output.
 - Fallbacks.  `format_value` renders, one cell at a time, NaN, ±inf,
-  nonzero |x| outside [1e-280, 1e280] (where a part of the product
+  nonzero |x| outside [1e-280, 1e280] (where |x| or the table entry
   could leave the normal range), and the cells near a tie or a decade
-  named above.  A column outside float64 and ASCII str has no fallback:
-  it raises before the file is opened (see `write_csv`).
+  named above: about 1 float cell in 120 of the sweep tables.  A column
+  outside float64 and ASCII str has no fallback: it raises before the
+  file is opened (see `write_csv`).
 - Memory.  Rows are rendered in blocks of about `_BLOCK_CELLS` cells,
   each written to the file as it is made, so the temporaries stay near
   0.6 MB whatever the table's length.  The tables are built on first
@@ -71,13 +75,12 @@ def snapshot_lines(snapshot: dict) -> list[str]:
     return [f"{k} = {format_exact(v)}" for k, v in snapshot.items()]
 
 
-# |x| in this range keeps every intermediate of the product normal and
-# 12 - E inside [_KMIN, _KMAX], where the lo part of 10^(12-E) is normal.
+# |x| in this range is normal and puts 12 - E inside [_KMIN, _KMAX],
+# where 10^(12-E) is normal; the product then lies near 1e12 to 1e13.
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
 _KMIN, _KMAX = -270, 295
-_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter for 53-bit significands
-# Far wider than the ~1e-16 error of the computed fraction.
-_MARGIN = 1e-9
+# Twice the 2.23e-3 bound on the product's error (module docstring).
+_MARGIN = 5e-3
 # Larger blocks were slower in a fresh process: their bigger arrays were
 # mapped and unmapped by malloc, page-faulting on every block.
 _BLOCK_CELLS = 4096
@@ -87,30 +90,12 @@ _BLOCK_CELLS = 4096
 _FLOAT_CELL = 24
 
 
-def _split(x):
-    """Dekker's split: x = hi + lo exactly, each with at most 26 bits."""
-    t = _SPLIT * x
-    hi = t - (t - x)
-    return hi, x - hi
-
-
 @functools.cache
 def _powers_of_ten():
-    """10^k for k in [_KMIN, _KMAX] as hi + lo (hi also split), built on
-    first use; each part is correctly rounded from Python integers."""
-    hi, lo = [], []
-    for k in range(_KMIN, _KMAX + 1):
-        t = 10 ** abs(k)
-        if k >= 0:
-            h = float(t)
-            lo.append(float(t - int(h)))
-        else:
-            h = 1 / t  # int / int is correctly rounded
-            num, den = h.as_integer_ratio()
-            lo.append((den - num * t) / (den * t))
-        hi.append(h)
-    hi = np.array(hi)
-    return hi, *_split(hi), np.array(lo)
+    """10^k for k in [_KMIN, _KMAX], built on first use; each is correctly
+    rounded from Python integers (int / int is correctly rounded)."""
+    return np.array([float(10**k) if k >= 0 else 1 / 10**-k
+                     for k in range(_KMIN, _KMAX + 1)])
 
 
 @functools.cache
@@ -136,23 +121,14 @@ def _decimal(x):
     (NaN, ±inf, |x| off the fast range, near a tie or a missed decade)
     n and i are meaningless.
     """
-    hi, hi_hi, hi_lo, lo = _powers_of_ten()
     a = np.abs(x)
     zero = a == 0.0
     fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)  # False on NaN
     a[~fast] = 1.0  # a stand-in: E = 0, as a zero cell prints
     i = ((12 - _KMIN) - np.floor(np.log10(a))).astype(np.intp)
-    p = a * hi[i]
-    # Dekker's exact error of a·hi, plus a·lo.
-    a_hi, a_lo = _split(a)
-    h_hi, h_lo = hi_hi[i], hi_lo[i]
-    c = ((a_hi * h_hi - p) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo
-    c += a * lo[i]
+    p = a * _powers_of_ten()[i]  # within 2.23e-3 of |x|·10^(12-E)
     n = np.rint(p)
-    frac = (p - n) + c  # |x|·10^(12-E) - n, to about 1e-16
-    step = np.rint(frac)
-    n += step
-    frac -= step
+    frac = p - n  # exact
     # log10 may miss the decade by one.  n = 1e13 carries into E + 1 (also
     # right when the value was at or above 1e13, since it then lies below
     # 1e13 + 0.5); n = 1e12 from below is right only when ten times the

@@ -82,9 +82,9 @@ def phase_drift(params: ModelParams, a, b, s2, s3):
 
 
 def rhs(y, params: ModelParams, pump: float) -> np.ndarray:
-    """The four rates of `rate_equations` at the five-component state y."""
-    a, b, s1, s2, s3 = y.tolist() if isinstance(y, np.ndarray) else y
-    return np.array(rate_equations(params, pump)[0](a, b, s1, s2, s3))
+    """The four rates of `rate_equations` at the five-component state y,
+    its closures rebuilt per call (perfbench's `model.rhs_us` times it)."""
+    return np.array(rate_equations(params, pump)[0](*np.asarray(y, float).tolist()))
 
 
 def rate_scales_at(params: ModelParams, pump: float, a, b, s1, s2, s3):

@@ -284,11 +284,13 @@ def estimate_psd(run: SdeRun) -> PsdEstimate:
     win = win[:, None]
     bins = len(freqs)
     block = max(1, _BLOCK_SAMPLES // nperseg)
-    windowed = np.empty((nperseg, block))
+    windowed = np.empty(nperseg * block)
     spectra = np.empty((block, bins), dtype=complex)
     for p0 in range(0, m, block):
         p1 = min(p0 + block, m)
-        seg = windowed[:, :p1 - p0]
+        # Contiguous on a partial last block too, where a column slice
+        # would make the window multiply buffer its operands.
+        seg = windowed[:nperseg * (p1 - p0)].reshape(nperseg, p1 - p0)
         np.copyto(seg, x[:, p0:p1])
         seg *= win
         spec = np.fft.rfft(seg, axis=0, out=spectra[:p1 - p0].T).T

@@ -5,8 +5,9 @@ eyeballed without any plotting stack installed.  One file per curve,
 plain polyline on a framed axis box with a handful of ticks.
 
 The axis range covers the finite points only; a curve with none, or
-with a span that overflows, raises ValueError.  The polyline's points
-are rendered in numpy, to the bytes `"%.2f,%.2f"` gives point by point:
+with a span that overflows or whose tick step underflows, raises
+ValueError.  The polyline's points are rendered in numpy, to the bytes
+`"%.2f,%.2f"` gives point by point:
 
 - Digits.  Each mapped coordinate v becomes n = round(v·100), taken as
   rint of v·100 rounded to a double.  Rounding is monotone and every
@@ -39,15 +40,18 @@ _ML, _MR, _MT, _MB = 80, 20, 40, 60
 # A cell holds up to 4 integer digits, ".dd" and the separator.
 _CELL = 8
 _LIMIT = 10**6  # n from here on has a fifth integer digit
+_TICKS = 5  # ticks an axis aims for
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    raw = (hi - lo) / max(n - 1, 1)
-    mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
+def _tick_step(span: float) -> float:
+    """The first of 1, 2, 2.5, 5 and 10 times 10^floor(log10(raw)) that
+    is at least raw = span / (_TICKS - 1); 0.0 where either underflows."""
+    raw = span / (_TICKS - 1)
+    mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0.0 else 0.0
+    return next((m * mag for m in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= m * mag), 0.0)
+
+
+def _ticks(lo: float, hi: float, step: float) -> list[float]:
     start = math.ceil(lo / step) * step
     out = []
     t = start
@@ -108,12 +112,13 @@ def _points(xs, ys) -> str:
 
 
 def _axis_range(v, name, pad):
-    """(lo, hi) over the finite values of v, each end moved out by `pad`
-    times the span.
+    """(lo, hi, tick step) over the finite values of v, each end moved
+    out by `pad` times the span.
 
     A flat range is widened by 1, or where 1 is below its resolution by
     half its size towards zero, which cannot overflow.  A range whose
-    span times the plot's width is not finite raises ValueError.
+    span times the plot's width is not finite, or whose tick step
+    underflows to 0, raises ValueError.
     """
     finite = v[np.isfinite(v)]
     if not finite.size:
@@ -133,7 +138,11 @@ def _axis_range(v, name, pad):
     if not math.isfinite(_W * (hi - lo)):
         raise ValueError(f"{name} values from {first!r} to {last!r} overflow "
                          f"the axis range")
-    return lo, hi
+    step = _tick_step(hi - lo)
+    if not step:
+        raise ValueError(f"{name} values from {first!r} to {last!r} underflow "
+                         f"the tick step")
+    return lo, hi, step
 
 
 def line_plot_svg(path, x, y, title: str = "", xlabel: str = "",
@@ -142,14 +151,15 @@ def line_plot_svg(path, x, y, title: str = "", xlabel: str = "",
 
     NaN and ±inf points (unresolved sweep rows) are left out of the
     axis range; x or y with no finite point, or whose axis range is too
-    wide to map to pixels in doubles, raises ValueError.
+    wide to map to pixels in doubles or too narrow for a tick step,
+    raises ValueError before the file is opened.
     """
     xs = np.asarray(x, float)
     ys = np.asarray(y, float)
     if xs.shape != ys.shape or xs.ndim != 1 or not len(xs):
         raise ValueError("x and y must be equal-length and nonempty")
-    x0, x1 = _axis_range(xs, "x", 0.0)
-    y0, y1 = _axis_range(ys, "y", 0.05)
+    x0, x1, x_step = _axis_range(xs, "x", 0.0)
+    y0, y1, y_step = _axis_range(ys, "y", 0.05)
     pw, ph = _W - _ML - _MR, _H - _MT - _MB
 
     def px(v):
@@ -166,13 +176,13 @@ def line_plot_svg(path, x, y, title: str = "", xlabel: str = "",
         f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" fill="none" '
         f'stroke="black"/>',
     ]
-    for t in _ticks(x0, x1):
+    for t in _ticks(x0, x1, x_step):
         xp = px(t)
         parts.append(f'<line x1="{xp:.2f}" y1="{_MT + ph}" x2="{xp:.2f}" '
                      f'y2="{_MT + ph + 5}" stroke="black"/>')
         parts.append(f'<text x="{xp:.2f}" y="{_MT + ph + 20}" font-size="12" '
                      f'text-anchor="middle">{t:.3g}</text>')
-    for t in _ticks(y0, y1):
+    for t in _ticks(y0, y1, y_step):
         yp = py(t)
         parts.append(f'<line x1="{_ML - 5}" y1="{yp:.2f}" x2="{_ML}" '
                      f'y2="{yp:.2f}" stroke="black"/>')

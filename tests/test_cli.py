@@ -523,6 +523,24 @@ def test_pump_sweep_refuses_keys_of_the_other_grid(tmp_path, capsys, config, key
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, config, message", [
+    ("spectrum", {"omega_min": 0, "omega_max": 5e-324, "omega_steps": 2},
+     "variance_db: x values from 0.0 to 5e-324 underflow the tick step"),
+    ("steady-sweep", {"pump_min": 0, "pump_max": 1.7e308, "pump_steps": 3},
+     "a_par: x values from 0.0 to 1.7e+308 overflow the axis range"),
+], ids=["tick-step-underflow", "axis-overflow"])
+def test_plot_of_an_undrawable_range_is_an_input_error(tmp_path, capsys, command,
+                                                       config, message):
+    # The CSV is written before the plot and kept; the plot is refused
+    # with one error line before its file is opened.
+    cfg = _write_cfg(tmp_path / "c.cfg", config)
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", cfg, "--out", str(out), "--plot"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot plot {message}\n"
+    assert out.exists() and not list(tmp_path.glob("*.svg"))
+
+
 def test_i_par_past_threshold_is_a_domain_error(tmp_path, capsys):
     # In range as an input, but past the orthogonal threshold intensity,
     # where the spectrum's formula no longer applies.

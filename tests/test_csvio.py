@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -136,6 +137,27 @@ def test_exponent_fix_up_holds_when_log10_misses_the_decade(tmp_path, monkeypatc
     steps = np.arange(-300, 301) * 1e-14
     x = np.concatenate([10.0 ** k * (1.0 + steps) for k in range(-270, 271, 9)])
     _assert_cellwise(tmp_path, [x, -x])
+
+
+def test_significand_product_stays_within_its_rounding_bound():
+    # p = fl(|x|·fl(10^k)) is within (2 + u)·u·P of P = |x|·10^k, checked
+    # exactly on near-tie values (13 digits then a 5) at every table
+    # entry; at P < 1e13 + 1/2 that bound is below the fallback margin.
+    u = Fraction(1, 2**53)
+    assert (2 + u) * u * (10**13 + Fraction(1, 2)) < csvio._MARGIN
+    tens = csvio._powers_of_ten()
+    rng = np.random.default_rng(34)
+    worst = Fraction(0)
+    for k in range(csvio._KMIN, csvio._KMAX + 1):
+        exact = Fraction(10) ** k
+        assert abs(Fraction(tens[k - csvio._KMIN]) - exact) <= u * exact
+        for digits in rng.integers(10**12, 10**13, 20).tolist():
+            x = float((digits + Fraction(1, 2)) / exact)
+            big = Fraction(x) * exact
+            err = abs(Fraction(x * tens[k - csvio._KMIN]) - big)
+            assert err <= (2 + u) * u * big
+            worst = max(worst, err)
+    assert worst < csvio._MARGIN
 
 
 if given is not None:

@@ -163,8 +163,8 @@ def test_ode_oracle_imports_neither_numpy_nor_scipy():
 def test_ndarray_type_checks_are_only_the_allowed_ones():
     # A closed form takes np.asarray of its inputs and has one body for
     # scalars and arrays alike.  `isinstance(..., np.ndarray)` is kept
-    # only at write_csv's column type gate and model.rhs's unpacking of
-    # the state, each named by its innermost enclosing function.
+    # only at write_csv's column type gate, named by its innermost
+    # enclosing function.
     found = []
     for path in _SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -178,4 +178,4 @@ def test_ndarray_type_checks_are_only_the_allowed_ones():
                              if f.lineno <= node.lineno <= f.end_lineno),
                             key=lambda f: f.lineno, default=None)
                 found.append(f"{path.stem}.{owner.name if owner else '<module>'}")
-    assert sorted(found) == ["csvio.write_csv", "model.rhs"]
+    assert sorted(found) == ["csvio.write_csv"]

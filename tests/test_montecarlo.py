@@ -412,38 +412,38 @@ def test_second_estimate_of_a_run_is_refused(reference):
 
 def test_memory_footprint_of_simulation_and_estimate(reference):
     # tracemalloc sees every numpy buffer, so the peaks are exact counts.
-    # A small run first imports numpy.fft outside the window, so the
-    # windows hold only their data.
+    # A small run first imports numpy.fft outside the window, and plans
+    # the FFT of the same nperseg, so the windows hold only their data.
+    # 2048 segments fill whole blocks; 2000 end on a partial one.
     estimate_psd(_threshold_run(reference, segments=16)[0])
-    tracemalloc.start()
-    try:
-        run, _ = _threshold_run(reference)
-        _, sim_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        start, _ = tracemalloc.get_traced_memory()
-        estimate_psd(run)
-        _, psd_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    nbytes = run.series_out.nbytes
-    assert len(run.series_out) > 1_000_000
-    # The run holds one state array of nperseg + 1 rows, one row and two
-    # chunk buffers of _BLOCK_SAMPLES // segments rows, plus a few KB of
-    # Python objects (the generator, the run).  The estimate writes its
-    # bins over the series and adds its two block buffers (windowed
-    # segments and their spectra), the in-place window multiply's one
-    # ufunc buffer (np.getbufsize() doubles, for the broadcast window
-    # column; the copy of the strided segments beside it buffers
-    # nothing) and a few KB for the window, the grid and the estimate
-    # itself.
-    segments = run.segments
-    rows = montecarlo._BLOCK_SAMPLES // segments
-    state_rows = len(run.series_out) // segments + 1
-    assert sim_peak <= 8 * segments * (state_rows + 1 + 2 * rows) + 8192
-    nperseg = state_rows - 1
-    block = montecarlo._BLOCK_SAMPLES // nperseg
-    blocks = 8 * nperseg * block + 16 * block * (nperseg // 2 + 1)
-    assert psd_peak - start <= blocks + 8 * np.getbufsize() + 32768
+    for segments in (2048, 2000):
+        tracemalloc.start()
+        try:
+            run, _ = _threshold_run(reference, segments=segments)
+            _, sim_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            start, _ = tracemalloc.get_traced_memory()
+            estimate_psd(run)
+            _, psd_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(run.series_out) > 1_000_000
+        # The run holds one state array of nperseg + 1 rows, one row and
+        # two chunk buffers of _BLOCK_SAMPLES // segments rows, plus a few
+        # KB of Python objects (the generator, the run).  The estimate
+        # writes its bins over the series and adds its two block buffers
+        # (windowed segments and their spectra), the in-place window
+        # multiply's one ufunc buffer (np.getbufsize() doubles, for the
+        # broadcast window column; the copy of the strided segments
+        # beside it buffers nothing) and a few KB for the window, the
+        # grid and the estimate itself.
+        rows = montecarlo._BLOCK_SAMPLES // segments
+        state_rows = len(run.series_out) // segments + 1
+        assert sim_peak <= 8 * segments * (state_rows + 1 + 2 * rows) + 8192
+        nperseg = state_rows - 1
+        block = montecarlo._BLOCK_SAMPLES // nperseg
+        blocks = 8 * nperseg * block + 16 * block * (nperseg // 2 + 1)
+        assert psd_peak - start <= blocks + 8 * np.getbufsize() + 32768
 
 
 @pytest.mark.parametrize("nperseg", [64, 512, 4096])

@@ -121,10 +121,13 @@ def test_plot_keeps_widening_an_ordinary_flat_range_by_one(tmp_path):
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
-@pytest.mark.parametrize("values", [[-1e308, 1e308], [0.0, 1.7976931348623157e308]])
+@pytest.mark.parametrize("values", [[-1e308, 1e308], [0.0, 1.7976931348623157e308],
+                                    [0.0, 5e-324]])
 def test_plot_refuses_a_range_that_overflows(tmp_path, axis, values):
+    # A span whose tick step underflows to 0 is refused the same way.
     x, y = (values, [0.0, 1.0]) if axis == "x" else ([0.0, 1.0], values)
-    with pytest.raises(ValueError, match=f"^{axis} values from .* overflow"):
+    flow = "under" if values[1] < 1.0 else "over"
+    with pytest.raises(ValueError, match=f"^{axis} values from .* {flow}flow"):
         line_plot_svg(tmp_path / "o.svg", x, y)
     assert not list(tmp_path.iterdir())
 
