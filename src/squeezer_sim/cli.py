@@ -163,6 +163,15 @@ def _check_grid_fits(key: str, steps: int):
                          f"lower {key}")
 
 
+def _check_increasing(grid: np.ndarray, keys: str) -> np.ndarray:
+    """ConfigError unless the grid's points strictly increase; a range
+    too narrow for its step count repeats a point when it rounds."""
+    if np.any(grid[1:] <= grid[:-1]):
+        raise ConfigError(f"{keys} give a grid whose points do not strictly "
+                          "increase; widen the range or use fewer steps")
+    return grid
+
+
 def _grid(cfg: dict, name: str, default_min: float, default_max: float,
           default_steps: int) -> tuple[np.ndarray, dict]:
     """The `name` grid and its resolved `<name>_*` keys for the header."""
@@ -175,7 +184,8 @@ def _grid(cfg: dict, name: str, default_min: float, default_max: float,
     if log and lo <= 0:
         raise ConfigError(f"{name}_log requires {name}_min > 0")
     _check_grid_fits(f"{name}_steps", steps)
-    grid = (np.geomspace if log else np.linspace)(lo, hi, steps)
+    grid = _check_increasing((np.geomspace if log else np.linspace)(lo, hi, steps),
+                             f"{name}_min, {name}_max, {name}_steps")
     return grid, {f"{name}_min": float(grid[0]), f"{name}_max": float(grid[-1]),
                   f"{name}_steps": steps, f"{name}_log": log}
 
@@ -278,7 +288,8 @@ def cmd_pump_sweep(cfg: dict, out: str, plot: bool) -> int:
             raise ConfigError("normalized pump grid needs min < max and "
                               "steps >= 2")
         _check_grid_fits("pump_steps", steps)
-        normalized = np.linspace(lo, hi, steps)
+        normalized = _check_increasing(np.linspace(lo, hi, steps),
+                                       "pump_norm_min, pump_norm_max, pump_steps")
         laser_threshold(params)  # raises Unreachable with its own reason
         sweep = pump_sweep_curve(params, omega,
                                  normalized * orth_threshold_pump(params))

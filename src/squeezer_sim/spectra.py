@@ -129,6 +129,9 @@ def orth_phase_variance(params: ModelParams, pump, omega) -> float:
     return 1.0 - num / den
 
 
+# Above about 1.34e154 rad/s omega^2 overflows to inf and V is 1, the
+# QNL, as the scalar forms give it silently in floats.
+@np.errstate(over="ignore")
 def orth_phase_variance_reduced(params: ModelParams, i_par, omega) -> float | np.ndarray:
     """Same spectrum in terms of the operating intensity alone.
 
@@ -274,8 +277,9 @@ def output_phase_variances(params: ModelParams, drift, a: float, b: float,
     w = _check_omega(omega)
     M = [[(1j * w if j == k else 0.0) - x for k, x in enumerate(row)]
          for j, row in enumerate(drift)]
+    # det(M / scale) stays finite where det(M) would overflow.
     scale = max(abs(x) for row in M for x in row)
-    if abs(np.linalg.det(M)) <= 1e-12 * scale ** len(M):
+    if abs(np.linalg.det(np.divide(M, scale))) <= 1e-12:
         raise SingularMatrix(
             f"(i w I - A) singular at omega {w!r} (free-phase direction)")
     noise = _phase_noise(params, a, b)

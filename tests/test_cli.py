@@ -541,6 +541,45 @@ def test_plot_of_an_undrawable_range_is_an_input_error(tmp_path, capsys, command
     assert out.exists() and not list(tmp_path.glob("*.svg"))
 
 
+def test_pump_sweep_past_the_square_root_of_the_float_range_is_the_qnl(tmp_path,
+                                                                       capsys):
+    # omega^2 overflows to inf; every row is at variance 1, the QNL.
+    cfg = _write_cfg(tmp_path / "c.cfg", {"omega": 1e308})
+    out = tmp_path / "x.csv"
+    assert main(["pump-sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    _, header, rows = _read_csv(out)
+    variances = {row[header.index("variance")] for row in rows}
+    assert variances == {"1.000000000000e+00"}
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["spectrum"], {"gamma_orth_l": 0},
+     "DomainError: every variance must be finite and > 0"),
+    (["thresholds"], {"gamma_orth_l": 0, "omega": 0},
+     "DomainError: variance must be > 0 for dB conversion, got 0.0"),
+], ids=["spectrum-default-grid", "thresholds-at-dc"])
+def test_perfect_squeezing_point_has_no_decibel_value(tmp_path, capsys, argv,
+                                                      config, message):
+    # With no orthogonal loss the variance at omega = 0 and the
+    # instability intensity is exactly 0, which has no dB value.
+    cfg = _write_cfg(tmp_path / "c.cfg", config)
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_perfect_squeezing_spectrum_from_one_rad_per_second(tmp_path):
+    cfg = _write_cfg(tmp_path / "c.cfg", {"gamma_orth_l": 0, "omega_min": 1})
+    out = tmp_path / "x.csv"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    _, _, rows = _read_csv(out)
+    assert rows[0] == ["1.000000000000e+00", "1.110223024625e-15",
+                       "-1.495458977019e+02"]
+
+
 def test_i_par_past_threshold_is_a_domain_error(tmp_path, capsys):
     # In range as an input, but past the orthogonal threshold intensity,
     # where the spectrum's formula no longer applies.
@@ -590,6 +629,10 @@ def test_config_parse_errors(tmp_path):
     assert main(["thresholds", "--config", str(p)]) == 1
 
 
+_REPEATS = ("give a grid whose points do not strictly increase; widen the "
+            "range or use fewer steps")
+
+
 @pytest.mark.parametrize("argv, config, message", [
     (["thresholds"], {"pump_log": "maybe"},
      "config errors: line 1: cannot parse 'maybe' as bool"),
@@ -599,7 +642,19 @@ def test_config_parse_errors(tmp_path):
      "omega_log requires omega_min > 0"),
     (["pump-sweep"], {"pump_norm_min": 1.0, "pump_norm_max": 0.5},
      "normalized pump grid needs min < max and steps >= 2"),
-], ids=["bad-bool", "grid-min-equals-max", "log-grid-min-zero", "normalized-grid"])
+    # A range too narrow for its step count repeats a point once rounded.
+    (["spectrum"], {"omega_min": 0, "omega_max": 5e-324, "omega_steps": 3},
+     f"omega_min, omega_max, omega_steps {_REPEATS}"),
+    (["spectrum"], {"omega_min": 1, "omega_max": 1.0000000000000004,
+                    "omega_steps": 5, "omega_log": "true"},
+     f"omega_min, omega_max, omega_steps {_REPEATS}"),
+    (["steady-sweep"], {"pump_min": 0, "pump_max": 5e-324, "pump_steps": 3},
+     f"pump_min, pump_max, pump_steps {_REPEATS}"),
+    (["pump-sweep"], {"pump_norm_min": 0, "pump_norm_max": 5e-324, "pump_steps": 3},
+     f"pump_norm_min, pump_norm_max, pump_steps {_REPEATS}"),
+], ids=["bad-bool", "grid-min-equals-max", "log-grid-min-zero", "normalized-grid",
+        "repeated-omega", "repeated-log-omega", "repeated-pump",
+        "repeated-normalized-pump"])
 def test_config_and_grid_errors_are_one_input_error_line(tmp_path, capsys, argv,
                                                          config, message):
     cfg = _write_cfg(tmp_path / "c.cfg", config)

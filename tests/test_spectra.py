@@ -95,6 +95,20 @@ def test_high_frequency_limit_is_qnl(reference):
     assert abs(orth_phase_variance_reduced(reference, i_star, 1e12) - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("omega", [1e155, 1.7e308])
+def test_omega_past_the_square_root_of_the_float_range_is_the_qnl(reference, omega):
+    # omega^2 overflows to inf above about 1.34e154 rad/s: V is exactly
+    # 1, with no warning, in every form.
+    i_star = orth_threshold_intensity(reference)
+    assert orth_phase_variance_reduced(reference, i_star, omega) == 1.0
+    assert orth_phase_variance_reduced(
+        reference, [0.0, 0.5 * i_star, i_star], omega).tolist() == [1.0] * 3
+    assert threshold_variance(reference, omega) == 1.0
+    r = regime3_phase_pair_spectrum(reference, 2.0 * orth_threshold_pump(reference),
+                                    omega)
+    assert (r.v_orth, r.v_par) == (1.0, 1.0)
+
+
 def test_full_and_reduced_routes_agree(rng):
     for _ in range(4):
         p = sample_reachable_params(rng)

@@ -4,20 +4,22 @@ Usage, from the repository root:
 
     python tools/uncovered.py [extra pytest arguments]
 
-Runs the tier-1 suite in this process under a `sys.settrace` line
-tracer (standard library only; no coverage package is needed), then
-prints each statement of `src/squeezer_sim/*.py` that never ran as
-`path:line: source`, and a count.  Docstrings are not statements here.
-A compound statement (`def`, `if`, `for`, ...) counts as run when a
-line of its header runs; a simple one when any of its lines does.
+Runs the tier-1 suite as a child `python -m pytest` under a
+`sys.settrace` line tracer (standard library only; no coverage package
+is needed), then prints each statement of `src/squeezer_sim/*.py` that
+never ran as `path:line: source`, and a count.  Docstrings are not
+statements here.  A compound statement (`def`, `if`, `for`, ...) counts
+as run when a line of its header runs; a simple one when any of its
+lines does.
 
-Child processes are traced too.  The tests start their Python children
-with this process's PYTHONPATH, so the tool puts a temporary directory
-at its front holding a `sitecustomize` module: it traces the child's
-package lines, writes them to that directory at exit, and then runs any
-`sitecustomize` it shadows.  That is how `cli`'s `__main__` guard and
-the `break` of `svg._ticks` for a range finer than its tick resolution,
-tested only in children, count as run.
+The tracer is one `sitecustomize` module in a temporary directory that
+goes first on the child's PYTHONPATH.  The tests start their own Python
+children with that PYTHONPATH, so the same module loads into every
+process of the run, the pytest process included: it traces the
+package's lines, writes them to that directory at exit as
+`<pid>.lines`, and then runs any `sitecustomize` it shadows.  That is
+how `cli`'s `__main__` guard and the `break` of `svg._ticks` for a range
+finer than its tick resolution, tested only in children, count as run.
 
 The two `test_sweep_memory_is_its_columns_and_one_branch` cases are
 deselected.  They bound tracemalloc's peak over one sweep, and the
@@ -32,9 +34,9 @@ from __future__ import annotations
 
 import ast
 import os
+import subprocess
 import sys
 import tempfile
-import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,8 +45,9 @@ DESELECT = [
     "tests/test_steadystate.py::test_sweep_memory_is_its_columns_and_one_branch"
     f"[{grid}]" for grid in ("linear", "log")]
 
-# The body of the children's `sitecustomize`, after the two lines that
-# set _PREFIX (the package directory) and _OUT (where to write).
+# The body of the `sitecustomize` that every process of the run loads,
+# after the two lines that set _PREFIX (the package directory) and _OUT
+# (where to write).
 CHILD_TRACER = """
 import atexit, importlib.machinery, importlib.util, os, sys, threading
 
@@ -100,50 +103,19 @@ def statements(source: str) -> dict[int, range]:
     return found
 
 
-def _run_traced(argv: list[str], prefix: str, children: str) -> tuple[int, set]:
-    """Run pytest under the line tracer, with `children` first on the
-    PYTHONPATH that child processes inherit; return its exit code and
-    the (file, line) pairs this process ran."""
-    import pytest
-
-    ran: set[tuple[str, int]] = set()
-
-    def local(frame, event, arg):
-        if event == "line":
-            ran.add((frame.f_code.co_filename, frame.f_lineno))
-        return local
-
-    def tracer(frame, event, arg):
-        if frame.f_code.co_filename.startswith(prefix):
-            return local(frame, event, arg)
-        return None
-
-    old_path = os.environ.get("PYTHONPATH")
-    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (children, old_path)))
-    sys.path.insert(0, str(ROOT / "src"))
-    threading.settrace(tracer)
-    sys.settrace(tracer)
-    try:
-        code = pytest.main(["-q", "-p", "no:cacheprovider", "--rootdir", str(ROOT),
-                            *(f"--deselect={t}" for t in DESELECT),
-                            str(ROOT / "tests"), *argv])
-    finally:
-        sys.settrace(None)
-        threading.settrace(None)
-        if old_path is None:
-            del os.environ["PYTHONPATH"]
-        else:
-            os.environ["PYTHONPATH"] = old_path
-    return int(code), ran
-
-
 def main(argv: list[str]) -> int:
     prefix = str(PACKAGE) + "/"
     with tempfile.TemporaryDirectory() as children:
         children = os.path.abspath(children)
         Path(children, "sitecustomize.py").write_text(
             f"_PREFIX = {prefix!r}\n_OUT = {children!r}\n{CHILD_TRACER}", encoding="utf-8")
-        code, ran = _run_traced(argv, prefix, children)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (children, os.environ.get("PYTHONPATH"))))}
+        code = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "--rootdir", str(ROOT), *(f"--deselect={t}" for t in DESELECT),
+             str(ROOT / "tests"), *argv], env=env).returncode
+        ran = set()
         for record in Path(children).glob("*.lines"):
             for row in record.read_text(encoding="utf-8").splitlines():
                 name, line = row.rsplit("\t", 1)
