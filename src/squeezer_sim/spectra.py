@@ -25,8 +25,9 @@ into the reduced form
 depending only on mu, the orthogonal-mode decays and the operating
 intensity.  These closed forms are the production path in region ii.
 Nothing here compares a pump with a threshold: a point goes by the
-regime `steady_state` settles on, and a pump grid by the same rule
-applied row by row in `steadystate`.
+regime `steady_state` settles on, read as floats from its one-pump rule
+`steadystate._point` without building the record, and a pump grid by
+the same rule applied row by row in `steadystate`.
 One input-output solve, `output_phase_variances` on the phase block of
 `model.phase_drift`, gives the coupled pair of region iii and checks
 the reduced form (`check`'s route_equivalence).  The region-ii
@@ -47,11 +48,11 @@ from .params import ModelParams, as_pump
 from .steadystate import (
     Regime,
     _grid_branches,
+    _point,
     as_pumps,
     laser_threshold,
     orth_threshold_intensity,
     orth_threshold_pump,
-    steady_state,
 )
 
 __all__ = [
@@ -119,11 +120,11 @@ def orth_phase_variance(params: ModelParams, pump, omega) -> float:
     """
     w = _check_omega(omega)
     g = as_pump(pump)
-    ss = steady_state(params, g)
-    if ss.regime is not Regime.LaserOnly:
+    _, s2, s3, _, _, regime = _point(params, g)
+    if regime is not Regime.LaserOnly:
         raise WrongRegime(f"pump {g!r} is not in the lasing-only region")
     G = params.stim_rate_G
-    inv = ss.sigma3 - ss.sigma2
+    inv = s3 - s2
     num = 2.0 * params.gamma_orth_c * (G * inv - 2.0 * params.gamma_par)
     den = (params.gamma_orth - params.gamma_par + 0.5 * G * inv) ** 2 + w * w
     return 1.0 - num / den
@@ -302,10 +303,10 @@ def regime3_phase_pair_spectrum(params: ModelParams, pump, omega) -> PhasePairVa
     """
     w = _check_omega(omega)
     g = as_pump(pump)
-    ss = steady_state(params, g)
-    if ss.regime is not Regime.OrthExcited:
+    _, s2, s3, i_par, i_orth, regime = _point(params, g)
+    if regime is not Regime.OrthExcited:
         raise WrongRegime(f"pump {g!r} is not in the orth-excited region")
-    a, b = ss.a_par, ss.a_orth
-    drift = model.phase_drift(params, a, b, ss.sigma2, ss.sigma3)
+    a, b = math.sqrt(i_par), math.sqrt(i_orth)
+    drift = model.phase_drift(params, a, b, s2, s3)
     v_par, v_orth = output_phase_variances(params, drift, a, b, (0, 1), w)
     return PhasePairVariance(v_orth=v_orth, v_par=v_par)

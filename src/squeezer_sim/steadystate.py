@@ -17,9 +17,11 @@ not a fixed point of the rate equations.
 The algebra of each form is written once, in helpers that use only
 + - * /, abs and a square root the caller passes in, and so take a pump
 float or a pump array alike.  A pump's branch is decided in two places,
-with the same tests in the same order: `steady_state`, on one pump with
+with the same tests in the same order: `_point`, on one pump with
 `math.sqrt` and Python branches, and `_grid_branches`, the same rule on
-the rows of a 1-D grid with `np.sqrt`.  `steady_state_sweep` and
+the rows of a 1-D grid with `np.sqrt`.  `_point` returns plain floats:
+`steady_state` builds its `SteadyState` from them, and the scalar
+spectra read them directly.  `steady_state_sweep` and
 `spectra.pump_sweep_curve` both take their rows from `_grid_branches`
 and evaluate each form only on its own branch's rows; the forms are
 elementwise, so every row gets bitwise the scalar call's values.
@@ -79,20 +81,23 @@ class SteadyState:
     regime: Regime
 
     def __post_init__(self):
-        total = self.sigma1 + self.sigma2 + self.sigma3
+        s1, s2, s3 = self.sigma1, self.sigma2, self.sigma3
+        i_par, i_orth, regime = self.i_par, self.i_orth, self.regime
+        total = s1 + s2 + s3
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"populations sum to {total!r}, not 1")
-        for name in ("sigma1", "sigma2", "sigma3"):
-            v = getattr(self, name)
+        for name, v in (("sigma1", s1), ("sigma2", s2), ("sigma3", s3)):
             if not -_BOUND_SLACK <= v <= 1.0 + _BOUND_SLACK:
                 raise ValueError(f"{name}={v!r} outside [0, 1]")
-        if self.i_par < 0 or self.i_orth < 0:
+        if i_par < 0 or i_orth < 0:
             raise ValueError("intensities must be >= 0")
-        if self.regime is Regime.BelowLaser and (self.i_par != 0 or self.i_orth != 0):
-            raise ValueError("below-laser state must have dark fields")
-        if self.regime is Regime.LaserOnly and (self.i_orth != 0 or self.i_par <= 0):
-            raise ValueError("laser-only state needs i_par > 0, i_orth = 0")
-        if self.regime is Regime.OrthExcited and self.i_orth <= 0:
+        if regime is Regime.BelowLaser:
+            if i_par != 0 or i_orth != 0:
+                raise ValueError("below-laser state must have dark fields")
+        elif regime is Regime.LaserOnly:
+            if i_orth != 0 or i_par <= 0:
+                raise ValueError("laser-only state needs i_par > 0, i_orth = 0")
+        elif regime is Regime.OrthExcited and i_orth <= 0:
             raise ValueError("orth-excited state needs i_orth > 0")
 
     @property
@@ -262,6 +267,13 @@ def regime_thresholds(params: ModelParams) -> tuple[float, float]:
     return g_laser, g_orth
 
 
+def _residual(params: ModelParams, g: float, y) -> float:
+    """Largest of `_scaled_rates` at the float state y, NaN if any is NaN."""
+    scaled = _scaled_rates(params, g, y)
+    # The terms are >= 0, so their sum is NaN exactly when one of them is.
+    return math.nan if math.isnan(sum(scaled)) else max(scaled)
+
+
 def fixed_point_residual(params: ModelParams, pump, ss: SteadyState) -> float:
     """Largest scaled residual |f_i| / s_i of the state, NaN if any is NaN.
 
@@ -269,10 +281,42 @@ def fixed_point_residual(params: ModelParams, pump, ss: SteadyState) -> float:
     taken at the state's own sigma3, not at 1 - sigma1 - sigma2, which
     loses relative precision where the clamped inversion is small.
     """
-    scaled = _scaled_rates(params, as_pump(pump),
-                           (ss.a_par, ss.a_orth, ss.sigma1, ss.sigma2, ss.sigma3))
-    # The terms are >= 0, so their sum is NaN exactly when one of them is.
-    return math.nan if math.isnan(sum(scaled)) else max(scaled)
+    return _residual(params, as_pump(pump),
+                     (ss.a_par, ss.a_orth, ss.sigma1, ss.sigma2, ss.sigma3))
+
+
+def _point(params: ModelParams, g: float):
+    """`steady_state`'s region rule at one validated pump, in floats.
+
+    Returns (s1, s2, s3, i_par, i_orth, regime), the fields of the
+    `SteadyState` that `steady_state` builds from them, and raises what
+    it raises.  Region iii's residual runs on these floats, with the
+    amplitudes sqrt(i_par) and sqrt(i_orth), before any record exists.
+    The scalar spectra read the floats without building the record;
+    `steady_state` still validates every result, and the tests call it
+    at pumps from the smallest subnormal to near overflow.
+    """
+    g_laser, g_orth = regime_thresholds(params)
+    if g > g_orth:
+        s1, s2, s3, i_par, i_orth = _orth_excited_values(params, g)
+        if not i_orth <= 0.0:  # else dust; a NaN i_orth fails the residual
+            res = _residual(params, g, (math.sqrt(i_par), math.sqrt(i_orth),
+                                        s1, s2, s3))
+            if not res <= _RESIDUAL_TOL:
+                raise RootFindFailure(
+                    f"region-iii closed form is not a fixed point at pump {g!r}: "
+                    f"scaled residual {res!r} > {_RESIDUAL_TOL!r}")
+            return s1, s2, s3, i_par, i_orth, Regime.OrthExcited
+    elif g < g_laser:
+        return (*zero_field_populations(params, g), 0.0, 0.0, Regime.BelowLaser)
+    C, i_par = _lasing_root(params, g, math.sqrt)
+    if C < 0.0 and i_par > 0.0:
+        return (*_lasing_populations(params, g, i_par), i_par, 0.0,
+                Regime.LaserOnly)
+    if g > g_orth:
+        raise WrongRegime(
+            f"lasing branch has i_par <= 0 at pump {g!r} (not above threshold)")
+    return (*zero_field_populations(params, g), 0.0, 0.0, Regime.BelowLaser)
 
 
 def steady_state(params: ModelParams, pump) -> SteadyState:
@@ -292,30 +336,7 @@ def steady_state(params: ModelParams, pump) -> SteadyState:
     s2 balance hands back i_par.  Its state must be a fixed point of the
     rate equations to within `_RESIDUAL_TOL`, else RootFindFailure.
     """
-    g = as_pump(pump)
-    g_laser, g_orth = regime_thresholds(params)
-    if g > g_orth:
-        s1, s2, s3, i_par, i_orth = _orth_excited_values(params, g)
-        if not i_orth <= 0.0:  # else dust; a NaN i_orth fails the residual
-            ss = SteadyState(s1, s2, s3, i_par, i_orth, Regime.OrthExcited)
-            res = fixed_point_residual(params, g, ss)
-            if not res <= _RESIDUAL_TOL:
-                raise RootFindFailure(
-                    f"region-iii closed form is not a fixed point at pump {g!r}: "
-                    f"scaled residual {res!r} > {_RESIDUAL_TOL!r}")
-            return ss
-    elif g < g_laser:
-        return SteadyState(*zero_field_populations(params, g), 0.0, 0.0,
-                           Regime.BelowLaser)
-    C, i_par = _lasing_root(params, g, math.sqrt)
-    if C < 0.0 and i_par > 0.0:
-        return SteadyState(*_lasing_populations(params, g, i_par), i_par, 0.0,
-                           Regime.LaserOnly)
-    if g > g_orth:
-        raise WrongRegime(
-            f"lasing branch has i_par <= 0 at pump {g!r} (not above threshold)")
-    return SteadyState(*zero_field_populations(params, g), 0.0, 0.0,
-                       Regime.BelowLaser)
+    return SteadyState(*_point(params, as_pump(pump)))
 
 
 def _grid_branches(params: ModelParams, g, g_laser: float, g_orth: float):

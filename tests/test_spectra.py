@@ -1,3 +1,4 @@
+import contextlib
 import math
 import re
 
@@ -11,6 +12,7 @@ from squeezer_sim import (
     SingularMatrix,
     SpectrumCurve,
     SqueezerSimError,
+    SteadyState,
     WrongRegime,
     frequency_sweep_curve,
     laser_threshold,
@@ -21,6 +23,7 @@ from squeezer_sim import (
     pump_sweep_curve,
     reference_params,
     regime3_phase_pair_spectrum,
+    settle,
     steady_state,
     threshold_variance,
     to_decibel,
@@ -170,9 +173,10 @@ def test_spectra_follow_steady_state_regime_at_threshold_neighbours(reference, r
     # on the region below it: zero lasing intensity at the laser
     # threshold, a dark orthogonal mode just above the instability.  The
     # spectra go by the regime `steady_state` settles on, and return the
-    # value of their form at that state.  The orthogonal-mode threshold
-    # pump itself is on the lasing branch, and the pump sweep's last
-    # normalized row agrees with the full form there.
+    # value of their form at that state, bitwise, there and at a pump
+    # inside each region.  The orthogonal-mode threshold pump itself is
+    # on the lasing branch, and the pump sweep's last normalized row
+    # agrees with the full form there.
     families = [reference] + [sample_reachable_params(rng) for _ in range(100)]
     moved = 0
     for p in families:
@@ -183,30 +187,59 @@ def test_spectra_follow_steady_state_regime_at_threshold_neighbours(reference, r
         full = orth_phase_variance(p, go, w)
         assert curve.status[-1] == "ok"
         assert abs(curve.variances[-1] - full) <= 1e-12 * full
+        pumps = [0.5 * gl, math.sqrt(gl * go), 2.0 * go]
         for g0 in (gl, go):
             up1 = math.nextafter(g0, math.inf)
-            for g in (math.nextafter(g0, 0.0), g0, up1, math.nextafter(up1, math.inf)):
-                ss = steady_state(p, g)
-                region = (Regime.BelowLaser if g < gl else
-                          Regime.LaserOnly if g <= go else Regime.OrthExcited)
-                moved += ss.regime is not region
-                if ss.regime is Regime.LaserOnly:
-                    assert orth_phase_variance(p, g, w) == _full_form(p, ss, w)
-                else:
-                    with pytest.raises(WrongRegime):
-                        orth_phase_variance(p, g, w)
-                if ss.regime is Regime.OrthExcited:
-                    a, b = ss.a_par, ss.a_orth
-                    drift = model.phase_drift(p, a, b, ss.sigma2, ss.sigma3)
-                    v_par, v_orth = output_phase_variances(p, drift, a, b, (0, 1), w)
-                    pair = regime3_phase_pair_spectrum(p, g, w)
-                    assert (pair.v_par, pair.v_orth) == (v_par, v_orth)
-                else:
-                    with pytest.raises(WrongRegime):
-                        regime3_phase_pair_spectrum(p, g, w)
+            pumps += [math.nextafter(g0, 0.0), g0, up1, math.nextafter(up1, math.inf)]
+        for g in pumps:
+            ss = steady_state(p, g)
+            region = (Regime.BelowLaser if g < gl else
+                      Regime.LaserOnly if g <= go else Regime.OrthExcited)
+            moved += ss.regime is not region
+            if ss.regime is Regime.LaserOnly:
+                assert orth_phase_variance(p, g, w) == _full_form(p, ss, w)
+            else:
+                with pytest.raises(WrongRegime):
+                    orth_phase_variance(p, g, w)
+            if ss.regime is Regime.OrthExcited:
+                a, b = ss.a_par, ss.a_orth
+                drift = model.phase_drift(p, a, b, ss.sigma2, ss.sigma3)
+                v_par, v_orth = output_phase_variances(p, drift, a, b, (0, 1), w)
+                pair = regime3_phase_pair_spectrum(p, g, w)
+                assert (pair.v_par, pair.v_orth) == (v_par, v_orth)
+            else:
+                with pytest.raises(WrongRegime):
+                    regime3_phase_pair_spectrum(p, g, w)
     # The boundary cases occur: some of these pumps settle below the
     # region their threshold pump puts them in.
     assert moved >= 50
+
+
+def test_scalar_spectra_build_no_steady_state_record(reference, monkeypatch):
+    # The scalar spectra read `steady_state`'s branch as floats, on
+    # their values and on their WrongRegime paths alike; `steady_state`
+    # and `settle` each build, and so validate, one record a call.
+    built = []
+    validate_record = SteadyState.__post_init__
+
+    def counted(ss):
+        built.append(ss.regime)
+        validate_record(ss)
+
+    monkeypatch.setattr(SteadyState, "__post_init__", counted)
+    gl, go = regime_thresholds(reference)
+    w = reference.gamma_orth
+    for g, region in ((0.5 * gl, "i"), (math.sqrt(gl * go), "ii"), (2.0 * go, "iii")):
+        for spectrum, own in ((orth_phase_variance, "ii"),
+                              (regime3_phase_pair_spectrum, "iii")):
+            with (contextlib.nullcontext() if region == own
+                  else pytest.raises(WrongRegime)):
+                spectrum(reference, g, w)
+    assert built == []
+    assert steady_state(reference, 2.0 * go).regime is Regime.OrthExcited
+    assert built == [Regime.OrthExcited]
+    assert settle(reference, 1.5 * go).regime is Regime.OrthExcited
+    assert built == [Regime.OrthExcited] * 2
 
 
 def test_pump_sweep_rows_take_the_branch_of_steady_state(reference, rng):
